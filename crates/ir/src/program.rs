@@ -353,8 +353,14 @@ impl Program {
 
     /// A qualified `Class.name` display form.
     pub fn method_qualified_name(&self, meth: MethodId) -> String {
+        self.method_qualified_parts(meth).concat()
+    }
+
+    /// [`Program::method_qualified_name`] in pieces, for callers that
+    /// compare or render it without building the string.
+    pub fn method_qualified_parts(&self, meth: MethodId) -> [&str; 3] {
         let info = &self.methods[meth.index()];
-        format!("{}.{}", self.types[info.declaring.index()].name, info.name)
+        [&self.types[info.declaring.index()].name, ".", &info.name]
     }
 
     /// The class declaring a method.

@@ -20,11 +20,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pta_govern::CancelToken;
-use pta_ir::{HeapId, Instr, InvoId, VarId};
+use pta_ir::{HeapId, Instr, InvoId, MethodId, Program, VarId};
 
-use crate::json::escape;
+use crate::json::escape_into;
 use crate::protocol::{error_line, ErrorCode, Op, Request};
-use crate::resident::Resident;
+use crate::resident::{Resident, ResidentProgram};
 
 /// Per-request governance handed to the evaluator by the worker.
 #[derive(Debug)]
@@ -125,24 +125,24 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
 
     match &req.op {
         Op::PointsTo { var } => {
-            let bindings = vars_named(program, var, ctx)?;
+            let bindings = vars_named(rp, var, ctx)?;
             let mut out = head("points_to");
-            let _ = write!(out, ",\"var\":\"{}\",\"bindings\":[", escape(var));
+            out.push_str(",\"var\":");
+            push_quoted(&mut out, var);
+            out.push_str(",\"bindings\":[");
             for (i, &v) in bindings.iter().enumerate() {
                 ctx.tick().map_err(gov)?;
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(
-                    out,
-                    "{{\"method\":\"{}\",\"heaps\":[",
-                    escape(&program.method_qualified_name(program.var_method(v)))
-                );
+                out.push_str("{\"method\":");
+                push_method(&mut out, program, program.var_method(v));
+                out.push_str(",\"heaps\":[");
                 for (j, &h) in result.points_to(v).iter().enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\"", escape(program.heap_label(h)));
+                    push_quoted(&mut out, program.heap_label(h));
                 }
                 out.push_str("]}");
             }
@@ -163,33 +163,24 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
             ctx.tick().map_err(gov)?;
             let site = InvoId::from_raw(*invo as u32);
             let mut out = head("devirt");
-            let _ = write!(
-                out,
-                ",\"invo\":{},\"label\":\"{}\",\"in\":\"{}\",\"targets\":[",
-                invo,
-                escape(program.invo_label(site)),
-                escape(&program.method_qualified_name(program.invo_method(site)))
-            );
+            let _ = write!(out, ",\"invo\":{invo},\"label\":");
+            push_quoted(&mut out, program.invo_label(site));
+            out.push_str(",\"in\":");
+            push_method(&mut out, program, program.invo_method(site));
+            out.push_str(",\"targets\":[");
             for (i, &m) in result.call_targets(site).iter().enumerate() {
                 ctx.tick().map_err(gov)?;
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", escape(&program.method_qualified_name(m)));
+                push_method(&mut out, program, m);
             }
             out.push_str("]}");
             Ok(out)
         }
         Op::CastCheck { method, instr } => {
-            let mut meth = None;
-            for m in program.methods() {
-                ctx.tick().map_err(gov)?;
-                if program.method_qualified_name(m) == *method {
-                    meth = Some(m);
-                    break;
-                }
-            }
-            let meth = meth.ok_or_else(|| {
+            ctx.tick().map_err(gov)?;
+            let meth = rp.method_named(method).ok_or_else(|| {
                 (
                     ErrorCode::UnknownCast,
                     format!("no method \"{method}\" in program"),
@@ -211,12 +202,13 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
                 }
             }
             let mut out = head("cast_check");
+            out.push_str(",\"method\":");
+            push_quoted(&mut out, method);
+            let _ = write!(out, ",\"instr\":{instr},\"target_type\":");
+            push_quoted(&mut out, program.type_name(*ty));
             let _ = write!(
                 out,
-                ",\"method\":\"{}\",\"instr\":{},\"target_type\":\"{}\",\"points_to\":{},\"incompatible\":{},\"may_fail\":{}}}",
-                escape(method),
-                instr,
-                escape(program.type_name(*ty)),
+                ",\"points_to\":{},\"incompatible\":{},\"may_fail\":{}}}",
                 pts.len(),
                 incompatible,
                 incompatible > 0
@@ -224,10 +216,10 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
             Ok(out)
         }
         Op::Findings { var } => {
-            let bindings = vars_named(program, var, ctx)?;
-            let vars: BTreeSet<VarId> = bindings.iter().copied().collect();
+            // In arena order, so sorted: membership is a binary search.
+            let bindings = vars_named(rp, var, ctx)?;
             let mut heaps: BTreeSet<HeapId> = BTreeSet::new();
-            for &v in &bindings {
+            for &v in bindings {
                 for &h in result.points_to(v) {
                     ctx.tick().map_err(gov)?;
                     heaps.insert(h);
@@ -235,7 +227,9 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
             }
             let report = &entry.report;
             let mut out = head("findings");
-            let _ = write!(out, ",\"var\":\"{}\",\"taint\":[", escape(var));
+            out.push_str(",\"var\":");
+            push_quoted(&mut out, var);
+            out.push_str(",\"taint\":[");
             let mut first = true;
             for f in &report.taint {
                 ctx.tick().map_err(gov)?;
@@ -246,12 +240,11 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(
-                    out,
-                    "{{\"invo\":\"{}\",\"heap\":\"{}\"}}",
-                    escape(program.invo_label(f.invo)),
-                    escape(program.heap_label(f.heap))
-                );
+                out.push_str("{\"invo\":");
+                push_quoted(&mut out, program.invo_label(f.invo));
+                out.push_str(",\"heap\":");
+                push_quoted(&mut out, program.heap_label(f.heap));
+                out.push('}');
             }
             out.push_str("],\"escape\":[");
             let mut first = true;
@@ -264,25 +257,22 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(out, "\"{}\"", escape(program.heap_label(f.heap)));
+                push_quoted(&mut out, program.heap_label(f.heap));
             }
             out.push_str("],\"nullness\":[");
             let mut first = true;
             for f in &report.nullness {
                 ctx.tick().map_err(gov)?;
-                if !vars.contains(&f.var) {
+                if bindings.binary_search(&f.var).is_err() {
                     continue;
                 }
                 if !first {
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(
-                    out,
-                    "{{\"method\":\"{}\",\"instr\":{}}}",
-                    escape(&program.method_qualified_name(f.method)),
-                    f.instr
-                );
+                out.push_str("{\"method\":");
+                push_method(&mut out, program, f.method);
+                let _ = write!(out, ",\"instr\":{}}}", f.instr);
             }
             out.push_str("]}");
             Ok(out)
@@ -293,16 +283,17 @@ fn evaluate(req: &Request, resident: &Resident, ctx: &mut ReqCtx) -> Result<Stri
     }
 }
 
-/// Every variable named `name`, in arena order.
-fn vars_named(program: &pta_ir::Program, name: &str, ctx: &mut ReqCtx) -> Result<Vec<VarId>, Fail> {
-    let mut found = Vec::new();
-    for v in program.vars() {
-        ctx.tick()
-            .map_err(|c| (c, "request budget tripped during evaluation".to_string()))?;
-        if program.var_name(v) == name {
-            found.push(v);
-        }
-    }
+/// Every variable named `name`, in arena order, from the program's name
+/// index. Ticks once first, so a spent budget or a cancelled request
+/// answers its governance error before `unknown_var`.
+fn vars_named<'r>(
+    rp: &'r ResidentProgram,
+    name: &str,
+    ctx: &mut ReqCtx,
+) -> Result<&'r [VarId], Fail> {
+    ctx.tick()
+        .map_err(|c| (c, "request budget tripped during evaluation".to_string()))?;
+    let found = rp.vars_named(name);
     if found.is_empty() {
         return Err((
             ErrorCode::UnknownVar,
@@ -310,6 +301,23 @@ fn vars_named(program: &pta_ir::Program, name: &str, ctx: &mut ReqCtx) -> Result
         ));
     }
     Ok(found)
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends `m`'s qualified name as a JSON string literal, without
+/// building the name first.
+fn push_method(out: &mut String, program: &Program, m: MethodId) {
+    out.push('"');
+    for part in program.method_qualified_parts(m) {
+        escape_into(out, part);
+    }
+    out.push('"');
 }
 
 #[cfg(test)]

@@ -33,6 +33,14 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order.
+    pub(crate) const ALL: [FaultKind; 4] = [
+        FaultKind::Delay,
+        FaultKind::Cancel,
+        FaultKind::Exhaust,
+        FaultKind::Garble,
+    ];
+
     /// Stable flag/wire name.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -45,13 +53,7 @@ impl FaultKind {
     }
 
     fn parse(text: &str) -> Option<FaultKind> {
-        match text {
-            "delay" => Some(FaultKind::Delay),
-            "cancel" => Some(FaultKind::Cancel),
-            "exhaust" => Some(FaultKind::Exhaust),
-            "garble" => Some(FaultKind::Garble),
-            _ => None,
-        }
+        FaultKind::ALL.into_iter().find(|k| k.as_str() == text)
     }
 }
 
@@ -143,12 +145,7 @@ mod tests {
         // ~10% of 10k ids fault, with generous slack for the tiny Rng.
         assert!((500..2000).contains(&hits.len()), "{} faults", hits.len());
         // Every kind shows up, and re-deciding gives identical answers.
-        for kind in [
-            FaultKind::Delay,
-            FaultKind::Cancel,
-            FaultKind::Exhaust,
-            FaultKind::Garble,
-        ] {
+        for kind in FaultKind::ALL {
             assert!(hits.contains(&kind), "{kind:?} never injected");
         }
         for id in 0..10_000 {

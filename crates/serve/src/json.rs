@@ -13,6 +13,7 @@
 //! soak driver), so the dependency arrow points the wrong way.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects use a `BTreeMap` so iteration and error
 /// messages are deterministic.
@@ -260,6 +261,13 @@ impl Parser<'_> {
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`] appending to `out` instead of allocating: response
+/// rendering escapes every name straight into the response line.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -267,11 +275,12 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -295,5 +304,8 @@ mod tests {
         let line = format!("{{\"s\":\"{}\"}}", escape(hairy));
         let v = parse(&line).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some(hairy));
+        let mut appended = String::from("x");
+        escape_into(&mut appended, hairy);
+        assert_eq!(appended, format!("x{}", escape(hairy)));
     }
 }

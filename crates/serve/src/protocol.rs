@@ -85,6 +85,23 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order.
+    pub(crate) const ALL: [ErrorCode; 13] = [
+        ErrorCode::Parse,
+        ErrorCode::Oversized,
+        ErrorCode::BadRequest,
+        ErrorCode::UnknownProgram,
+        ErrorCode::UnknownPolicy,
+        ErrorCode::UnknownVar,
+        ErrorCode::UnknownInvo,
+        ErrorCode::UnknownCast,
+        ErrorCode::Overloaded,
+        ErrorCode::ShuttingDown,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::Cancelled,
+        ErrorCode::BudgetExhausted,
+    ];
+
     /// The stable wire name.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -147,6 +164,19 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every op's wire name, in declaration order.
+    pub(crate) const NAMES: [&'static str; 9] = [
+        "points_to",
+        "devirt",
+        "cast_check",
+        "findings",
+        "update",
+        "health",
+        "stats",
+        "metrics",
+        "shutdown",
+    ];
+
     /// The wire name of the operation (mirrored back in responses).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -362,6 +392,29 @@ mod tests {
         ] {
             let r = parse_request(&format!("{{\"id\":5,\"op\":\"{op}\"}}")).unwrap();
             assert_eq!(r.op, want);
+        }
+    }
+
+    #[test]
+    fn name_tables_list_every_variant() {
+        let ops = [
+            Op::PointsTo { var: "x".into() },
+            Op::Devirt { invo: 0 },
+            Op::CastCheck {
+                method: "A.m".into(),
+                instr: 0,
+            },
+            Op::Findings { var: "x".into() },
+            Op::Update { edits: Vec::new() },
+            Op::Health,
+            Op::Stats,
+            Op::Metrics,
+            Op::Shutdown,
+        ];
+        assert_eq!(ops.map(|op| op.name()), Op::NAMES);
+        let codes = ErrorCode::ALL.map(ErrorCode::as_str);
+        for (i, code) in codes.iter().enumerate() {
+            assert!(!codes[..i].contains(code), "duplicate code {code}");
         }
     }
 

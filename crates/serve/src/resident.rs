@@ -162,10 +162,68 @@ impl PolicyEntry {
 /// A resident program with one entry per configured policy.
 pub struct ResidentProgram {
     pub name: String,
+    /// The current version's program. Replaced only together with the
+    /// name index (see [`Resident::update`]).
     pub program: Arc<Program>,
     /// Monotone program version: 1 at startup, +1 per applied `update`.
     pub version: u64,
     pub entries: Vec<PolicyEntry>,
+    names: NameIndex,
+}
+
+impl ResidentProgram {
+    /// Every variable named `name`, in arena order (empty when none).
+    #[must_use]
+    pub fn vars_named(&self, name: &str) -> &[VarId] {
+        let (p, vars) = (&self.program, &self.names.vars);
+        let lo = vars.partition_point(|&v| p.var_name(v) < name);
+        let len = vars[lo..].partition_point(|&v| p.var_name(v) == name);
+        &vars[lo..lo + len]
+    }
+
+    /// The first method, in arena order, whose qualified name
+    /// (`Class.name`) is `qualified`.
+    #[must_use]
+    pub fn method_named(&self, qualified: &str) -> Option<MethodId> {
+        let (p, methods) = (&self.program, &self.names.methods);
+        let at = methods.partition_point(|&m| qualified_bytes(p, m).lt(qualified.bytes()));
+        methods
+            .get(at)
+            .copied()
+            .filter(|&m| qualified_bytes(p, m).eq(qualified.bytes()))
+    }
+}
+
+/// Name lookups for one program version, so a query binary-searches
+/// instead of comparing every variable or method name. It holds ids only
+/// and compares through the program's own name tables: building it
+/// copies no string.
+struct NameIndex {
+    /// Every variable, sorted by `(name, id)`: the variables sharing a
+    /// name form one run, in arena order.
+    vars: Vec<VarId>,
+    /// Every method, sorted by `(qualified name, id)`.
+    methods: Vec<MethodId>,
+}
+
+impl NameIndex {
+    fn build(program: &Program) -> NameIndex {
+        // The ids start in arena order and both sorts are stable, so
+        // equal names stay in id order.
+        let mut vars: Vec<VarId> = program.vars().collect();
+        vars.sort_by_key(|&v| program.var_name(v));
+        let mut methods: Vec<MethodId> = program.methods().collect();
+        methods.sort_by(|&a, &b| qualified_bytes(program, a).cmp(qualified_bytes(program, b)));
+        NameIndex { vars, methods }
+    }
+}
+
+/// The bytes of `m`'s qualified name, without building it.
+fn qualified_bytes(program: &Program, m: MethodId) -> impl Iterator<Item = u8> + '_ {
+    program
+        .method_qualified_parts(m)
+        .into_iter()
+        .flat_map(str::bytes)
 }
 
 /// Everything the daemon holds hot. Built once at startup, then shared
@@ -211,6 +269,7 @@ impl Resident {
             }
             programs.push(ResidentProgram {
                 name,
+                names: NameIndex::build(&program),
                 program,
                 version: 1,
                 entries,
@@ -299,7 +358,7 @@ impl Resident {
             }
         };
         let rp = &mut self.programs[idx];
-        let delta = build_delta(&rp.program, edits)?;
+        let delta = build_delta(rp, edits)?;
         // Validate the delta once up front so a bad edit script fails
         // atomically instead of leaving entries on different versions.
         let new_program = Arc::new(rp.program.apply_delta(&delta).map_err(|e| e.to_string())?);
@@ -308,6 +367,7 @@ impl Resident {
             e.apply(&delta, solve)?;
             entries.push((e.policy, e.incremental, e.solve_ms, e.last_fallback));
         }
+        rp.names = NameIndex::build(&new_program);
         rp.program = new_program;
         rp.version += 1;
         Ok(UpdateOutcome {
@@ -448,19 +508,19 @@ pub struct UpdateOutcome {
     pub entries: Vec<(Analysis, bool, u64, Option<&'static str>)>,
 }
 
-/// Resolves the edit script's names against `program` and builds the
-/// corresponding [`ProgramDelta`].
-fn build_delta(program: &Program, edits: &[EditSpec]) -> Result<ProgramDelta, String> {
+/// Resolves the edit script's names against `rp`'s program and builds
+/// the corresponding [`ProgramDelta`].
+fn build_delta(rp: &ResidentProgram, edits: &[EditSpec]) -> Result<ProgramDelta, String> {
+    let program = &rp.program;
     let find_method = |name: &str| -> Result<MethodId, String> {
-        program
-            .methods()
-            .find(|&m| program.method_qualified_name(m) == name)
+        rp.method_named(name)
             .ok_or_else(|| format!("no method named \"{name}\""))
     };
     let find_var = |meth: MethodId, name: &str| -> Option<VarId> {
-        program
-            .vars()
-            .find(|&v| program.var_method(v) == meth && program.var_name(v) == name)
+        rp.vars_named(name)
+            .iter()
+            .copied()
+            .find(|&v| program.var_method(v) == meth)
     };
     let mut delta = ProgramDelta::new(program);
     for edit in edits {

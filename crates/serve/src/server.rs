@@ -31,11 +31,14 @@ use std::collections::VecDeque;
 use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use pta_govern::{memtrack, CancelToken};
-use pta_obs::{events_to_chrome_json, Event, EventLog, Field, Metrics, Trace, LATENCY_BUCKETS_US};
+use pta_obs::{
+    events_to_chrome_json, Counter, Event, EventLog, Field, Gauge, Histogram, Metrics, Trace,
+    LATENCY_BUCKETS_US,
+};
 
 use crate::answer::{answer, ReqCtx};
 use crate::fault::{garble_line, FaultInjector, FaultKind};
@@ -150,8 +153,62 @@ struct Shared {
     /// flag was passed. Resident sessions share this handle, so solver
     /// and apply counters land beside the request counters.
     metrics: Metrics,
+    /// The request path's handles into `metrics`.
+    series: RequestSeries,
     /// Structured lifecycle event log (disabled unless `--events`).
     events: EventLog,
+}
+
+/// One labeled metric family: a series per label value of a fixed set,
+/// each registered on its first use and then kept.
+struct Family<T>(Vec<(&'static str, OnceLock<T>)>);
+
+impl<T> Family<T> {
+    fn new(values: impl IntoIterator<Item = &'static str>) -> Family<T> {
+        Family(values.into_iter().map(|v| (v, OnceLock::new())).collect())
+    }
+
+    /// The series for `value`, registered by `register` on first use.
+    fn get(&self, value: &str, register: impl FnOnce(&'static str) -> T) -> &T {
+        let (value, slot) = self
+            .0
+            .iter()
+            .find(|(v, _)| *v == value)
+            .expect("label values come from the family's fixed set");
+        slot.get_or_init(|| register(value))
+    }
+}
+
+/// The handles the request path updates. Resolving a handle through
+/// [`Metrics`] builds label strings and locks the registry, so each
+/// series is resolved once, on its first use (series no request has
+/// touched stay out of the exposition), and later requests only touch
+/// its atomics.
+struct RequestSeries {
+    requests: Family<Counter>,
+    latency: Family<Histogram>,
+    deadline_misses: Family<Counter>,
+    errors: Family<Counter>,
+    faulted: Family<Counter>,
+    shed: OnceLock<Counter>,
+    queue_depth: OnceLock<Gauge>,
+    in_flight: OnceLock<Gauge>,
+}
+
+impl RequestSeries {
+    fn new() -> RequestSeries {
+        let codes = ErrorCode::ALL.map(ErrorCode::as_str);
+        RequestSeries {
+            requests: Family::new(Op::NAMES),
+            latency: Family::new(Op::NAMES),
+            deadline_misses: Family::new(Op::NAMES),
+            errors: Family::new(codes.into_iter().chain(["unknown"])),
+            faulted: Family::new(FaultKind::ALL.map(FaultKind::as_str)),
+            shed: OnceLock::new(),
+            queue_depth: OnceLock::new(),
+            in_flight: OnceLock::new(),
+        }
+    }
 }
 
 /// Caps the daemon's retained trace events (oldest dropped first).
@@ -160,12 +217,42 @@ const TRACE_EVENT_CAP: usize = 100_000;
 const TRACE_DRAIN_STRIDE: u64 = 64;
 
 impl Shared {
-    fn write_line(reply: &Reply, line: &str) {
+    /// Sends one response line. Line and newline go out in one write: a
+    /// separate one-byte write of the newline would sit in the kernel
+    /// until the client's delayed ACK whenever Nagle is on.
+    fn write_line(reply: &Reply, mut line: String) {
+        // Grow a full buffer by one byte, not by doubling: responses run
+        // to megabytes.
+        line.reserve_exact(1);
+        line.push('\n');
         let mut w = reply.lock().unwrap();
         // A vanished client is its own problem; the daemon stays up.
         let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
         let _ = w.flush();
+    }
+
+    fn count_error(&self, code: &str) {
+        self.series
+            .errors
+            .get(code, |code| {
+                self.metrics
+                    .counter("pta_request_errors_total", &[("code", code)])
+            })
+            .inc();
+    }
+
+    fn set_queue_depth(&self, depth: usize) {
+        self.series
+            .queue_depth
+            .get_or_init(|| self.metrics.gauge("pta_queue_depth", &[]))
+            .set(depth as u64);
+    }
+
+    fn set_in_flight(&self, now: usize) {
+        self.series
+            .in_flight
+            .get_or_init(|| self.metrics.gauge("pta_in_flight", &[]))
+            .set(now as u64);
     }
 
     fn status(&self) -> &'static str {
@@ -258,33 +345,34 @@ impl Shared {
             Ok(req) => req,
             Err((id, code, msg)) => {
                 self.errors.fetch_add(1, Ordering::SeqCst);
-                self.metrics
-                    .counter("pta_request_errors_total", &[("code", code.as_str())])
-                    .inc();
-                Shared::write_line(reply, &error_line(id, code, &msg));
+                self.count_error(code.as_str());
+                Shared::write_line(reply, error_line(id, code, &msg));
                 return false;
             }
         };
-        self.metrics
-            .counter("pta_requests_total", &[("op", req.op.name())])
+        self.series
+            .requests
+            .get(req.op.name(), |op| {
+                self.metrics.counter("pta_requests_total", &[("op", op)])
+            })
             .inc();
         match req.op {
             Op::Health => {
-                Shared::write_line(reply, &self.health_line(req.id));
+                Shared::write_line(reply, self.health_line(req.id));
                 false
             }
             Op::Stats => {
-                Shared::write_line(reply, &self.stats_line(req.id));
+                Shared::write_line(reply, self.stats_line(req.id));
                 false
             }
             Op::Metrics => {
-                Shared::write_line(reply, &self.metrics_line(req.id));
+                Shared::write_line(reply, self.metrics_line(req.id));
                 false
             }
             Op::Shutdown => {
                 Shared::write_line(
                     reply,
-                    &format!(
+                    format!(
                         "{{\"id\":{},\"ok\":true,\"op\":\"shutdown\",\"stopping\":true}}",
                         req.id
                     ),
@@ -317,26 +405,25 @@ impl Shared {
                     admitted: Instant::now(),
                     fault,
                 });
-                self.metrics
-                    .gauge("pta_queue_depth", &[])
-                    .set(q.jobs.len() as u64);
+                self.set_queue_depth(q.jobs.len());
                 None
             }
         };
         match verdict {
             Some(code) => {
-                self.metrics
-                    .counter("pta_request_errors_total", &[("code", code.as_str())])
-                    .inc();
+                self.count_error(code.as_str());
                 let message = if code == ErrorCode::Overloaded {
                     self.shed.fetch_add(1, Ordering::SeqCst);
-                    self.metrics.counter("pta_requests_shed_total", &[]).inc();
+                    self.series
+                        .shed
+                        .get_or_init(|| self.metrics.counter("pta_requests_shed_total", &[]))
+                        .inc();
                     self.events.emit("shed", &[("id", Field::U64(id))]);
                     "admission queue full; retry later"
                 } else {
                     "daemon is draining"
                 };
-                Shared::write_line(reply, &error_line(id, code, message));
+                Shared::write_line(reply, error_line(id, code, message));
             }
             None => self.available.notify_one(),
         }
@@ -353,10 +440,8 @@ impl Shared {
                         // empty and nothing in flight" while this job is
                         // in hand.
                         let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                        self.metrics
-                            .gauge("pta_queue_depth", &[])
-                            .set(q.jobs.len() as u64);
-                        self.metrics.gauge("pta_in_flight", &[]).set(now as u64);
+                        self.set_queue_depth(q.jobs.len());
+                        self.set_in_flight(now);
                         break job;
                     }
                     if q.draining {
@@ -367,7 +452,7 @@ impl Shared {
             };
             self.serve_job(slot, job);
             let now = self.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-            self.metrics.gauge("pta_in_flight", &[]).set(now as u64);
+            self.set_in_flight(now);
         }
     }
 
@@ -380,8 +465,12 @@ impl Shared {
         let mut max_steps = None;
         if let Some(kind) = job.fault {
             self.faulted.fetch_add(1, Ordering::SeqCst);
-            self.metrics
-                .counter("pta_requests_faulted_total", &[("kind", kind.as_str())])
+            self.series
+                .faulted
+                .get(kind.as_str(), |kind| {
+                    self.metrics
+                        .counter("pta_requests_faulted_total", &[("kind", kind)])
+                })
                 .inc();
             match kind {
                 FaultKind::Delay => {
@@ -473,25 +562,24 @@ impl Shared {
         let code = error_code_of(&line);
         if line.contains("\"ok\":false") {
             self.errors.fetch_add(1, Ordering::SeqCst);
-            self.metrics
-                .counter(
-                    "pta_request_errors_total",
-                    &[("code", code.unwrap_or("unknown"))],
-                )
-                .inc();
+            self.count_error(code.unwrap_or("unknown"));
         }
         if code == Some(ErrorCode::DeadlineExceeded.as_str()) {
-            self.metrics
-                .counter("pta_deadline_miss_total", &[("op", job.req.op.name())])
+            self.series
+                .deadline_misses
+                .get(job.req.op.name(), |op| {
+                    self.metrics
+                        .counter("pta_deadline_miss_total", &[("op", op)])
+                })
                 .inc();
         }
         let latency_us = job.admitted.elapsed().as_micros() as u64;
-        self.metrics
-            .histogram(
-                "pta_request_latency_us",
-                &[("op", job.req.op.name())],
-                LATENCY_BUCKETS_US,
-            )
+        self.series
+            .latency
+            .get(job.req.op.name(), |op| {
+                self.metrics
+                    .histogram("pta_request_latency_us", &[("op", op)], LATENCY_BUCKETS_US)
+            })
             .observe(latency_us);
         self.events.emit(
             "request",
@@ -507,7 +595,7 @@ impl Shared {
         } else {
             line
         };
-        Shared::write_line(&job.reply, &out);
+        Shared::write_line(&job.reply, out);
         let served = self.served.fetch_add(1, Ordering::SeqCst) + 1;
         if self.trace.is_enabled() && served.is_multiple_of(TRACE_DRAIN_STRIDE) {
             self.cap_trace();
@@ -608,6 +696,7 @@ pub fn launch(mut cfg: ServeConfig) -> Result<ServerHandle, String> {
         trace,
         trace_events: Mutex::new(Vec::new()),
         metrics,
+        series: RequestSeries::new(),
         events,
         cfg,
     });
@@ -875,6 +964,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    // Clients wait for each answer before sending more, so a response
+    // must leave at once instead of waiting for an ACK under Nagle.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -951,7 +1045,7 @@ fn read_loop<R: BufRead>(shared: &Arc<Shared>, mut reader: R, reply: &Reply) {
                 shared.errors.fetch_add(1, Ordering::SeqCst);
                 Shared::write_line(
                     reply,
-                    &error_line(
+                    error_line(
                         0,
                         ErrorCode::Oversized,
                         &format!("request line exceeds {} bytes", shared.cfg.max_line_bytes),

@@ -3,12 +3,22 @@
 //! leaking queue slots, sheds under load, enforces deadlines, degrades to
 //! the insens fallback when a startup budget trips, and drains gracefully
 //! on stdin EOF, the `shutdown` op, and SIGTERM — with the documented
-//! exit codes (0 clean drain, 2 usage, 3 forced drain).
+//! exit codes (0 clean drain, 2 usage, 3 forced drain). In process, it
+//! also pins the daemon's latency floor and its name index.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use pta_govern::CancelToken;
+use pta_ir::{MethodId, VarId};
+use pta_serve::json::{parse, Value};
+use pta_serve::protocol::EditSpec;
+use pta_serve::{
+    answer, launch, Op, ProgramSource, ReqCtx, Request, Resident, ServeConfig, SolveConfig,
+};
 
 fn pta() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pta"))
@@ -306,4 +316,199 @@ fn startup_errors_are_structured_and_exit_2() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A closed-loop client pays the daemon's reply latency once per query.
+/// Forty queries on one TCP connection, one outstanding at a time, must
+/// finish well inside a second: a reply whose newline trails in a second
+/// small write waits for the client's delayed ACK (about 40 ms each,
+/// 1.8 s in all). Every reply is one line with exactly one newline.
+#[test]
+fn sequential_tcp_queries_answer_without_an_ack_stall() {
+    let handle = launch(ServeConfig {
+        sources: vec![ProgramSource::parse_workload("luindex:0.3").unwrap()],
+        policies: vec!["insens".into()],
+        port: Some(0),
+        use_stdin: false,
+        ..ServeConfig::default()
+    })
+    .expect("launch daemon");
+    let stream = TcpStream::connect(("127.0.0.1", handle.port.expect("TCP port"))).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let queries = [
+        "\"op\":\"points_to\",\"var\":\"r\"",
+        "\"op\":\"devirt\",\"invo\":0",
+        "\"op\":\"findings\",\"var\":\"r\"",
+        "\"op\":\"cast_check\",\"method\":\"No.method\",\"instr\":0",
+    ];
+    let started = Instant::now();
+    for id in 1..=40u64 {
+        let query = queries[id as usize % queries.len()];
+        writer
+            .write_all(format!("{{\"id\":{id},{query}}}\n").as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        // A stray second newline would surface as the next line's start.
+        assert!(line.starts_with(&format!("{{\"id\":{id},")), "{line:?}");
+        assert!(line.ends_with("}\n"), "{line:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 sequential queries took {elapsed:?}"
+    );
+    writer
+        .write_all(b"{\"id\":99,\"op\":\"shutdown\"}\n")
+        .unwrap();
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    assert_eq!(handle.wait(), 0, "clean drain after shutdown op");
+}
+
+fn query(id: u64, op: Op) -> Request {
+    Request {
+        id,
+        op,
+        program: None,
+        policy: None,
+        deadline_ms: None,
+    }
+}
+
+fn answer_unlimited(resident: &Resident, op: Op) -> String {
+    answer(&query(1, op), resident, &mut ReqCtx::unlimited())
+}
+
+/// What the linear scans the name index replaced would return: every
+/// variable of each name in arena order, and the first method in arena
+/// order of each qualified name.
+fn scan_names(p: &pta_ir::Program) -> (HashMap<String, Vec<VarId>>, HashMap<String, MethodId>) {
+    let mut vars: HashMap<String, Vec<VarId>> = HashMap::new();
+    for v in p.vars() {
+        vars.entry(p.var_name(v).to_owned()).or_default().push(v);
+    }
+    let mut methods = HashMap::new();
+    for m in p.methods() {
+        methods.entry(p.method_qualified_name(m)).or_insert(m);
+    }
+    (vars, methods)
+}
+
+/// The name index answers exactly what a scan over every variable or
+/// method does, including for names it does not hold; it is rebuilt on
+/// `update`; and a spent step budget still answers `budget_exhausted`
+/// ahead of any lookup.
+#[test]
+fn name_index_agrees_with_a_linear_scan() {
+    let mut resident = Resident::build(
+        &[ProgramSource::parse_workload("luindex:0.3").unwrap()],
+        &["insens".into()],
+        &SolveConfig::default(),
+    )
+    .unwrap();
+    let rp = &resident.programs[0];
+    let p = &rp.program;
+    let (vars, methods) = scan_names(p);
+    for (name, scanned) in &vars {
+        assert_eq!(rp.vars_named(name), scanned.as_slice(), "variable {name}");
+    }
+    for (name, &scanned) in &methods {
+        assert_eq!(rp.method_named(name), Some(scanned), "method {name}");
+        // Near misses of a real name are not found.
+        for miss in [format!("{name}x"), name[..name.len() - 1].to_owned()] {
+            if !methods.contains_key(&miss) {
+                assert_eq!(rp.method_named(&miss), None, "method {miss}");
+            }
+        }
+    }
+    // Responses name each binding's method exactly as the program does.
+    for (name, scanned) in &vars {
+        let line = answer_unlimited(&resident, Op::PointsTo { var: name.clone() });
+        let v = parse(&line).unwrap();
+        let Some(Value::Array(bindings)) = v.get("bindings") else {
+            panic!("no bindings: {line}");
+        };
+        let named: Vec<&str> = bindings
+            .iter()
+            .map(|b| b.get("method").and_then(Value::as_str).unwrap())
+            .collect();
+        let want: Vec<String> = scanned
+            .iter()
+            .map(|&v| p.method_qualified_name(p.var_method(v)))
+            .collect();
+        assert_eq!(named, want, "{line}");
+    }
+
+    for (op, code) in [
+        (
+            Op::PointsTo {
+                var: "no_such_var".into(),
+            },
+            "unknown_var",
+        ),
+        (
+            Op::Findings {
+                var: "no_such_var".into(),
+            },
+            "unknown_var",
+        ),
+        (
+            Op::CastCheck {
+                method: "No.method".into(),
+                instr: 0,
+            },
+            "unknown_cast",
+        ),
+    ] {
+        let line = answer_unlimited(&resident, op.clone());
+        assert!(line.contains(&format!("\"error\":\"{code}\"")), "{line}");
+        // A zero step budget trips before the lookup, known name or not.
+        let known = match op {
+            Op::PointsTo { .. } => Op::PointsTo { var: "r".into() },
+            Op::Findings { .. } => Op::Findings { var: "r".into() },
+            _ => Op::CastCheck {
+                method: methods.keys().next().unwrap().clone(),
+                instr: 0,
+            },
+        };
+        for op in [op, known] {
+            let mut ctx = ReqCtx::new(CancelToken::new(), None, Some(0));
+            let line = answer(&query(2, op), &resident, &mut ctx);
+            assert!(line.contains("\"error\":\"budget_exhausted\""), "{line}");
+        }
+    }
+
+    // An update that adds a variable must be visible to the next query:
+    // a stale index would answer `unknown_var`.
+    let entry = p.entry_points()[0];
+    let edits = vec![EditSpec::Alloc {
+        method: p.method_qualified_name(entry),
+        to: "fresh_upd".into(),
+        class: p.type_name(p.method_declaring(entry)).to_owned(),
+        label: "upd_h0".into(),
+    }];
+    resident
+        .update(None, &edits, &SolveConfig::default())
+        .unwrap();
+    let line = answer_unlimited(
+        &resident,
+        Op::PointsTo {
+            var: "fresh_upd".into(),
+        },
+    );
+    assert!(
+        line.contains("\"ok\":true") && line.contains("\"heaps\":[\"upd_h0\"]"),
+        "{line}"
+    );
+    let rp = &resident.programs[0];
+    let (vars, _) = scan_names(&rp.program);
+    for (name, scanned) in &vars {
+        assert_eq!(rp.vars_named(name), scanned.as_slice(), "variable {name}");
+    }
 }
