@@ -31,41 +31,23 @@ grep -q 'W007' /tmp/ci-starved.out
 grep -q 'degraded:' /tmp/ci-starved.out
 echo "    starved smoke OK: degraded run completed with demotions reported"
 
-# Gating: parallel cross-validation. The sharded solver must produce
-# byte-identical JSON reports at --threads 4 and --threads 1 (wall-clock
-# and the reported worker count are the only legitimate diffs, so both
-# are stripped before comparing). The in-process equivalence suite
-# (every policy x every DaCapo config) gates alongside it.
-echo "==> tier-1: parallel equivalence (--threads 4 vs --threads 1)"
-cargo test -q -p pta-core --test session_equivalence
-./target/release/pta workload luindex --scale 0.3 --print > /tmp/ci-par.jir
-./target/release/pta analyze /tmp/ci-par.jir --analysis 2obj+H --threads 1 \
-  --format json | sed -E 's/"time_secs":[0-9.eE+-]+/"time_secs":0/; s/"threads":[0-9]+/"threads":0/' \
-  > /tmp/ci-par-t1.json
-./target/release/pta analyze /tmp/ci-par.jir --analysis 2obj+H --threads 4 \
-  --format json | sed -E 's/"time_secs":[0-9.eE+-]+/"time_secs":0/; s/"threads":[0-9]+/"threads":0/' \
-  > /tmp/ci-par-t4.json
-cmp /tmp/ci-par-t1.json /tmp/ci-par-t4.json
-echo "    parallel equivalence OK: --threads 4 JSON is byte-identical to --threads 1"
-
-# Gating: observability smoke. A traced parallel run on a DaCapo config
-# must produce a Chrome trace-event timeline carrying the session solve
-# span and per-shard BSP spans (full JSON validation of trace files
+# Gating: observability smoke. A traced run on a DaCapo config must
+# produce a Chrome trace-event timeline carrying the session solve span
+# and the per-rule spans (full JSON validation of trace files
 # lives in tests/observability.rs, which gates via `cargo test` above),
 # and `pta explain` must print a derivation chain on the motivating
 # example.
 echo "==> tier-1: observability smoke (--trace + pta explain)"
 ./target/release/pta workload luindex --scale 0.3 --print > /tmp/ci-obs.jir
-./target/release/pta analyze /tmp/ci-obs.jir --analysis S-2obj+H --threads 4 \
+./target/release/pta analyze /tmp/ci-obs.jir --analysis S-2obj+H \
   --trace /tmp/ci-obs.trace.json > /dev/null
 grep -q '"traceEvents"' /tmp/ci-obs.trace.json
 grep -q '"name":"solve"' /tmp/ci-obs.trace.json
-grep -q '"name":"drain"' /tmp/ci-obs.trace.json
-grep -q 'shard-0' /tmp/ci-obs.trace.json
+grep -q '"name":"alloc","cat":"rule"' /tmp/ci-obs.trace.json
 ./target/release/pta explain examples/programs/motivating.jir r1 'Object#' \
   > /tmp/ci-obs-explain.out
 grep -q 'allocation site' /tmp/ci-obs-explain.out
-echo "    observability smoke OK: trace has session/shard spans; explain printed a chain"
+echo "    observability smoke OK: trace has solve/rule spans; explain printed a chain"
 
 # Gating: hash-consed sharing memory smoke. At scale 64, 2obj+H must
 # complete within a fixed --max-memory budget that the unshared
@@ -170,21 +152,6 @@ if cargo build --release -q -p pta-bench \
 else
   echo "    WARNING: smoke-perf failed (non-gating); re-run manually:"
   echo "    ./target/release/table1 --workloads luindex,lusearch --reps 1 --json /tmp/bench.json"
-fi
-
-# Non-gating parallel speedup row: one 2obj+H cell at --threads 1 vs 4,
-# validated with the same checker. Correctness (identical results across
-# thread counts) gates above; wall-clock never does — speedup depends on
-# the host's core count (a single-core runner legitimately shows <1x).
-echo "==> parallel speedup row (non-gating)"
-if ./target/release/table1 --workloads chart --analyses 2obj+H --scale 6 \
-     --reps 1 --threads 1,4 --cell-timeout 300 --json /tmp/bench-par.json \
-     >/dev/null 2>&1 \
-   && ./target/release/table1 --check /tmp/bench-par.json --expect-cells 2; then
-  echo "    parallel speedup row OK (see /tmp/bench-par.json; nproc=$(nproc))"
-else
-  echo "    WARNING: parallel speedup row failed (non-gating); re-run manually:"
-  echo "    ./target/release/table1 --workloads chart --analyses 2obj+H --scale 6 --threads 1,4 --json /tmp/bench-par.json"
 fi
 
 # Gating rule-profile drift check: re-run the profiled config behind
@@ -320,8 +287,8 @@ else
   tail -n 5 /tmp/ci-soak.out | sed 's/^/    /'
 fi
 
-# Non-gating: serve telemetry drift. Reruns the soak single-threaded
-# (the deterministic configuration BENCH_serve.json pins) and compares
+# Non-gating: serve telemetry drift. Reruns the soak (the deterministic
+# configuration BENCH_serve.json pins) and compares
 # the counter digest of the daemon's Prometheus exposition against the
 # checked-in baseline. The digest covers counters only — deterministic
 # sums of per-request increments decided by (seed, id) — so any
@@ -329,7 +296,7 @@ fi
 # observably, not that the machine is slower.
 echo "==> serve telemetry drift vs BENCH_serve.json (non-gating)"
 if ./target/release/soak --requests 500 --seed 42 --fault-rate 0.02 \
-     --threads 1 --json /tmp/bench-serve.json > /tmp/ci-soak-drift.out 2>&1; then
+     --json /tmp/bench-serve.json > /tmp/ci-soak-drift.out 2>&1; then
   WANT=$(grep -o '"metrics_digest":"[0-9a-f]*"' BENCH_serve.json)
   GOT=$(grep -o '"metrics_digest":"[0-9a-f]*"' /tmp/bench-serve.json)
   if [ "$WANT" = "$GOT" ]; then
@@ -338,7 +305,7 @@ if ./target/release/soak --requests 500 --seed 42 --fault-rate 0.02 \
     echo "    WARNING: telemetry counter digest drifted (non-gating):"
     echo "    baseline $WANT, current $GOT"
     echo "    If the change is intended, regenerate the baseline and commit it:"
-    echo "    ./target/release/soak --requests 500 --seed 42 --fault-rate 0.02 --threads 1 --json BENCH_serve.json"
+    echo "    ./target/release/soak --requests 500 --seed 42 --fault-rate 0.02 --json BENCH_serve.json"
   fi
 else
   echo "    WARNING: telemetry drift soak failed (non-gating)"

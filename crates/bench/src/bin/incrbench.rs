@@ -16,7 +16,7 @@
 //! `"edits"` for an `"status":"ok"` row).
 //!
 //! Usage: `incrbench [--workload NAME] [--scale S] [--analysis NAME]
-//! [--edits N] [--seed S] [--reps N] [--threads N] [--min-speedup X]
+//! [--edits N] [--seed S] [--reps N] [--min-speedup X]
 //! [--json PATH]`
 //!
 //! Exit codes: 0 ok; 1 a session apply fell back to a from-scratch
@@ -36,7 +36,6 @@ struct Options {
     edits: usize,
     seed: u64,
     reps: usize,
-    threads: usize,
     min_speedup: f64,
     json: Option<String>,
 }
@@ -50,7 +49,6 @@ impl Default for Options {
             edits: 20,
             seed: 1,
             reps: 3,
-            threads: 1,
             min_speedup: 0.0,
             json: None,
         }
@@ -101,12 +99,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 o.reps = need("--reps")?
                     .parse()
                     .map_err(|_| "--reps needs a count")?;
-                i += 1;
-            }
-            "--threads" => {
-                o.threads = need("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a count")?;
                 i += 1;
             }
             "--min-speedup" => {
@@ -170,7 +162,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: incrbench [--workload NAME] [--scale S] [--analysis NAME] [--edits N] \
-                 [--seed S] [--reps N] [--threads N] [--min-speedup X] [--json PATH]"
+                 [--seed S] [--reps N] [--min-speedup X] [--json PATH]"
             );
             return ExitCode::from(2);
         }
@@ -179,7 +171,6 @@ fn main() -> ExitCode {
     let base = generate(&dacapo_config(&o.workload, o.scale));
     let mut session = AnalysisSession::open(base)
         .policy(o.analysis)
-        .threads(o.threads)
         .incremental(true);
     let started = Instant::now();
     session.solve();
@@ -211,9 +202,7 @@ fn main() -> ExitCode {
     let final_program = session.program().clone();
     let mut solve_secs: Vec<f64> = Vec::with_capacity(o.reps);
     for _ in 0..o.reps {
-        let mut scratch = AnalysisSession::from_arc(final_program.clone())
-            .policy(o.analysis)
-            .threads(o.threads);
+        let mut scratch = AnalysisSession::from_arc(final_program.clone()).policy(o.analysis);
         let t = Instant::now();
         scratch.solve();
         solve_secs.push(t.elapsed().as_secs_f64());
@@ -235,7 +224,7 @@ fn main() -> ExitCode {
 
     let row = format!(
         "[\n  {{\"schema_version\":1,\"workload\":\"{}\",\"scale\":{},\"analysis\":\"{}\",\
-         \"status\":\"{}\",\"threads\":{},\"edits\":{},\"seed\":{},\"reps\":{},\
+         \"status\":\"{}\",\"edits\":{},\"seed\":{},\"reps\":{},\
          \"incremental_applies\":{},\"initial_solve_ms\":{},\"median_apply_ms\":{},\
          \"median_solve_ms\":{},\"speedup\":{:.3},\"final_ctx_tuples\":{},\
          \"final_reachable\":{},\"final_call_edges\":{}}}\n]",
@@ -243,7 +232,6 @@ fn main() -> ExitCode {
         o.scale,
         o.analysis.name(),
         status,
-        o.threads,
         o.edits,
         o.seed,
         o.reps,

@@ -24,10 +24,10 @@
 //! cross-checks the request counters against the planned stream, and
 //! folds the counter section of the Prometheus exposition into a
 //! digest. Counters are commutative sums of per-request increments
-//! decided by `(seed, id)` alone, so with `--threads 1` the digest is
-//! byte-identical across reruns — `BENCH_serve.json` pins it.
+//! decided by `(seed, id)` alone, so the digest is byte-identical
+//! across reruns — `BENCH_serve.json` pins it.
 //!
-//! Usage: `soak [--requests N] [--seed S] [--fault-rate R] [--threads N]
+//! Usage: `soak [--requests N] [--seed S] [--fault-rate R]
 //! [--workers N] [--connections N] [--workload NAME:SCALE]
 //! [--json FILE]`. Exits 0 on a clean pass, 1 with a report on any
 //! violation.
@@ -69,7 +69,6 @@ struct Args {
     requests: u64,
     seed: u64,
     fault_rate: f64,
-    threads: usize,
     workers: usize,
     connections: usize,
     workload: String,
@@ -81,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         requests: 500,
         seed: 42,
         fault_rate: 0.02,
-        threads: 4,
         workers: 4,
         connections: 4,
         workload: "luindex:0.3".to_string(),
@@ -98,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
             "--requests" => a.requests = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => a.seed = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
             "--fault-rate" => a.fault_rate = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => a.threads = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
             "--workers" => a.workers = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
             "--connections" => a.connections = need(i + 1)?.parse().map_err(|e| format!("{e}"))?,
             "--workload" => a.workload = need(i + 1)?.clone(),
@@ -324,10 +321,7 @@ fn main() -> ExitCode {
         }
     };
     let policies = vec!["insens".to_string(), "2obj+H".to_string()];
-    let solve = pta_serve::SolveConfig {
-        threads: args.threads,
-        ..pta_serve::SolveConfig::default()
-    };
+    let solve = pta_serve::SolveConfig::default();
 
     eprintln!(
         "soak: {} requests, seed {}, fault rate {}, {} connections -> {} workers",
@@ -562,12 +556,11 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.json_out {
         let row = format!(
-            "[\n  {{\"schema_version\":1,\"driver\":\"soak\",\"workload\":\"{}\",\"requests\":{},\"seed\":{},\"fault_rate\":{},\"threads\":{},\"workers\":{},\"connections\":{},\"faults\":{},\"replay_ms\":{},\"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99},\"max_us\":{},\"metrics_digest\":\"{digest}\",\"passed\":{}}}\n]\n",
+            "[\n  {{\"schema_version\":1,\"driver\":\"soak\",\"workload\":\"{}\",\"requests\":{},\"seed\":{},\"fault_rate\":{},\"workers\":{},\"connections\":{},\"faults\":{},\"replay_ms\":{},\"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99},\"max_us\":{},\"metrics_digest\":\"{digest}\",\"passed\":{}}}\n]\n",
             args.workload,
             args.requests,
             args.seed,
             args.fault_rate,
-            args.threads,
             args.workers,
             args.connections,
             predicted_faults,

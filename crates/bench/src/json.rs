@@ -547,7 +547,6 @@ mod tests {
             &program,
             pta_core::Analysis::STwoObjH,
             1,
-            1,
             Some(1e-6),
             None,
         );
@@ -592,7 +591,6 @@ mod tests {
             "luindex",
             &program,
             pta_core::Analysis::OneObj,
-            1,
             1,
             None,
             None,

@@ -18,11 +18,6 @@
 //!   benchmark names;
 //! - `PTA_ANALYSES` / `--analyses A,B` — comma-separated subset of analysis
 //!   names (e.g. `1obj,S-2obj+H`);
-//! - `PTA_THREADS` / `--threads N,M` — comma-separated dense-solver worker
-//!   counts; every `(workload, analysis)` cell is solved once per count and
-//!   emits one row per count (`1` = sequential, `0` = one per core, default
-//!   `1`). Results are identical across counts, so extra counts measure
-//!   parallel speedup — the format used by `BENCH_parallel.json`;
 //! - `PTA_REPS` / `--reps N` — repetitions per cell (median reported);
 //! - `PTA_JOBS` / `--jobs N` — worker threads for the matrix (`1` =
 //!   sequential, `0` = one per core, default). Cells are farmed out to
@@ -43,14 +38,12 @@
 //!   checked in as `BENCH_baseline.json` and consumed by `table1 --check`;
 //! - `PTA_TRACE_DIR` / `--trace-dir DIR` — record a Chrome trace-event
 //!   JSON file per cell into `DIR` (created if missing), named
-//!   `{workload}-{analysis}-t{threads}.trace.json`. Every repetition of
+//!   `{workload}-{analysis}.trace.json`. Every repetition of
 //!   the cell lands on the same timeline. Tracing skews wall times, so
 //!   traced dumps are diagnostics, not measurements;
 //! - `PTA_PROFILE` / `--profile` — collect a per-rule evaluation profile
 //!   per cell and embed it in the JSON row under `"profile"` (the format
-//!   checked in as `BENCH_profile.json` and diffed by `profdiff`).
-//!   Profiling forces the solve sequential, so profiled rows ignore
-//!   multi-thread counts for timing purposes;
+//!   checked in as `BENCH_profile.json` and diffed by `profdiff`);
 //! - `PTA_TAINT_GROUPS` / `--taint-groups N` — inject `N` taint fixture
 //!   groups into every generated workload and run the `pta check` client
 //!   suite (taint, escape, nullness) against each cell's final result,
@@ -130,9 +123,9 @@ pub struct ExperimentRow {
     pub analysis: String,
     /// Whether the cell completed or timed out.
     pub status: CellStatus,
-    /// Dense-solver worker count the cell was solved with (`1` =
-    /// sequential; results are identical for every value, only
-    /// `time_secs` changes).
+    /// Solver thread count: always 1, as every cell solves on one
+    /// thread. Kept so rows keep the v2 shape that `table1 --check` and
+    /// the checked-in dumps expect.
     pub threads: usize,
     /// Reachable methods ("over ~N meths").
     pub reachable_methods: usize,
@@ -188,7 +181,6 @@ impl ExperimentRow {
         workload: &str,
         analysis: Analysis,
         status: CellStatus,
-        threads: usize,
         m: &ExperimentMetrics,
         time_secs: f64,
         stats: SolverStats,
@@ -201,7 +193,7 @@ impl ExperimentRow {
             workload: workload.to_owned(),
             analysis: analysis.name().to_owned(),
             status,
-            threads,
+            threads: 1,
             reachable_methods: m.reachable_methods,
             avg_objs_per_var: m.avg_var_points_to,
             call_graph_edges: m.call_graph_edges,
@@ -319,12 +311,6 @@ pub struct MatrixOptions {
     pub workloads: Vec<String>,
     /// Analyses to run (Table 1 column order).
     pub analyses: Vec<Analysis>,
-    /// Dense-solver worker counts to run each `(workload, analysis)` cell
-    /// at (`PTA_THREADS` / `--threads`, comma-separated; default `[1]`).
-    /// Each count gets its own row; results are identical across counts,
-    /// so extra counts only add timing columns (the parallel-speedup
-    /// experiment runs `1,4`).
-    pub threads: Vec<usize>,
     /// Repetitions per cell; the median time is reported (the paper uses
     /// medians of three runs).
     pub repetitions: usize,
@@ -346,8 +332,8 @@ pub struct MatrixOptions {
     /// keeps the solver's recording paths true no-ops.
     pub trace_dir: Option<String>,
     /// Collect a per-rule profile per cell and embed it in the JSON rows
-    /// (`--profile`). Forces each solve sequential, so profiled dumps are
-    /// for rule-cost analysis, not speedup measurements.
+    /// (`--profile`). Profiling skews wall times, so profiled dumps are
+    /// for rule-cost analysis, not timing.
     pub profile: bool,
     /// Taint-fixture groups injected into every workload
     /// (`--taint-groups`; see `pta_workload::WorkloadConfig::taint_groups`).
@@ -357,8 +343,8 @@ pub struct MatrixOptions {
     /// `0` (the default) leaves workloads and JSON rows unchanged.
     pub taint_groups: usize,
     /// Hash-consed set sharing values to run each cell at (`--share
-    /// on,off` / `PTA_SHARE`; default `[true]`). Like `threads`, each
-    /// value gets its own row; results are identical across values, only
+    /// on,off` / `PTA_SHARE`; default `[true]`). Each value gets its own
+    /// row; results are identical across values, only
     /// memory (and `time_secs`) differ. `false` rows carry
     /// `"no_share":true`.
     pub share: Vec<bool>,
@@ -370,7 +356,6 @@ impl Default for MatrixOptions {
             scale: 1.0,
             workloads: DACAPO_NAMES.iter().map(|s| s.to_string()).collect(),
             analyses: Analysis::TABLE1.to_vec(),
-            threads: vec![1],
             repetitions: 3,
             jobs: 0,
             cell_timeout: None,
@@ -407,10 +392,6 @@ impl MatrixOptions {
                 .split(',')
                 .map(|a| a.trim().parse().unwrap_or_else(|e| panic!("{e}")))
                 .collect();
-        }
-        if let Ok(s) = std::env::var("PTA_THREADS") {
-            opts.threads =
-                parse_thread_list(&s).unwrap_or_else(|| panic!("bad PTA_THREADS: {s:?}"));
         }
         if let Ok(s) = std::env::var("PTA_REPS") {
             opts.repetitions = s.parse().unwrap_or_else(|_| panic!("bad PTA_REPS: {s:?}"));
@@ -486,11 +467,6 @@ impl MatrixOptions {
                         .split(',')
                         .map(|a| a.trim().parse().map_err(|e| format!("{e}")))
                         .collect::<Result<_, _>>()?;
-                }
-                "--threads" => {
-                    let v = value(&mut i, "--threads")?;
-                    self.threads = parse_thread_list(&v)
-                        .ok_or_else(|| format!("bad --threads: {v:?} (expected e.g. 1,4)"))?;
                 }
                 "--reps" => {
                     let v = value(&mut i, "--reps")?;
@@ -587,16 +563,6 @@ fn parse_share_list(s: &str) -> Option<Vec<bool>> {
     values.filter(|v| !v.is_empty())
 }
 
-/// Parses a comma-separated worker-count list (`"1,4"`). `0` is allowed
-/// (one worker per core); an empty list is not.
-fn parse_thread_list(s: &str) -> Option<Vec<usize>> {
-    let counts: Option<Vec<usize>> = s
-        .split(',')
-        .map(|t| t.trim().parse::<usize>().ok())
-        .collect();
-    counts.filter(|c| !c.is_empty())
-}
-
 /// Runs one `(program, analysis)` cell, timing the solver only (workload
 /// generation and metric computation excluded), median of `reps` runs.
 pub fn run_cell(
@@ -605,7 +571,7 @@ pub fn run_cell(
     analysis: Analysis,
     reps: usize,
 ) -> ExperimentRow {
-    run_cell_governed(workload, program, analysis, 1, reps, None, None)
+    run_cell_governed(workload, program, analysis, reps, None, None)
 }
 
 /// [`run_cell`] with an optional per-repetition wall-clock deadline and an
@@ -621,7 +587,6 @@ pub fn run_cell_governed(
     workload: &str,
     program: &Program,
     analysis: Analysis,
-    threads: usize,
     reps: usize,
     cell_timeout: Option<f64>,
     cancel: Option<&CancelToken>,
@@ -630,7 +595,6 @@ pub fn run_cell_governed(
         workload,
         program,
         analysis,
-        threads,
         reps,
         cell_timeout,
         None,
@@ -660,7 +624,6 @@ pub fn run_cell_observed(
     workload: &str,
     program: &Program,
     analysis: Analysis,
-    threads: usize,
     reps: usize,
     cell_timeout: Option<f64>,
     max_memory: Option<u64>,
@@ -681,7 +644,6 @@ pub fn run_cell_observed(
         }
         let mut session = AnalysisSession::open(program.clone())
             .policy(analysis)
-            .threads(threads)
             .budget(budget)
             .trace(trace.clone())
             .profile(profile)
@@ -736,7 +698,6 @@ pub fn run_cell_observed(
         workload,
         analysis,
         status,
-        threads,
         &metrics,
         median,
         stats,
@@ -749,7 +710,7 @@ pub fn run_cell_observed(
 
 /// One matrix cell with the options' observability applied: with a trace
 /// directory configured, the cell runs under a fresh recorder and its
-/// timeline is written to `{dir}/{workload}-{analysis}-t{threads}.trace.json`.
+/// timeline is written to `{dir}/{workload}-{analysis}.trace.json`.
 ///
 /// # Panics
 ///
@@ -759,7 +720,6 @@ fn run_matrix_cell(
     workload: &str,
     program: &Program,
     analysis: Analysis,
-    threads: usize,
     share: bool,
     cancel: Option<&CancelToken>,
 ) -> ExperimentRow {
@@ -774,7 +734,6 @@ fn run_matrix_cell(
         workload,
         program,
         analysis,
-        threads,
         opts.repetitions,
         opts.cell_timeout,
         opts.max_memory,
@@ -785,11 +744,7 @@ fn run_matrix_cell(
         share,
     );
     if let Some(dir) = &opts.trace_dir {
-        let path = format!(
-            "{dir}/{}-{}-t{threads}.trace.json",
-            workload,
-            analysis.name()
-        );
+        let path = format!("{dir}/{workload}-{}.trace.json", analysis.name());
         std::fs::write(&path, trace.to_chrome_json())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     }
@@ -798,10 +753,9 @@ fn run_matrix_cell(
 
 fn log_cell(row: &ExperimentRow) {
     eprintln!(
-        "[pta-bench]   {:>10} {:>10} x{}  {:>8.3}s  vpt {:>10}  casts {}/{}{}",
+        "[pta-bench]   {:>10} {:>10}  {:>8.3}s  vpt {:>10}  casts {}/{}{}",
         row.workload,
         row.analysis,
-        row.threads,
         row.time_secs,
         row.sensitive_var_points_to,
         row.may_fail_casts,
@@ -824,23 +778,15 @@ fn log_cell(row: &ExperimentRow) {
 /// first — identical to the sequential order, so `table1`, `figure3` and
 /// `summary` render the same layout either way.
 pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
-    let threads = if opts.threads.is_empty() {
-        vec![1]
-    } else {
-        opts.threads.clone()
-    };
     let share = if opts.share.is_empty() {
         vec![true]
     } else {
         opts.share.clone()
     };
-    let cells: Vec<(usize, usize, usize, usize)> = (0..opts.workloads.len())
+    let cells: Vec<(usize, usize, usize)> = (0..opts.workloads.len())
         .flat_map(|w| {
-            let threads = &threads;
             let share = &share;
-            (0..opts.analyses.len()).flat_map(move |a| {
-                (0..threads.len()).flat_map(move |t| (0..share.len()).map(move |s| (w, a, t, s)))
-            })
+            (0..opts.analyses.len()).flat_map(move |a| (0..share.len()).map(move |s| (w, a, s)))
         })
         .collect();
     // One SIGINT-linked token shared by every cell: with a per-cell
@@ -860,13 +806,10 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
             let program = opts.generate_workload(name);
             eprintln!("[pta-bench] {name}: {}", ProgramStats::of(&program));
             for &analysis in &opts.analyses {
-                for &t in &threads {
-                    for &s in &share {
-                        let row =
-                            run_matrix_cell(opts, name, &program, analysis, t, s, cancel.as_ref());
-                        log_cell(&row);
-                        rows.push(row);
-                    }
+                for &s in &share {
+                    let row = run_matrix_cell(opts, name, &program, analysis, s, cancel.as_ref());
+                    log_cell(&row);
+                    rows.push(row);
                 }
             }
         }
@@ -889,7 +832,7 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(w, a, t, s)) = cells.get(i) else {
+                let Some(&(w, a, s)) = cells.get(i) else {
                     break;
                 };
                 let row = run_matrix_cell(
@@ -897,7 +840,6 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
                     &opts.workloads[w],
                     &programs[w],
                     opts.analyses[a],
-                    threads[t],
                     share[s],
                     cancel.as_ref(),
                 );
@@ -959,7 +901,6 @@ mod tests {
             scale: 0.1,
             workloads: vec!["luindex".into()],
             analyses: vec![Analysis::OneObj, Analysis::SAOneObj],
-            threads: vec![1],
             repetitions: 1,
             jobs: 1,
             cell_timeout: None,
@@ -1009,7 +950,6 @@ mod tests {
             scale: 0.15,
             workloads: vec!["antlr".into()],
             analyses: vec![Analysis::Insens, Analysis::STwoObjH],
-            threads: vec![1],
             repetitions: 1,
             jobs: 1,
             cell_timeout: None,
@@ -1036,7 +976,6 @@ mod tests {
             scale: 0.15,
             workloads: vec!["luindex".into(), "lusearch".into()],
             analyses: vec![Analysis::Insens, Analysis::OneObj, Analysis::STwoObjH],
-            threads: vec![1],
             repetitions: 1,
             jobs: 1,
             cell_timeout: None,
@@ -1064,37 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_fan_out_into_rows_with_identical_results() {
-        let opts = MatrixOptions {
-            scale: 0.15,
-            workloads: vec!["antlr".into()],
-            analyses: vec![Analysis::STwoObjH],
-            threads: vec![1, 2],
-            repetitions: 1,
-            jobs: 1,
-            cell_timeout: None,
-            max_memory: None,
-            json_out: None,
-            trace_dir: None,
-            profile: false,
-            taint_groups: 0,
-            share: vec![true],
-        };
-        let rows = run_matrix(&opts);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].threads, 1);
-        assert_eq!(rows[1].threads, 2);
-        // Only the clock may differ between the two rows.
-        assert_eq!(
-            rows[0].sensitive_var_points_to,
-            rows[1].sensitive_var_points_to
-        );
-        assert_eq!(rows[0].may_fail_casts, rows[1].may_fail_casts);
-        assert_eq!(rows[0].contexts, rows[1].contexts);
-        assert_eq!(rows[0].call_graph_edges, rows[1].call_graph_edges);
-    }
-
-    #[test]
     fn cli_args_override_options() {
         let mut opts = MatrixOptions::default();
         let args: Vec<String> = [
@@ -1104,8 +1012,6 @@ mod tests {
             "antlr, chart",
             "--analyses",
             "insens,S-2obj+H",
-            "--threads",
-            "1, 4",
             "--reps",
             "5",
             "--jobs",
@@ -1127,7 +1033,6 @@ mod tests {
         assert_eq!(opts.scale, 0.5);
         assert_eq!(opts.workloads, vec!["antlr", "chart"]);
         assert_eq!(opts.analyses, vec![Analysis::Insens, Analysis::STwoObjH]);
-        assert_eq!(opts.threads, vec![1, 4]);
         assert_eq!(opts.repetitions, 5);
         assert_eq!(opts.jobs, 2);
         assert_eq!(opts.cell_timeout, Some(2.5));
@@ -1156,15 +1061,7 @@ mod tests {
         let program = dacapo_workload("hsqldb", 0.3);
         // A microsecond deadline trips on the meter's first clock read, on
         // both the initial attempt and the retry.
-        let row = run_cell_governed(
-            "hsqldb",
-            &program,
-            Analysis::TwoObjH,
-            1,
-            3,
-            Some(1e-6),
-            None,
-        );
+        let row = run_cell_governed("hsqldb", &program, Analysis::TwoObjH, 3, Some(1e-6), None);
         assert_eq!(row.status, CellStatus::Timeout);
         assert!(row.to_json().contains("\"status\":\"timeout\""));
         // The timeout short-circuits the remaining repetitions, and the
@@ -1180,30 +1077,15 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let program = dacapo_workload("antlr", 0.15);
-        let row = run_cell_governed(
-            "antlr",
-            &program,
-            Analysis::STwoObjH,
-            1,
-            2,
-            None,
-            Some(&token),
-        );
+        let row = run_cell_governed("antlr", &program, Analysis::STwoObjH, 2, None, Some(&token));
         assert_eq!(row.status, CellStatus::Timeout);
     }
 
     #[test]
     fn a_roomy_cell_timeout_changes_nothing() {
         let program = dacapo_workload("luindex", 0.15);
-        let governed = run_cell_governed(
-            "luindex",
-            &program,
-            Analysis::OneObj,
-            1,
-            1,
-            Some(600.0),
-            None,
-        );
+        let governed =
+            run_cell_governed("luindex", &program, Analysis::OneObj, 1, Some(600.0), None);
         let plain = run_cell("luindex", &program, Analysis::OneObj, 1);
         assert_eq!(governed.status, CellStatus::Ok);
         assert_eq!(
@@ -1235,7 +1117,6 @@ mod tests {
             &program,
             Analysis::OneObj,
             1,
-            1,
             None,
             None,
             None,
@@ -1264,8 +1145,7 @@ mod tests {
         let opts = MatrixOptions {
             scale: 0.15,
             workloads: vec!["luindex".into()],
-            analyses: vec![Analysis::OneObj],
-            threads: vec![1, 2],
+            analyses: vec![Analysis::OneObj, Analysis::Insens],
             repetitions: 1,
             jobs: 1,
             cell_timeout: None,
@@ -1278,15 +1158,15 @@ mod tests {
         };
         let rows = run_matrix(&opts);
         assert_eq!(rows.len(), 2);
-        for t in [1, 2] {
-            let path = dir.join(format!("luindex-1obj-t{t}.trace.json"));
+        for analysis in ["1obj", "insens"] {
+            let path = dir.join(format!("luindex-{analysis}.trace.json"));
             let source = std::fs::read_to_string(&path).expect("trace file written");
             let doc = json::parse(&source).expect("trace file is valid JSON");
             let events = doc
                 .get("traceEvents")
                 .and_then(json::Value::as_array)
                 .expect("trace carries a traceEvents array");
-            assert!(!events.is_empty(), "timeline for t{t} has events");
+            assert!(!events.is_empty(), "timeline for {analysis} has events");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -405,12 +405,6 @@ impl CtxInterner {
         self.map.mem_bytes()
     }
 
-    /// All interned contexts, in ID order (the parallel solver's merge
-    /// unions shard-private interners by value).
-    pub(crate) fn keys(&self) -> &[Ctx] {
-        self.map.keys()
-    }
-
     /// `true` if only the initial context exists... never, after `new`.
     pub fn is_empty(&self) -> bool {
         self.map.len() == 0
@@ -466,11 +460,6 @@ impl HCtxInterner {
     /// Bytes held by the interner's tables (budget memory accounting).
     pub fn mem_bytes(&self) -> u64 {
         self.map.mem_bytes()
-    }
-
-    /// All interned heap contexts, in ID order (for the parallel merge).
-    pub(crate) fn keys(&self) -> &[HeapCtx] {
-        self.map.keys()
     }
 
     /// `true` if nothing has been interned.

@@ -254,7 +254,6 @@ where
         ctx_interner,
         hctx_interner,
         stats: solver_stats,
-        shard_stats: Vec::new(),
         termination: stats.termination,
         // This back end never degrades contexts mid-run.
         demoted: Vec::new(),

@@ -19,8 +19,7 @@
 //!
 //! - [`Backend::Dense`] / [`solver`] — a specialized semi-naive worklist
 //!   solver, the analogue of Doop's compiled LogicBlox program. This is
-//!   the fast path used by benchmarks, and the only back end with a
-//!   parallel execution mode ([`parallel`]; `.threads(n)`).
+//!   the fast path used by benchmarks.
 //! - [`Backend::Datalog`] / [`datalog_impl`] — the paper's Figure 2 rules
 //!   encoded *literally* on the generic [`pta_datalog`] engine, with the
 //!   context constructors registered as functors. The two back ends are
@@ -64,7 +63,6 @@
 pub mod context;
 pub mod datalog_impl;
 pub mod fault;
-pub mod parallel;
 pub mod policy;
 pub mod pts;
 pub mod pts_store;

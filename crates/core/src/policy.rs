@@ -38,12 +38,7 @@ use crate::context::{
 /// program, the set of contexts reachable from [`ContextPolicy::INITIAL`]
 /// through the constructors must be finite (the fixed three-element tuple
 /// guarantees this for all provided policies).
-///
-/// The `Sync` bound exists for the parallel solver
-/// (`AnalysisSession::threads` > 1), which shares the policy across shard
-/// workers. Policies are pure constructor functions, so in practice they
-/// are zero-sized or read-only and satisfy `Sync` for free.
-pub trait ContextPolicy: Sync {
+pub trait ContextPolicy {
     /// The initial context under which entry points are analyzed.
     const INITIAL: Ctx = CTX_EMPTY;
 

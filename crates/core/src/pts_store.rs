@@ -24,11 +24,8 @@
 //! independent of whether its representation is private or shared, every
 //! representation iterates in ascending object-ID order, and promotion /
 //! flush points are functions of the (deterministic) insert sequence
-//! alone. The sequential solver owns one store; each parallel shard owns
-//! a private store (no locks, no cross-shard rendezvous) and the shards'
-//! counters are absorbed in shard-ID order, so `--threads N` reports the
-//! same byte-identical results it always did. DESIGN.md §13 spells out
-//! the full argument.
+//! alone. The solver owns one store. DESIGN.md §13 spells out the full
+//! argument.
 //!
 //! ## Memory model
 //!

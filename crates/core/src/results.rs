@@ -144,11 +144,12 @@ pub struct SolverStats {
     /// Methods demoted to the context-insensitive fallback by graceful
     /// degradation.
     pub demoted_methods: u64,
-    /// Bulk-synchronous rounds executed by the parallel solver (0 for
-    /// sequential runs).
+    /// Always 0. Kept, and listed by [`SolverStats::fields`], so the
+    /// `--stats` JSON and the Prometheus scrape keep their shape now that
+    /// the sharded parallel solver that counted its rounds is gone.
     pub par_rounds: u64,
-    /// Cross-shard messages sent by the parallel solver (0 for
-    /// sequential runs).
+    /// Always 0, for the same reason as `par_rounds` (it counted the
+    /// removed parallel solver's cross-shard messages).
     pub par_msgs: u64,
     /// Distinct large-set representations interned by the hash-consing
     /// store (0 under `--no-share`).
@@ -223,45 +224,6 @@ impl SolverStats {
         ]
     }
 
-    /// Accumulates another shard's counters into `self`: sums everywhere
-    /// except `peak_worklist`, which takes the maximum (queue depths on
-    /// different shards overlap in time and cannot be added).
-    pub(crate) fn absorb(&mut self, other: &SolverStats) {
-        let peak = self.peak_worklist.max(other.peak_worklist);
-        for (mine, theirs) in [
-            (&mut self.vpt_inserted, other.vpt_inserted),
-            (&mut self.vpt_dup, other.vpt_dup),
-            (&mut self.fire_alloc, other.fire_alloc),
-            (&mut self.fire_assign, other.fire_assign),
-            (&mut self.fire_interproc, other.fire_interproc),
-            (&mut self.fire_load, other.fire_load),
-            (&mut self.fire_store, other.fire_store),
-            (&mut self.fire_static_load, other.fire_static_load),
-            (&mut self.fire_static_store, other.fire_static_store),
-            (&mut self.fire_this_binding, other.fire_this_binding),
-            (&mut self.fire_vcall_dispatch, other.fire_vcall_dispatch),
-            (&mut self.fire_caught, other.fire_caught),
-            (&mut self.throw_tuples, other.throw_tuples),
-            (&mut self.fld_inserted, other.fld_inserted),
-            (&mut self.call_edges, other.call_edges),
-            (&mut self.ipa_edges, other.ipa_edges),
-            (&mut self.batches, other.batches),
-            (&mut self.steps, other.steps),
-            (&mut self.demoted_methods, other.demoted_methods),
-            (&mut self.par_msgs, other.par_msgs),
-            (&mut self.sets_interned, other.sets_interned),
-            (&mut self.sets_shared, other.sets_shared),
-            (&mut self.bytes_saved, other.bytes_saved),
-            (&mut self.sets_evicted, other.sets_evicted),
-            (&mut self.engine_rounds, other.engine_rounds),
-            (&mut self.engine_strata, other.engine_strata),
-            (&mut self.engine_rows, other.engine_rows),
-        ] {
-            *mine += theirs;
-        }
-        self.peak_worklist = peak;
-    }
-
     /// Serializes the counters as a single-line JSON object (the repo is
     /// offline; hand-rolled rather than serde-derived). The dedup hit rate
     /// is included as a derived field.
@@ -314,9 +276,6 @@ pub struct PointsToResult {
     pub(crate) ctx_interner: CtxInterner,
     pub(crate) hctx_interner: HCtxInterner,
     pub(crate) stats: SolverStats,
-    /// Per-shard counters when the parallel solver ran (empty for
-    /// sequential and Datalog runs); `stats` holds their aggregate.
-    pub(crate) shard_stats: Vec<SolverStats>,
     pub(crate) termination: Termination,
     pub(crate) demoted: Vec<DemotedSite>,
     /// Per-rule evaluation profile, populated when the run was traced or
@@ -398,14 +357,6 @@ impl PointsToResult {
     /// reports its own evaluation statistics instead.
     pub fn solver_stats(&self) -> &SolverStats {
         &self.stats
-    }
-
-    /// Per-shard solver counters from a parallel run
-    /// (`AnalysisSession::threads` > 1), in shard order. Empty for
-    /// sequential and Datalog runs; [`PointsToResult::solver_stats`] is
-    /// always the aggregate view.
-    pub fn shard_stats(&self) -> &[SolverStats] {
-        &self.shard_stats
     }
 
     /// How the run ended. [`Termination::Complete`] means the result is

@@ -20,8 +20,7 @@
 //!
 //! let mut session = AnalysisSession::open(program)
 //!     .policy(Analysis::STwoObjH)
-//!     .backend(Backend::Dense)
-//!     .threads(4);
+//!     .backend(Backend::Dense);
 //! let result = session.solve();
 //! assert_eq!(result.points_to(v).len(), 1);
 //! # Ok::<(), pta_ir::ValidateError>(())
@@ -33,8 +32,8 @@
 //! [`ProgramDelta`] through [`AnalysisSession::apply`], which advances
 //! the owned program to the next [`AnalysisSession::version`] and returns
 //! the updated result. With [`AnalysisSession::incremental`] enabled (and
-//! an eligible configuration — sequential dense back end, no budget, no
-//! degradation, no observability capture), the solver state from the
+//! an eligible configuration — dense back end, no budget, no degradation,
+//! no observability capture), the solver state from the
 //! previous solve is *retained* and the fixpoint is maintained in place
 //! (see [`crate::solver::incremental`]): additive edits resume semi-naive
 //! evaluation, retractions run delete-and-rederive over the invalidation
@@ -44,18 +43,13 @@
 //! program. Either way the result is byte-identical to a fresh solve;
 //! [`AnalysisSession::last_apply_was_incremental`] reports which path ran.
 //!
-//! ## Back-end and thread dispatch
+//! ## Back-end dispatch
 //!
-//! `threads(1)` (the default) runs the sequential dense solver;
-//! `threads(n)` for `n > 1` runs the sharded parallel solver of
-//! [`crate::parallel`], which produces the same result; `threads(0)` asks
-//! the OS for the available parallelism. The Datalog back end is a
-//! single-threaded reference implementation and ignores the thread count.
-//!
-//! Configurations only the sequential solver supports — provenance
-//! tracking, retained tuple sets, and fault injection — fall back to one
-//! thread silently: they are observability/testing features where the
-//! result, not wall-clock, is the point.
+//! Each back end has one kernel: [`Backend::Dense`] runs the worklist
+//! solver of [`crate::solver`], [`Backend::Datalog`] the Figure 2 rules
+//! on the generic engine. Both run on the calling thread. Callers that
+//! want parallelism solve independent sessions (one per policy, say) on
+//! threads of their own.
 
 use std::fmt;
 use std::sync::Arc;
@@ -65,7 +59,6 @@ use pta_ir::{DeltaError, Program, ProgramBuilder, ProgramDelta};
 
 use crate::datalog_impl;
 use crate::fault::FaultPlan;
-use crate::parallel::solve_parallel;
 use crate::policy::{Analysis, ContextPolicy};
 use crate::results::PointsToResult;
 use crate::solver::incremental::{ApplyOutcome, ApplyStats};
@@ -91,9 +84,8 @@ fn placeholder_program() -> Arc<Program> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The specialized dense worklist solver ([`crate::solver`]) — the
-    /// fast path, and the only back end with parallel execution, graceful
-    /// degradation, provenance, fault injection, and incremental
-    /// maintenance.
+    /// fast path, and the only back end with graceful degradation,
+    /// provenance, fault injection, and incremental maintenance.
     #[default]
     Dense,
     /// The literal Figure 2 rule set on the generic Datalog engine
@@ -102,16 +94,15 @@ pub enum Backend {
     Datalog,
 }
 
-/// An owned, versioned analysis session: program, policy, back end,
-/// thread count and resource governance, assembled fluently, executed
-/// with [`AnalysisSession::solve`], and kept alive across
+/// An owned, versioned analysis session: program, policy, back end and
+/// resource governance, assembled fluently, executed with
+/// [`AnalysisSession::solve`], and kept alive across
 /// [`AnalysisSession::apply`] edits.
 pub struct AnalysisSession<P: ContextPolicy = Analysis> {
     program: Arc<Program>,
     version: u64,
     policy: P,
     backend: Backend,
-    threads: usize,
     config: SolverConfig,
     incremental: bool,
     /// Solver state retained by the last eligible solve, consumed (and
@@ -127,7 +118,7 @@ pub struct AnalysisSession<P: ContextPolicy = Analysis> {
 
 impl AnalysisSession<Analysis> {
     /// Opens a session owning `program`, with the default configuration:
-    /// context-insensitive policy, dense back end, one thread, no budget.
+    /// context-insensitive policy, dense back end, no budget.
     pub fn open(program: Program) -> AnalysisSession<Analysis> {
         AnalysisSession::from_arc(Arc::new(program))
     }
@@ -139,7 +130,6 @@ impl AnalysisSession<Analysis> {
             version: 1,
             policy: Analysis::Insens,
             backend: Backend::Dense,
-            threads: 1,
             config: SolverConfig::default(),
             incremental: false,
             retained: None,
@@ -148,17 +138,6 @@ impl AnalysisSession<Analysis> {
             last_apply_stats: None,
             metrics: pta_obs::Metrics::disabled(),
         }
-    }
-
-    /// Compatibility shim for the historical borrowing constructor:
-    /// clones `program` into an owned session.
-    #[deprecated(
-        since = "0.9.0",
-        note = "sessions own their program now — use `AnalysisSession::open(program)` \
-                or `AnalysisSession::from_arc(arc)` instead of borrowing"
-    )]
-    pub fn new(program: &Program) -> AnalysisSession<Analysis> {
-        AnalysisSession::from_arc(Arc::new(program.clone()))
     }
 }
 
@@ -171,7 +150,6 @@ impl<P: ContextPolicy> AnalysisSession<P> {
             version: self.version,
             policy,
             backend: self.backend,
-            threads: self.threads,
             config: self.config,
             incremental: self.incremental,
             retained: None,
@@ -190,13 +168,17 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         self
     }
 
-    /// Sets the dense solver's worker count (default 1 = sequential).
-    /// `0` uses the machine's available parallelism. The Datalog back end
-    /// ignores this.
+    /// Does nothing. This once chose the worker count of a sharded
+    /// parallel solver, which was removed because it ran slower than the
+    /// one dense kernel on every measured host. It remains so that code
+    /// written against it (`benchmark/` calls it) keeps compiling; every
+    /// session solves on the calling thread.
+    #[deprecated(
+        since = "0.13.0",
+        note = "the dense solver is single-threaded; this is a no-op"
+    )]
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self.retained = None;
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -227,7 +209,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     }
 
     /// Retains the full context-sensitive tuple set in the result
-    /// (sequential dense runs only; forces one thread).
+    /// (dense back end only).
     #[must_use]
     pub fn keep_tuples(mut self, keep: bool) -> Self {
         self.config.keep_tuples = keep;
@@ -245,7 +227,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     }
 
     /// Records one derivation per tuple for `PointsToResult::explain`
-    /// (sequential dense runs only; forces one thread).
+    /// (dense back end only).
     #[must_use]
     pub fn track_provenance(mut self, track: bool) -> Self {
         self.config.track_provenance = track;
@@ -254,7 +236,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     }
 
     /// Installs a deterministic fault plan for exhaustion-path testing
-    /// (sequential dense runs only; forces one thread).
+    /// (dense back end only).
     #[must_use]
     pub fn fault(mut self, fault: FaultPlan) -> Self {
         self.config.fault = Some(fault);
@@ -264,10 +246,8 @@ impl<P: ContextPolicy> AnalysisSession<P> {
 
     /// Attaches a [`pta_obs::Trace`] recorder: when enabled, the dense
     /// solver emits span/counter events (session phases, per-rule timing
-    /// ladder, per-shard BSP rounds) suitable for Chrome trace-event JSON
-    /// export. A disabled trace (the default) is a true no-op on the hot
-    /// path. Tracing does *not* force a thread count — parallel runs
-    /// produce per-shard timelines.
+    /// ladder) suitable for Chrome trace-event JSON export. A disabled
+    /// trace (the default) is a true no-op on the hot path.
     #[must_use]
     pub fn trace(mut self, trace: pta_obs::Trace) -> Self {
         self.config.trace = trace;
@@ -277,8 +257,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
 
     /// Collects a per-rule evaluation profile (fire counts, derived
     /// tuples, cumulative nanoseconds) plus hottest-variable ranking into
-    /// `PointsToResult::profile` (sequential dense runs only; forces one
-    /// thread so per-rule clocks are not interleaved across workers).
+    /// `PointsToResult::profile`.
     #[must_use]
     pub fn profile(mut self, profile: bool) -> Self {
         self.config.profile = profile;
@@ -297,7 +276,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
 
     /// Attaches a [`pta_obs::Metrics`] registry: every
     /// [`AnalysisSession::solve`] exports its solver counters
-    /// (`pta_solver_*`, per-shard `pta_shard_*`) and every
+    /// (`pta_solver_*`) and every
     /// [`AnalysisSession::apply`] its outcome
     /// (`pta_apply_total{mode=...}`, fallback reasons, cone sizes) into
     /// it. A disabled registry (the default) is a true no-op. Pure
@@ -361,34 +340,12 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         self.retained.is_some()
     }
 
-    /// The effective dense worker count after resolving `0` = auto and
-    /// the sequential-only feature fallbacks. The Datalog back end always
-    /// runs single-threaded regardless of this value. Public so reporting
-    /// layers can label a run with the worker count it actually used.
-    pub fn effective_threads(&self) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        };
-        if self.config.keep_tuples
-            || self.config.track_provenance
-            || self.config.fault.is_some()
-            || self.config.profile
-        {
-            1
-        } else {
-            requested
-        }
-    }
-
     /// An incremental-eligible configuration: the maintenance layer is
-    /// exact only for the sequential dense solver with no resource
-    /// governance or degradation and no per-run capture state.
+    /// exact only for the dense solver with no resource governance or
+    /// degradation and no per-run capture state.
     fn retention_eligible(&self) -> bool {
         self.incremental
             && self.backend == Backend::Dense
-            && self.effective_threads() == 1
             && self.config.budget.is_unlimited()
             && !self.config.degrade
             && !self.config.keep_tuples
@@ -421,10 +378,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         self.last_apply_stats = None;
         match self.backend {
             Backend::Dense => {
-                let threads = self.effective_threads();
-                if threads > 1 {
-                    solve_parallel(&self.program, &self.policy, self.config.clone(), threads)
-                } else if self.retention_eligible() {
+                if self.retention_eligible() {
                     let mut config = self.config.clone();
                     config.retain = true;
                     let mut solver =
@@ -510,14 +464,6 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                     .add(value);
             }
         }
-        for (i, s) in result.shard_stats().iter().enumerate() {
-            let shard = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &shard)];
-            m.counter("pta_shard_rounds_total", labels)
-                .add(s.par_rounds);
-            m.counter("pta_shard_msgs_total", labels).add(s.par_msgs);
-            m.counter("pta_shard_steps_total", labels).add(s.steps);
-        }
     }
 
     /// Exports one apply's outcome: which path ran, the fallback reason
@@ -591,15 +537,6 @@ impl<P: ContextPolicy> AnalysisSession<P> {
             }
         }
     }
-
-    /// Compatibility shim for the historical one-shot entry point.
-    #[deprecated(since = "0.9.0", note = "use `solve()` — sessions are reusable now")]
-    pub fn run(mut self) -> PointsToResult
-    where
-        P: Clone + 'static,
-    {
-        self.solve()
-    }
 }
 
 impl<P: ContextPolicy + fmt::Debug> fmt::Debug for AnalysisSession<P> {
@@ -608,7 +545,6 @@ impl<P: ContextPolicy + fmt::Debug> fmt::Debug for AnalysisSession<P> {
             .field("version", &self.version)
             .field("policy", &self.policy)
             .field("backend", &self.backend)
-            .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .field("retained", &self.retained.is_some())
             .finish_non_exhaustive()

@@ -128,7 +128,7 @@ impl Default for SolverConfig {
 
 /// Stable rule order for solver profiles and per-rule trace spans: the
 /// paper's nine Figure 2 rule groups plus the exception extension.
-pub(crate) const RULE_NAMES: [&str; 10] = [
+const RULE_NAMES: [&str; 10] = [
     "alloc",
     "move",
     "interproc",
@@ -140,32 +140,32 @@ pub(crate) const RULE_NAMES: [&str; 10] = [
     "scall",
     "exception",
 ];
-pub(crate) const R_ALLOC: usize = 0;
-pub(crate) const R_MOVE: usize = 1;
-pub(crate) const R_INTERPROC: usize = 2;
-pub(crate) const R_LOAD: usize = 3;
-pub(crate) const R_STORE: usize = 4;
-pub(crate) const R_SLOAD: usize = 5;
-pub(crate) const R_SSTORE: usize = 6;
-pub(crate) const R_VCALL: usize = 7;
-pub(crate) const R_SCALL: usize = 8;
-pub(crate) const R_EXC: usize = 9;
+const R_ALLOC: usize = 0;
+const R_MOVE: usize = 1;
+const R_INTERPROC: usize = 2;
+const R_LOAD: usize = 3;
+const R_STORE: usize = 4;
+const R_SLOAD: usize = 5;
+const R_SSTORE: usize = 6;
+const R_VCALL: usize = 7;
+const R_SCALL: usize = 8;
+const R_EXC: usize = 9;
 
 /// Per-rule profile accumulators (fixed arrays, allocated once behind the
 /// `profile`/`trace` opt-in — `None` keeps the hot loop allocation-free
 /// and clock-free).
 #[derive(Default)]
-pub(crate) struct RuleProf {
-    pub(crate) fires: [u64; RULE_NAMES.len()],
-    pub(crate) derived: [u64; RULE_NAMES.len()],
-    pub(crate) ns: [u64; RULE_NAMES.len()],
-    pub(crate) set_promotions: u64,
+struct RuleProf {
+    fires: [u64; RULE_NAMES.len()],
+    derived: [u64; RULE_NAMES.len()],
+    ns: [u64; RULE_NAMES.len()],
+    set_promotions: u64,
 }
 
 impl RuleProf {
     /// Converts the accumulators into the shared profile type, attaching
     /// the hottest variables (computed by the caller).
-    pub(crate) fn into_profile(self, hot_vars: Vec<pta_obs::HotVar>) -> pta_obs::Profile {
+    fn into_profile(self, hot_vars: Vec<pta_obs::HotVar>) -> pta_obs::Profile {
         pta_obs::Profile {
             rules: RULE_NAMES
                 .iter()
@@ -184,11 +184,11 @@ impl RuleProf {
 }
 
 /// Sentinel in `Solver::demote_ctx` for a method that is not demoted.
-pub(crate) const NOT_DEMOTED: u32 = u32::MAX;
+const NOT_DEMOTED: u32 = u32::MAX;
 
 /// Degradation watermark used when `SolverConfig::degrade` is set but the
 /// budget does not name one.
-pub(crate) const DEFAULT_WATERMARK: u32 = 16;
+const DEFAULT_WATERMARK: u32 = 16;
 
 /// The sequential dense back end behind [`crate::AnalysisSession`].
 pub(crate) fn solve_sequential<P: ContextPolicy + Clone>(
@@ -230,13 +230,13 @@ fn build_csr<T: Copy + Ord>(n_vars: usize, mut pairs: Vec<(u32, T)>) -> (Vec<u32
 
 /// Row layout of [`StaticIndex::rows`]: segment starts of the six item
 /// tables, plus the thrown flag in the last slot.
-pub(crate) const ROW_ASSIGN: usize = 0;
-pub(crate) const ROW_LOAD_ON: usize = 1;
-pub(crate) const ROW_STORE_ON: usize = 2;
-pub(crate) const ROW_STORE_OF: usize = 3;
-pub(crate) const ROW_SSTORE_OF: usize = 4;
-pub(crate) const ROW_VCALL_ON: usize = 5;
-pub(crate) const ROW_THROWN: usize = 6;
+const ROW_ASSIGN: usize = 0;
+const ROW_LOAD_ON: usize = 1;
+const ROW_STORE_ON: usize = 2;
+const ROW_STORE_OF: usize = 3;
+const ROW_SSTORE_OF: usize = 4;
+const ROW_VCALL_ON: usize = 5;
+const ROW_THROWN: usize = 6;
 
 /// Precomputed, context-independent instruction indices keyed by variable.
 /// These are the static input relations of Figure 1, organized by the
@@ -246,24 +246,24 @@ pub(crate) const ROW_THROWN: usize = 6;
 /// `rows` array so that `process_key` touches one or two cache lines per
 /// variable instead of twelve scattered ones: `rows[v][t]..rows[v + 1][t]`
 /// is variable `v`'s segment in item table `t`.
-pub(crate) struct StaticIndex {
-    pub(crate) rows: Vec<[u32; 7]>,
+struct StaticIndex {
+    rows: Vec<[u32; 7]>,
     /// `from -> [(to, cast filter)]` for `Move` and `Cast`.
-    pub(crate) assigns: Vec<(VarId, Option<TypeId>)>,
+    assigns: Vec<(VarId, Option<TypeId>)>,
     /// `base -> [(to, field)]` for `Load`.
-    pub(crate) loads_on: Vec<(VarId, FieldId)>,
+    loads_on: Vec<(VarId, FieldId)>,
     /// `base -> [(field, from)]` for `Store`.
-    pub(crate) stores_on: Vec<(FieldId, VarId)>,
+    stores_on: Vec<(FieldId, VarId)>,
     /// `from -> [(base, field)]` for `Store`.
-    pub(crate) stores_of: Vec<(VarId, FieldId)>,
+    stores_of: Vec<(VarId, FieldId)>,
     /// `from -> [field]` for `SStore` (static-field writes).
-    pub(crate) sstores_of: Vec<FieldId>,
+    sstores_of: Vec<FieldId>,
     /// `base -> [(sig, invo)]` for `VCall`.
-    pub(crate) vcalls_on: Vec<(SigId, InvoId)>,
+    vcalls_on: Vec<(SigId, InvoId)>,
 }
 
 impl StaticIndex {
-    pub(crate) fn build(program: &Program) -> StaticIndex {
+    fn build(program: &Program) -> StaticIndex {
         let n = program.var_count();
         let instrs = program.instr_count();
         // Pre-size the pair collections from the total instruction count;
@@ -329,7 +329,7 @@ impl StaticIndex {
     /// cost is one pass over the index instead of a re-scan and re-sort
     /// of every instruction in the program. Retracting deltas must use
     /// [`StaticIndex::build`] on the new program instead.
-    pub(crate) fn append_additive(&mut self, program: &Program, delta: &ProgramDelta) {
+    fn append_additive(&mut self, program: &Program, delta: &ProgramDelta) {
         let n_new = program.var_count();
         let n_old = self.rows.len() - 1;
 
@@ -651,8 +651,8 @@ pub(crate) struct Solver<P: ContextPolicy> {
     /// Per-rule profile accumulators; `None` unless profiling or tracing
     /// was requested (the hot loop then skips all clock reads).
     prof: Option<Box<RuleProf>>,
-    /// Recorder scope for this solve (tid derived from the shard id, 0
-    /// for sequential runs). A no-op when the trace is disabled.
+    /// Recorder scope for this solve (tid 0). A no-op when the trace is
+    /// disabled.
     ts: pta_obs::TraceScope,
 
     // ----- resource governance ---------------------------------------------
@@ -2045,7 +2045,6 @@ impl<P: ContextPolicy> Solver<P> {
             ctx_interner,
             hctx_interner,
             stats: self.stats,
-            shard_stats: Vec::new(),
             termination,
             demoted,
             profile,

@@ -47,13 +47,31 @@ fn fingerprint(program: &Program, r: &PointsToResult) -> String {
     out
 }
 
-fn scratch(program: &Program, analysis: Analysis, backend: Backend, threads: usize) -> String {
+fn scratch(program: &Program, analysis: Analysis, backend: Backend) -> String {
     let r = AnalysisSession::open(program.clone())
         .policy(analysis)
         .backend(backend)
-        .threads(threads)
         .solve();
     fingerprint(program, &r)
+}
+
+/// A solved incremental session over `base`. `threads` goes to the
+/// deprecated no-op builder, so tests can show that a thread count no
+/// longer keeps a session from retaining its solver state.
+fn solved_session(
+    base: &Program,
+    analysis: Analysis,
+    backend: Backend,
+    threads: usize,
+) -> AnalysisSession {
+    #[allow(deprecated)]
+    let mut session = AnalysisSession::open(base.clone())
+        .policy(analysis)
+        .backend(backend)
+        .threads(threads)
+        .incremental(true);
+    session.solve();
+    session
 }
 
 /// Replays `edits` (skipping unmaterializable steps) against a fresh
@@ -66,12 +84,7 @@ fn first_divergence(
     backend: Backend,
     threads: usize,
 ) -> Option<usize> {
-    let mut session = AnalysisSession::open(base.clone())
-        .policy(analysis)
-        .backend(backend)
-        .threads(threads)
-        .incremental(true);
-    session.solve();
+    let mut session = solved_session(base, analysis, backend, threads);
     let mut program = base.clone();
     for (step, edit) in edits.iter().enumerate() {
         let Some(delta) = materialize(&program, edit) else {
@@ -83,7 +96,7 @@ fn first_divergence(
         let inc = session
             .apply(&delta)
             .expect("session accepts its own version's delta");
-        if fingerprint(&program, &inc) != scratch(&program, analysis, backend, threads) {
+        if fingerprint(&program, &inc) != scratch(&program, analysis, backend) {
             return Some(step);
         }
     }
@@ -93,7 +106,8 @@ fn first_divergence(
 /// Drives `session` through `stream` for `n` edits, comparing against a
 /// from-scratch solve after every single one; on divergence, shrinks the
 /// edit log and panics with the minimal reproduction. Returns how many
-/// applies took an incremental path (vs. internal full re-solve).
+/// applies took an incremental path (vs. internal full re-solve) and
+/// whether the session still retains solver state at the end.
 fn assert_stream_equivalence(
     base: &Program,
     seed: u64,
@@ -101,14 +115,9 @@ fn assert_stream_equivalence(
     analysis: Analysis,
     backend: Backend,
     threads: usize,
-) -> usize {
+) -> (usize, bool) {
     let mut stream = EditStream::new(base.clone(), seed);
-    let mut session = AnalysisSession::open(base.clone())
-        .policy(analysis)
-        .backend(backend)
-        .threads(threads)
-        .incremental(true);
-    session.solve();
+    let mut session = solved_session(base, analysis, backend, threads);
     let mut incremental_applies = 0;
     for step in 0..n {
         let delta = stream.next_delta();
@@ -119,7 +128,7 @@ fn assert_stream_equivalence(
             incremental_applies += 1;
         }
         let program = stream.program();
-        let want = scratch(program, analysis, backend, threads);
+        let want = scratch(program, analysis, backend);
         if fingerprint(program, &inc) != want {
             // Shrink before reporting: find a locally-minimal subsequence
             // of the log that still diverges somewhere.
@@ -138,7 +147,7 @@ fn assert_stream_equivalence(
             );
         }
     }
-    incremental_applies
+    (incremental_applies, session.is_retained())
 }
 
 /// The headline property: every policy, a stream of mixed edits
@@ -173,22 +182,28 @@ fn edit_streams_match_scratch_on_a_second_workload() {
     }
 }
 
-/// The Datalog back end and multi-threaded dense runs never retain solver
-/// state, so `apply` re-solves internally — but the API contract (results
-/// identical to scratch after every edit) is back-end and thread-count
-/// independent.
+/// The Datalog back end never retains solver state, so `apply` re-solves
+/// internally. A dense session asked for 4 threads solves with the one
+/// kernel like any other and maintains its fixpoint incrementally. The
+/// API contract (results identical to scratch after every edit) holds
+/// for both.
 #[test]
 fn edit_streams_match_scratch_on_datalog_and_threads() {
     let base = dacapo_workload("hsqldb", 0.1);
     for &analysis in &[Analysis::Insens, Analysis::OneCall, Analysis::STwoObjH] {
-        for &(backend, threads) in &[(Backend::Datalog, 1), (Backend::Dense, 4)] {
-            let inc = assert_stream_equivalence(&base, 42, 5, analysis, backend, threads);
-            assert_eq!(
-                inc, 0,
-                "{analysis}/{backend:?}/threads={threads}: non-retaining configs \
-                 must report apply() as a fallback, not an incremental pass"
-            );
-        }
+        let (inc, retained) =
+            assert_stream_equivalence(&base, 42, 5, analysis, Backend::Datalog, 1);
+        assert!(
+            inc == 0 && !retained,
+            "{analysis}/Datalog: a non-retaining config must report apply() as a \
+             fallback, not an incremental pass"
+        );
+        let (inc, retained) = assert_stream_equivalence(&base, 42, 5, analysis, Backend::Dense, 4);
+        assert!(
+            inc > 0 && retained,
+            "{analysis}/Dense/threads=4: the session must retain and apply edits \
+             incrementally ({inc} incremental applies, retained: {retained})"
+        );
     }
 }
 
@@ -277,7 +292,7 @@ fn additive_edits_take_the_incremental_path() {
         );
         assert_eq!(
             fingerprint(&v2, &r1),
-            scratch(&v2, analysis, Backend::Dense, 1),
+            scratch(&v2, analysis, Backend::Dense),
             "{analysis}"
         );
 
@@ -300,7 +315,7 @@ fn additive_edits_take_the_incremental_path() {
         );
         assert_eq!(
             fingerprint(&v3, &r2),
-            scratch(&v3, analysis, Backend::Dense, 1),
+            scratch(&v3, analysis, Backend::Dense),
             "{analysis}"
         );
     }
@@ -335,7 +350,7 @@ fn retracting_edits_take_the_incremental_path() {
         );
         assert_eq!(
             fingerprint(&v2, &r1),
-            scratch(&v2, analysis, Backend::Dense, 1),
+            scratch(&v2, analysis, Backend::Dense),
             "{analysis}"
         );
 
@@ -358,7 +373,7 @@ fn retracting_edits_take_the_incremental_path() {
         );
         assert_eq!(
             fingerprint(&v3, &r2),
-            scratch(&v3, analysis, Backend::Dense, 1),
+            scratch(&v3, analysis, Backend::Dense),
             "{analysis}"
         );
     }
@@ -410,7 +425,7 @@ fn stale_deltas_are_rejected_without_corrupting_the_session() {
     let v = current.apply_delta(&d3).unwrap();
     assert_eq!(
         fingerprint(&v, &r),
-        scratch(&v, Analysis::OneObj, Backend::Dense, 1)
+        scratch(&v, Analysis::OneObj, Backend::Dense)
     );
 }
 
@@ -420,7 +435,7 @@ fn stale_deltas_are_rejected_without_corrupting_the_session() {
 #[test]
 fn fallbacks_on_exception_traffic_are_exact() {
     let base = dacapo_workload("xalan", 0.1);
-    let incremental_applies =
+    let (incremental_applies, _) =
         assert_stream_equivalence(&base, 99, 10, Analysis::SBOneObj, Backend::Dense, 1);
     // The stream's weights guarantee a majority of additive edits; at
     // least one of them must have avoided the fallback.
@@ -480,7 +495,7 @@ fn retraction_path_keeps_shared_store_counters_monotone() {
         );
         assert_eq!(
             fingerprint(&next, &r),
-            scratch(&next, Analysis::Insens, Backend::Dense, 1)
+            scratch(&next, Analysis::Insens, Backend::Dense)
         );
         let now = r.solver_stats().bytes_saved;
         assert!(now >= saved, "bytes_saved went backwards: {now} < {saved}");

@@ -1,28 +1,21 @@
 //! Session-API property tests: every configuration corner of
 //! `AnalysisSession` must agree with every other on the analysis
-//! semantics, and the sharded parallel solver must be indistinguishable
-//! from the sequential one.
+//! semantics.
 //!
-//! Two families of assertions:
+//! Configuration spellings that promise the same semantics (sharing on
+//! vs off, `config(c)` vs dedicated setters, governed vs ungoverned
+//! unlimited budgets on the Datalog back end) produce identical semantic
+//! fingerprints: points-to sets, call graph, reachability,
+//! context-sensitive tuple counts, interned-key counts and uncaught
+//! exceptions. Internal effort counters (`steps`) are *not* part of the
+//! fingerprint: they describe the schedule, not the fixpoint.
 //!
-//! 1. **Thread-count invariance** — for every policy on every DaCapo
-//!    config, `threads(4)` (and odd shard counts) produce a result whose
-//!    semantic fingerprint (points-to sets, call graph, reachability,
-//!    context-sensitive tuple counts, interned-key counts, uncaught
-//!    exceptions) is identical to the sequential run. Internal effort
-//!    counters (`steps`, message traffic) are *not* part of the
-//!    fingerprint: they describe the schedule, not the fixpoint.
-//! 2. **Builder-spelling equivalence** — configuration spellings that
-//!    promise the same semantics (`config(c)` vs dedicated setters,
-//!    governed vs ungoverned unlimited budgets on the Datalog back
-//!    end) produce identical fingerprints.
-//!
-//! Governance composition (starved parallel runs stop with a sound
-//! prefix, degraded runs stay complete) is covered at the end.
+//! Governance composition (starved runs stop with a sound prefix,
+//! degraded runs stay complete) is covered at the end.
 
 use pta_core::{Analysis, AnalysisSession, Backend, Budget, PointsToResult, SolverConfig};
 use pta_ir::Program;
-use pta_workload::{dacapo_workload, DACAPO_NAMES};
+use pta_workload::dacapo_workload;
 
 /// Semantic fingerprint of a result: everything the analysis *means*,
 /// nothing about how hard the solver worked to get there.
@@ -55,66 +48,9 @@ fn fingerprint(program: &Program, r: &PointsToResult) -> String {
     out
 }
 
-fn assert_threads_agree(program: &Program, analysis: Analysis, threads: usize, label: &str) {
-    let seq = AnalysisSession::open(program.clone())
-        .policy(analysis)
-        .solve();
-    let par = AnalysisSession::open(program.clone())
-        .policy(analysis)
-        .threads(threads)
-        .solve();
-    assert_eq!(
-        fingerprint(program, &seq),
-        fingerprint(program, &par),
-        "{label}/{analysis}: threads({threads}) diverged from sequential"
-    );
-    // A parallel run reports one stats block per shard whose absorbed
-    // totals are what the merged stats advertise. (`threads(0)` on a
-    // single-core host legitimately resolves to a sequential run, which
-    // has no shards.)
-    if threads > 1 {
-        assert!(
-            !par.shard_stats().is_empty() && par.shard_stats().len() <= threads,
-            "{label}/{analysis}: expected 1..={threads} shard stats, got {}",
-            par.shard_stats().len()
-        );
-    }
-    if !par.shard_stats().is_empty() {
-        let shard_vpt: u64 = par.shard_stats().iter().map(|s| s.vpt_inserted).sum();
-        assert_eq!(
-            shard_vpt,
-            par.solver_stats().vpt_inserted,
-            "{label}/{analysis}: shard stats do not sum to the merged totals"
-        );
-    }
-}
-
-/// Every policy × every DaCapo config: 4 workers match sequential.
-#[test]
-fn four_threads_match_sequential_for_every_policy_on_every_config() {
-    for name in DACAPO_NAMES {
-        let program = dacapo_workload(name, 0.15);
-        for analysis in Analysis::ALL {
-            assert_threads_agree(&program, analysis, 4, name);
-        }
-    }
-}
-
-/// Shard counts that do not divide the key space evenly (including more
-/// shards than the clamp will grant) behave identically too.
-#[test]
-fn odd_thread_counts_match_sequential() {
-    let program = dacapo_workload("chart", 0.3);
-    for analysis in [Analysis::Insens, Analysis::STwoObjH, Analysis::TwoCallH] {
-        for threads in [2, 3, 7, 64] {
-            assert_threads_agree(&program, analysis, threads, "chart");
-        }
-    }
-}
-
 /// Hash-consed set sharing is a pure representation change: turning it
 /// off (`share(false)`, the CLI's `--no-share`) must not move a single
-/// fact, for any policy, sequential or sharded. The workload scale is
+/// fact, for any policy. The workload scale is
 /// chosen so points-to sets actually cross the promotion threshold — the
 /// final assertion rejects a vacuous pass where the Shared stage never
 /// ran at all.
@@ -123,41 +59,29 @@ fn sharing_toggle_never_changes_results() {
     let program = dacapo_workload("luindex", 16.0);
     let mut exercised = false;
     for analysis in Analysis::ALL {
-        for threads in [1, 4] {
-            let shared = AnalysisSession::open(program.clone())
-                .policy(analysis)
-                .threads(threads)
-                .solve();
-            let unshared = AnalysisSession::open(program.clone())
-                .policy(analysis)
-                .threads(threads)
-                .share(false)
-                .solve();
-            assert_eq!(
-                fingerprint(&program, &shared),
-                fingerprint(&program, &unshared),
-                "{analysis}/threads={threads}: disabling sharing changed the result"
-            );
-            assert_eq!(
-                unshared.solver_stats().sets_shared,
-                0,
-                "{analysis}/threads={threads}: a disabled store must never intern"
-            );
-            exercised |= shared.solver_stats().sets_shared > 0;
-        }
+        let shared = AnalysisSession::open(program.clone())
+            .policy(analysis)
+            .solve();
+        let unshared = AnalysisSession::open(program.clone())
+            .policy(analysis)
+            .share(false)
+            .solve();
+        assert_eq!(
+            fingerprint(&program, &shared),
+            fingerprint(&program, &unshared),
+            "{analysis}: disabling sharing changed the result"
+        );
+        assert_eq!(
+            unshared.solver_stats().sets_shared,
+            0,
+            "{analysis}: a disabled store must never intern"
+        );
+        exercised |= shared.solver_stats().sets_shared > 0;
     }
     assert!(
         exercised,
         "no policy promoted any set to the Shared stage; the guard is vacuous"
     );
-}
-
-/// `threads(0)` resolves to the machine's available parallelism and still
-/// matches sequential.
-#[test]
-fn auto_thread_count_matches_sequential() {
-    let program = dacapo_workload("luindex", 0.3);
-    assert_threads_agree(&program, Analysis::STwoObjH, 0, "luindex");
 }
 
 /// `config(c)` and the dedicated builder setters are the same knob: an
@@ -226,18 +150,14 @@ fn datalog_solve_reports_engine_stats() {
     );
 }
 
-/// Sequential-only observability features silently fall back to one
-/// worker instead of panicking or losing the data.
+/// Provenance tracking records a derivation for every derived fact.
 #[test]
-fn provenance_and_tuples_force_sequential() {
+fn provenance_explains_derived_facts() {
     let program = dacapo_workload("antlr", 0.2);
     let r = AnalysisSession::open(program.clone())
         .policy(Analysis::OneObj)
-        .threads(8)
         .track_provenance(true)
         .solve();
-    // Provenance is only recorded by the sequential path; a populated
-    // explanation proves the fallback happened.
     let var = program
         .vars()
         .find(|&v| !r.points_to(v).is_empty())
@@ -245,7 +165,7 @@ fn provenance_and_tuples_force_sequential() {
     let heap = r.points_to(var)[0];
     assert!(
         r.explain(&program, var, heap).is_some(),
-        "provenance lost: threads(8) did not fall back to sequential"
+        "provenance tracked, yet the fact has no explanation"
     );
 }
 
@@ -271,39 +191,34 @@ fn assert_subset(program: &Program, partial: &PointsToResult, complete: &PointsT
     }
 }
 
-/// A starved parallel run stops early with a tagged, sound partial
-/// result — same contract as the sequential solver.
+/// A starved run stops early with a tagged, sound partial result.
 #[test]
-fn starved_parallel_run_is_a_sound_prefix() {
+fn starved_run_is_a_sound_prefix() {
     let program = dacapo_workload("chart", 0.4);
     let complete = AnalysisSession::open(program.clone())
         .policy(Analysis::STwoObjH)
         .solve();
-    for threads in [2, 4] {
-        let partial = AnalysisSession::open(program.clone())
-            .policy(Analysis::STwoObjH)
-            .threads(threads)
-            .budget(Budget::unlimited().with_max_steps(400))
-            .solve();
-        assert!(
-            !partial.termination().is_complete(),
-            "threads({threads}): 400 steps should starve this workload"
-        );
-        assert_subset(&program, &partial, &complete);
-    }
+    let partial = AnalysisSession::open(program.clone())
+        .policy(Analysis::STwoObjH)
+        .budget(Budget::unlimited().with_max_steps(400))
+        .solve();
+    assert!(
+        !partial.termination().is_complete(),
+        "400 steps should starve this workload"
+    );
+    assert_subset(&program, &partial, &complete);
 }
 
-/// A starved parallel run with `--degrade` demotes hot methods and runs
-/// to (degraded) completion instead of stopping.
+/// A starved run with `--degrade` demotes hot methods and runs to
+/// (degraded) completion instead of stopping.
 #[test]
-fn degraded_parallel_run_completes() {
+fn degraded_run_completes() {
     let program = dacapo_workload("chart", 0.4);
     let insens = AnalysisSession::open(program.clone())
         .policy(Analysis::Insens)
         .solve();
     let degraded = AnalysisSession::open(program.clone())
         .policy(Analysis::STwoObjH)
-        .threads(4)
         .budget(Budget::unlimited().with_max_steps(400).with_watermark(4))
         .degrade(true)
         .solve();
@@ -321,10 +236,9 @@ fn degraded_parallel_run_completes() {
     assert_subset(&program, &degraded, &insens);
 }
 
-/// Cooperative cancellation drains in-flight messages and returns a
-/// sound prefix instead of deadlocking the barrier protocol.
+/// A cancelled run returns a sound prefix.
 #[test]
-fn cancelled_parallel_run_stops_soundly() {
+fn cancelled_run_stops_soundly() {
     use pta_core::CancelToken;
     let program = dacapo_workload("chart", 0.4);
     let complete = AnalysisSession::open(program.clone())
@@ -334,7 +248,6 @@ fn cancelled_parallel_run_stops_soundly() {
     token.cancel();
     let partial = AnalysisSession::open(program.clone())
         .policy(Analysis::STwoObjH)
-        .threads(4)
         .cancel(token)
         .solve();
     assert!(!partial.termination().is_complete());

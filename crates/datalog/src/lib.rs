@@ -54,7 +54,6 @@
 
 mod hash;
 
-pub mod counting;
 pub mod engine;
 pub mod relation;
 pub mod rule;
@@ -62,7 +61,6 @@ pub mod stratify;
 pub mod tuple;
 pub mod verify;
 
-pub use counting::{CAtom, CRelId, CTerm, DeltaEngine, DeltaStats};
 pub use engine::{Engine, EngineStats, FunctorId, RelId, RuleProfile};
 pub use rule::{RuleBuildError, RuleBuilder, Term};
 pub use tuple::{Row, MAX_ARITY};

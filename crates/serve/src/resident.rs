@@ -93,9 +93,6 @@ impl ProgramSource {
 /// How the daemon solves at startup.
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
-    /// Solver threads for the startup solves (answers are unaffected:
-    /// the parallel solver is bit-identical to sequential).
-    pub threads: usize,
     /// Startup budget per (program, policy) solve; a trip engages the
     /// context-insensitive fallback.
     pub budget: Budget,
@@ -110,7 +107,6 @@ pub struct SolveConfig {
 impl Default for SolveConfig {
     fn default() -> Self {
         SolveConfig {
-            threads: 1,
             budget: Budget::unlimited(),
             share: true,
             metrics: Metrics::disabled(),
@@ -438,7 +434,6 @@ fn resolve_primary(
         // magnitude), and tag every response partial.
         let fallback = AnalysisSession::from_arc(Arc::clone(program))
             .policy(Analysis::Insens)
-            .threads(solve.threads)
             .share(solve.share)
             .metrics(solve.metrics.clone())
             .solve();
@@ -457,7 +452,6 @@ fn solve_entry(program: &Arc<Program>, policy: Analysis, solve: &SolveConfig) ->
     let started = Instant::now();
     let mut session = AnalysisSession::from_arc(Arc::clone(program))
         .policy(policy)
-        .threads(solve.threads)
         .budget(solve.budget.clone())
         .share(solve.share)
         .incremental(true)

@@ -19,9 +19,6 @@
 //!                          object per analysis with any --metrics under
 //!                          "metrics" and any --stats under "stats"
 //!     --datalog            evaluate on the Datalog back end instead
-//!     --threads N          dense-solver worker count (default 1 =
-//!                          sequential; 0 = all available cores); results
-//!                          are identical for every N
 //!     --timeout SECS       wall-clock budget (float); on expiry the run
 //!                          stops cooperatively with a tagged partial result
 //!     --max-steps N        fixpoint-step budget (engine rounds on --datalog)
@@ -34,9 +31,8 @@
 //!                          solver only); each demoted method is reported
 //!                          as a W007 diagnostic
 //!     --trace FILE         record a Chrome trace-event timeline (session
-//!                          phases, per-rule spans, per-shard BSP rounds)
-//!                          and write it to FILE; load in Perfetto or
-//!                          chrome://tracing
+//!                          phases, per-rule spans) and write it to FILE;
+//!                          load in Perfetto or chrome://tracing
 //!     --profile            collect and print the per-rule evaluation
 //!                          profile (fires, derived tuples, cumulative ms)
 //!                          and the hottest variables by set size; rides
@@ -57,14 +53,14 @@
 //!                                        byte-compare the incrementally
 //!                                        maintained result with a
 //!                                        from-scratch solve after every edit
+//!                                        (exit 0 when every step is
+//!                                        identical, 1 on the first
+//!                                        divergence)
 //!     --workload NAME:SCALE edit a synthetic workload instead of a file
 //!     --edits N            number of edits to replay (default 5)
 //!     --seed S             edit-stream RNG seed (default 1)
 //!     --analysis NAME      policy to maintain (repeatable; default S-2obj+H)
 //!     --datalog            maintain on the Datalog back end instead
-//!     --threads N          dense-solver worker count for both sides
-//!                          (exit 0 when every step is identical, 1 on the
-//!                          first divergence)
 //! pta lint FILE.jir [options]            check a .jir program without
 //!                                        running any analysis
 //!     --format text|json   output format (default text)
@@ -80,7 +76,6 @@
 //!                          with) .jir files (repeatable, as are files)
 //!     --policy NAME        policy to solve at startup (repeatable; default
 //!                          insens; queries name one of these)
-//!     --threads N          solver threads for the startup solves
 //!     --workers N          request worker pool size (default 2)
 //!     --queue N            admission queue capacity (default 64); beyond
 //!                          it requests are shed with an `overloaded` error
@@ -114,14 +109,12 @@
 //!     --analysis NAME      points-to policy to run under (default S-2obj+H)
 //!     --format text|json   output format (default text); json emits the
 //!                          findings through the lint diagnostic renderer,
-//!                          byte-identical across back ends and threads
+//!                          byte-identical across back ends
 //!     --client-backend B   direct | datalog | both (default both: evaluate
 //!                          the Rust fixpoints AND the Datalog client rules
 //!                          and assert they agree finding-for-finding)
 //!     --datalog            compute the points-to result on the Datalog
 //!                          back end instead of the specialized solver
-//!     --threads N          dense-solver worker count (identical findings
-//!                          for every N)
 //!     --deny-findings      exit 1 when any finding is reported
 //!     --timeout/--max-steps/--max-memory/--watermark/--degrade
 //!                          as for analyze; a partial result tags every
@@ -261,7 +254,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     let mut explain: Vec<String> = Vec::new();
     let mut budget = Budget::unlimited();
     let mut degrade = false;
-    let mut threads: usize = 1;
     let mut trace_path: Option<String> = None;
     let mut profile = false;
     let mut share = true;
@@ -345,15 +337,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                     Some(n) if n > 0 => budget = budget.with_watermark(n),
                     _ => {
                         return usage_error("--watermark needs a positive integer");
-                    }
-                }
-            }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => threads = n,
-                    None => {
-                        return usage_error("--threads needs a worker count (0 = auto)");
                     }
                 }
             }
@@ -450,7 +433,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 
     // Keep each (analysis, result) alive until the end so JSON reports can
     // borrow them and print as one array.
-    let mut runs: Vec<(Analysis, usize, f64, PointsToResult)> = Vec::new();
+    let mut runs: Vec<(Analysis, f64, PointsToResult)> = Vec::new();
     let mut any_partial = false;
     if datalog && !explain.is_empty() {
         return usage_error("--explain requires the specialized solver (drop --datalog)");
@@ -464,7 +447,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             } else {
                 Backend::Dense
             })
-            .threads(threads)
             .budget(budget.clone())
             .degrade(degrade)
             .keep_tuples(hot)
@@ -475,11 +457,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         if let Some(token) = &cancel {
             session = session.cancel(token.clone());
         }
-        let solved_threads = if datalog {
-            1
-        } else {
-            session.effective_threads()
-        };
         let t_run = ts.now_ns();
         let result: PointsToResult = session.solve();
         let elapsed = start.elapsed();
@@ -490,12 +467,12 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                 "session",
                 t_run,
                 t_end - t_run,
-                &[("threads", solved_threads as u64)],
+                &[],
             );
         }
         any_partial |= !result.termination().is_complete();
         if json {
-            runs.push((analysis, solved_threads, elapsed.as_secs_f64(), result));
+            runs.push((analysis, elapsed.as_secs_f64(), result));
             continue;
         }
         println!(
@@ -627,11 +604,11 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     if json {
         let metric_sets: Vec<Option<pta_clients::ExperimentMetrics>> = runs
             .iter()
-            .map(|(_, _, _, result)| metrics.then(|| precision_metrics(&program, result)))
+            .map(|(_, _, result)| metrics.then(|| precision_metrics(&program, result)))
             .collect();
         let demoted_sets: Vec<Vec<(String, u32)>> = runs
             .iter()
-            .map(|(_, _, _, result)| {
+            .map(|(_, _, result)| {
                 result
                     .demoted_sites()
                     .iter()
@@ -643,11 +620,11 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             .iter()
             .zip(&metric_sets)
             .zip(&demoted_sets)
-            .map(|(((analysis, threads, time_secs, result), m), demoted)| {
+            .map(|(((analysis, time_secs, result), m), demoted)| {
                 hybrid_pta::report::AnalysisReport {
                     analysis: analysis.name(),
                     backend: if datalog { "datalog" } else { "specialized" },
-                    threads: *threads,
+                    threads: 1,
                     time_secs: *time_secs,
                     result,
                     metrics: m.as_ref(),
@@ -920,7 +897,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 }
 
 const CHECK_USAGE: &str = "usage: pta check FILE.jir [--spec FILE] [--analysis NAME] \
-[--format text|json] [--client-backend direct|datalog|both] [--datalog] [--threads N] \
+[--format text|json] [--client-backend direct|datalog|both] [--datalog] \
 [--deny-findings] [--timeout SECS] [--max-steps N] [--max-memory BYTES] [--watermark N] \
 [--degrade]";
 
@@ -937,7 +914,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut client_backend = ClientBackend::CrossValidated;
     let mut datalog = false;
-    let mut threads: usize = 1;
     let mut deny_findings = false;
     let mut budget = Budget::unlimited();
     let mut degrade = false;
@@ -980,15 +956,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     Some("both") => client_backend = ClientBackend::CrossValidated,
                     _ => {
                         return usage_error("--client-backend needs direct, datalog or both");
-                    }
-                }
-            }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => threads = n,
-                    None => {
-                        return usage_error("--threads needs a worker count (0 = auto)");
                     }
                 }
             }
@@ -1105,7 +1072,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
         } else {
             Backend::Dense
         })
-        .threads(threads)
         .budget(budget)
         .degrade(degrade);
     if let Some(token) = &cancel {
@@ -1188,7 +1154,7 @@ fn cmd_workload(args: &[String]) -> ExitCode {
 }
 
 const UPDATE_USAGE: &str = "usage: pta update FILE.jir [--workload NAME:SCALE] [--edits N] \
-[--seed S] [--analysis NAME] [--datalog] [--threads N]";
+[--seed S] [--analysis NAME] [--datalog]";
 
 /// A canonical rendering of everything a [`PointsToResult`] answers:
 /// per-variable points-to sets, per-site call targets, the reachable
@@ -1237,7 +1203,6 @@ fn cmd_update(args: &[String]) -> ExitCode {
     let mut edits = 5usize;
     let mut seed = 1u64;
     let mut datalog = false;
-    let mut threads = 1usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -1270,13 +1235,6 @@ fn cmd_update(args: &[String]) -> ExitCode {
                 }
             }
             "--datalog" => datalog = true,
-            "--threads" => {
-                i += 1;
-                threads = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage_error("--threads needs a worker count"),
-                };
-            }
             other if !other.starts_with("--") && path.is_none() => path = Some(other.to_owned()),
             other => return usage_error(format!("unknown flag {other} ({UPDATE_USAGE})")),
         }
@@ -1326,7 +1284,6 @@ fn cmd_update(args: &[String]) -> ExitCode {
         let mut session = AnalysisSession::open(base.clone())
             .policy(analysis)
             .backend(backend)
-            .threads(threads)
             .incremental(true);
         session.solve();
         let mut incremental = 0usize;
@@ -1346,8 +1303,7 @@ fn cmd_update(args: &[String]) -> ExitCode {
             let scratch_fp = {
                 let mut scratch = AnalysisSession::open(stream.program().clone())
                     .policy(analysis)
-                    .backend(backend)
-                    .threads(threads);
+                    .backend(backend);
                 result_fingerprint(stream.program(), &scratch.solve())
             };
             if result_fingerprint(stream.program(), &maintained) != scratch_fp {
@@ -1377,7 +1333,7 @@ fn cmd_update(args: &[String]) -> ExitCode {
 }
 
 const SERVE_USAGE: &str = "usage: pta serve [FILE.jir ...] [--workload NAME:SCALE] \
-[--policy NAME] [--threads N] [--workers N] [--queue N] [--deadline-ms N] [--drain-ms N] \
+[--policy NAME] [--workers N] [--queue N] [--deadline-ms N] [--drain-ms N] \
 [--solve-timeout SECS] [--solve-max-steps N] [--solve-max-memory BYTES] [--port N] \
 [--port-file PATH] [--no-stdin] [--inject-faults RATE,KINDS] [--fault-seed N] \
 [--no-share] [--trace FILE] [--metrics-addr HOST:PORT] [--metrics-port-file PATH] \
@@ -1411,13 +1367,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     _ => {
                         return usage_error("--policy needs a known analysis name (try `pta list`)")
                     }
-                }
-            }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cfg.solve.threads = n,
-                    None => return usage_error("--threads needs a worker count (0 = auto)"),
                 }
             }
             "--workers" => {

@@ -5,24 +5,26 @@
 //! results without scraping the human-oriented text output. The solver's
 //! always-on counters ride along under the `"stats"` key when `--stats` is
 //! passed (with a `"governance"` outcome object — budget consumed,
-//! demotions applied — nested after any `"shard_stats"`), and the per-rule
-//! evaluation profile under `"profile"` when `--profile` is. Every report carries the run's `"termination"` status
-//! (`complete`, `deadline_exceeded`, `step_limit`, `memory_cap`); runs that
-//! gracefully degraded also list the demoted methods under
-//! `"demoted_sites"`. Every object opens with a `"schema_version"` field
-//! ([`SCHEMA_VERSION`]) so consumers can detect format changes; v1 payloads
-//! (before the version, `threads` and `shard_stats` fields existed) carry
-//! no version field at all. Hand-rolled JSON: the toolchain runs fully
-//! offline, so there is no serde; the shape is locked down by
-//! `tests/cli_report.rs`.
+//! demotions applied), and the per-rule evaluation profile under
+//! `"profile"` when `--profile` is. Every report carries the run's
+//! `"termination"` status (`complete`, `deadline_exceeded`, `step_limit`,
+//! `memory_cap`); runs that gracefully degraded also list the demoted
+//! methods under `"demoted_sites"`. Every object opens with a
+//! `"schema_version"` field ([`SCHEMA_VERSION`]) so consumers can detect
+//! format changes; v1 payloads (before the version and `threads` fields
+//! existed) carry no version field at all. Hand-rolled JSON: the
+//! toolchain runs fully offline, so there is no serde; the shape is
+//! locked down by `tests/cli_report.rs`.
 
 use pta_clients::ExperimentMetrics;
 use pta_core::PointsToResult;
 
 /// Version of the per-run JSON object emitted by [`AnalysisReport::to_json`].
 ///
-/// History: v1 (unversioned) predates `schema_version`, `threads` and
-/// `shard_stats`; v2 added all three.
+/// History: v1 (unversioned) predates `schema_version` and `threads`; v2
+/// added both, plus a per-shard stats array that went away with the
+/// sharded parallel solver (it only ever appeared on multi-threaded runs,
+/// so every v2 payload written since is a valid v2 payload).
 pub const SCHEMA_VERSION: u32 = 2;
 
 fn esc(s: &str) -> String {
@@ -50,8 +52,8 @@ pub struct AnalysisReport<'a> {
     pub backend: &'a str,
     /// Wall-clock solve time.
     pub time_secs: f64,
-    /// Dense-solver worker count the run was configured with (`1` =
-    /// sequential; the Datalog back end always reports `1`).
+    /// Solver thread count. Every run solves on one thread, so callers
+    /// pass `1`; the field stays for the JSON shape (`"threads":1`).
     pub threads: usize,
     /// The solved result.
     pub result: &'a PointsToResult,
@@ -125,17 +127,6 @@ impl AnalysisReport<'_> {
                 ",\"stats\":{}",
                 self.result.solver_stats().to_json()
             ));
-            // Parallel runs also expose the per-shard breakdown, in shard
-            // order, so imbalance is visible without rerunning.
-            if !self.result.shard_stats().is_empty() {
-                let shards: Vec<String> = self
-                    .result
-                    .shard_stats()
-                    .iter()
-                    .map(pta_core::SolverStats::to_json)
-                    .collect();
-                out.push_str(&format!(",\"shard_stats\":[{}]", shards.join(",")));
-            }
             // Governance outcome: how much of the budget the run consumed
             // and whether graceful degradation fired. Still schema v2 —
             // consumers treat unknown keys inside the stats block as

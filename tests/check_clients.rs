@@ -68,6 +68,9 @@ fn points_to_backends_and_thread_counts_agree() {
         let dense = AnalysisSession::open(program.clone())
             .policy(analysis)
             .solve();
+        // `threads` is a deprecated no-op kept for old callers; asking
+        // for 4 threads must not move a single finding.
+        #[allow(deprecated)]
         let parallel = AnalysisSession::open(program.clone())
             .policy(analysis)
             .threads(4)

@@ -316,3 +316,56 @@ fn check_cli_exits_3_on_partial_results() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&spec_path).ok();
 }
+
+/// Writes the luindex workload at scale 0.3 to a temp file tagged `tag`
+/// and runs `pta analyze` on it under 2obj+H with a 1000-step budget plus
+/// `extra` flags.
+fn analyze_starved(tag: &str, extra: &[&str]) -> std::process::Output {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
+        .args(["workload", "luindex", "--scale", "0.3", "--print"])
+        .output()
+        .expect("spawn pta workload");
+    assert!(out.status.success());
+    let path = std::env::temp_dir().join(format!("pta-analyze-{tag}-{}.jir", std::process::id()));
+    std::fs::write(&path, &out.stdout).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
+        .args(["analyze", path.to_str().unwrap(), "--analysis", "2obj+H"])
+        .args(["--max-steps", "1000"])
+        .args(extra)
+        .output()
+        .expect("spawn pta analyze");
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+/// Under a starved step budget without `--degrade`, `pta analyze` stops
+/// with a tagged partial result and exits `3`.
+#[test]
+fn starved_analyze_run_exits_partial() {
+    let starved = analyze_starved("starved", &[]);
+    assert_eq!(
+        starved.status.code(),
+        Some(3),
+        "partial analyze must exit 3"
+    );
+    let text = String::from_utf8(starved.stdout).unwrap();
+    assert!(text.contains("PARTIAL RESULT: budget exhausted"), "{text}");
+}
+
+/// Under the same starved budget with `--degrade`, hot methods are demoted
+/// (one `W007` each) and the run completes with exit `0`.
+#[test]
+fn degraded_analyze_run_completes_with_demotions() {
+    let degraded = analyze_starved("degraded", &["--degrade"]);
+    assert_eq!(
+        degraded.status.code(),
+        Some(0),
+        "degraded run must complete"
+    );
+    let text = String::from_utf8(degraded.stdout).unwrap();
+    assert!(
+        text.contains("degraded:"),
+        "demotion report missing: {text}"
+    );
+    assert!(text.contains("W007"), "W007 diagnostics missing: {text}");
+}

@@ -49,11 +49,10 @@ fn heap(program: &Program, label: &str) -> HeapId {
         .unwrap_or_else(|| panic!("no heap labeled {label}"))
 }
 
-fn traced_run(program: &Program, threads: usize) -> (PointsToResult, Trace) {
+fn traced_run(program: &Program) -> (PointsToResult, Trace) {
     let trace = Trace::enabled();
     let result = AnalysisSession::open(program.clone())
         .policy(Analysis::STwoObjH)
-        .threads(threads)
         .trace(trace.clone())
         .solve();
     (result, trace)
@@ -90,7 +89,7 @@ fn validate_timeline(doc: &Value) -> &[Value] {
 #[test]
 fn traced_run_emits_a_valid_chrome_timeline() {
     let program = parse_program(SECTION1).unwrap();
-    let (_, trace) = traced_run(&program, 1);
+    let (_, trace) = traced_run(&program);
     let rendered = trace.to_chrome_json();
     let doc = json::parse(&rendered).expect("trace output is valid JSON");
     let events = validate_timeline(&doc);
@@ -120,49 +119,14 @@ fn traced_run_emits_a_valid_chrome_timeline() {
     }
 }
 
-#[test]
-fn parallel_traces_carry_per_shard_timelines() {
-    let program = parse_program(SECTION1).unwrap();
-    // The parallel solver clamps the shard count to the method count;
-    // SECTION1 has two methods, so ask for exactly two shards.
-    let (_, trace) = traced_run(&program, 2);
-    let rendered = trace.to_chrome_json();
-    let doc = json::parse(&rendered).expect("trace output is valid JSON");
-    let events = validate_timeline(&doc);
-    // Each shard names its track, and the BSP rounds appear as
-    // busy ("drain") / idle ("sync") span pairs plus one final merge.
-    let names: Vec<&str> = events
-        .iter()
-        .filter_map(|e| {
-            e.get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Value::as_str)
-        })
-        .collect();
-    for shard in ["shard-0", "shard-1"] {
-        assert!(names.contains(&shard), "missing thread name {shard:?}");
-    }
-    let cat_count = |name: &str| {
-        events
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
-            .count()
-    };
-    assert!(cat_count("drain") > 0);
-    assert_eq!(cat_count("drain"), cat_count("sync"));
-    assert_eq!(cat_count("merge"), 1);
-    // The top-level solve span exists regardless of thread count.
-    assert_eq!(cat_count("solve"), 1);
-}
-
 /// Two runs of the same deterministic workload must record the same
 /// events (timestamps and durations excluded): the timeline's *shape* is
 /// a function of the analysis, not the scheduler.
 #[test]
 fn sequential_traces_are_deterministic_across_runs() {
     let program = parse_program(SECTION1).unwrap();
-    let (_, first) = traced_run(&program, 1);
-    let (_, second) = traced_run(&program, 1);
+    let (_, first) = traced_run(&program);
+    let (_, second) = traced_run(&program);
     let counts = first.event_counts();
     assert!(!counts.is_empty());
     assert_eq!(counts, second.event_counts());

@@ -1,6 +1,6 @@
 //! End-to-end contract of the telemetry layer (DESIGN.md §16): solver
 //! counters attached through [`AnalysisSession::metrics`] are
-//! deterministic and thread-invariant, Prometheus exposition escapes and
+//! deterministic across reruns, Prometheus exposition escapes and
 //! orders its output the way scrapers require, event-log lines are valid
 //! JSON by the serve crate's own parser, apply-path metrics distinguish
 //! incremental maintenance from full-re-solve fallbacks, and an
@@ -19,10 +19,8 @@ use pta_serve::{launch, ProgramSource, ServeConfig};
 use pta_workload::dacapo_workload;
 
 /// Counters that reflect the *fixpoint* (final relation and interner
-/// sizes), not the schedule that reached it. These must agree between
-/// the sequential and sharded solvers; schedule-dependent counters like
-/// `pta_solver_steps_total` legitimately differ.
-const THREAD_INVARIANT: &[&str] = &[
+/// sizes), not the schedule that reached it. Every solve exports them.
+const FIXPOINT_COUNTERS: &[&str] = &[
     "pta_solve_total",
     "pta_solver_vpt_inserted_total",
     "pta_solver_fld_inserted_total",
@@ -33,39 +31,33 @@ const THREAD_INVARIANT: &[&str] = &[
     "pta_solver_throw_tuples_total",
 ];
 
-fn solve_with_metrics(program: &Program, analysis: Analysis, threads: usize) -> Metrics {
+fn solve_with_metrics(program: &Program, analysis: Analysis) -> Metrics {
     let m = Metrics::enabled();
     let _ = AnalysisSession::open(program.clone())
         .policy(analysis)
-        .threads(threads)
         .metrics(m.clone())
         .solve();
     m
 }
 
-/// Fixpoint-shaped counters must not depend on the worker count, and a
-/// rerun at the same worker count must reproduce the whole registry
-/// byte-for-byte — the property the soak driver's counter digest and
-/// `BENCH_serve.json` baseline rely on.
+/// Every solve exports the fixpoint-shaped counters, and a rerun must
+/// reproduce the whole registry byte-for-byte — the property the soak
+/// driver's counter digest and `BENCH_serve.json` baseline rely on.
 #[test]
-fn solver_counters_are_thread_invariant_and_rerun_deterministic() {
+fn solver_counters_are_rerun_deterministic() {
     let program = dacapo_workload("luindex", 0.2);
     for analysis in [Analysis::Insens, Analysis::OneObj, Analysis::UOneObj] {
-        let seq = solve_with_metrics(&program, analysis, 1);
-        let par = solve_with_metrics(&program, analysis, 4);
-        for name in THREAD_INVARIANT {
-            let s = seq.value(name, &[]);
-            assert!(s.is_some(), "{analysis:?}: {name} missing from registry");
-            assert_eq!(
-                s,
-                par.value(name, &[]),
-                "{analysis:?}: {name} differs between threads 1 and 4"
+        let seq = solve_with_metrics(&program, analysis);
+        for name in FIXPOINT_COUNTERS {
+            assert!(
+                seq.value(name, &[]).is_some(),
+                "{analysis:?}: {name} missing from registry"
             );
         }
         // Rerun determinism covers *every* series, including the
-        // schedule-dependent ones: single-threaded solving is a fixed
-        // schedule, so the full exposition text must be identical.
-        let again = solve_with_metrics(&program, analysis, 1);
+        // schedule-dependent ones: the solver's schedule is fixed, so
+        // the full exposition text must be identical.
+        let again = solve_with_metrics(&program, analysis);
         assert_eq!(
             seq.to_prometheus(),
             again.to_prometheus(),
@@ -264,13 +256,12 @@ fn apply_metrics_distinguish_incremental_from_fallback() {
     );
     assert!(!m.to_prometheus().contains("pta_apply_fallback_total"));
 
-    // Parallel sessions are not retention-eligible: the same delta must
-    // fall back to a full re-solve, and the scrape must say why.
+    // A session that did not opt into incremental maintenance retains
+    // nothing: the same delta must fall back to a full re-solve, and the
+    // scrape must say why.
     let m2 = Metrics::enabled();
     let mut fallback = AnalysisSession::open(base.clone())
         .policy(Analysis::OneObj)
-        .threads(2)
-        .incremental(true)
         .metrics(m2.clone());
     fallback.solve();
     fallback.apply(&additive_delta(&base)).unwrap();
