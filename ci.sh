@@ -16,6 +16,13 @@ cargo build --release
 echo "==> tier-1: cargo test"
 cargo test -q
 
+# Gating: the benchmark is a package of its own (own workspace), so the
+# tier-1 command never builds it, yet it calls the front end's lexer,
+# parser and lowering directly. Build and test it here so a front-end API
+# change cannot break the benchmark unnoticed.
+echo "==> tier-1: benchmark package (cargo test --manifest-path benchmark/Cargo.toml)"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 # Gating: the fault-injection / governance suite (all four Termination
 # variants, budget determinism, mid-run demotion soundness).
 echo "==> tier-1: governance + fault-injection suite"

@@ -66,6 +66,7 @@ use pta_clients::{
 };
 use pta_core::{Analysis, AnalysisSession, Budget, CancelToken, SolverStats};
 use pta_ir::{Program, ProgramStats};
+use pta_obs::escape;
 use pta_workload::{DACAPO_NAMES, TAINT_SPEC};
 
 pub mod json;
@@ -215,23 +216,6 @@ impl ExperimentRow {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats an `f64` as a JSON number (finite values only).
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
@@ -256,8 +240,8 @@ impl ExperimentRow {
              \"time_secs\":{},\"sensitive_var_points_to\":{},\"contexts\":{},\
              \"heap_contexts\":{},\"uncaught_exception_sites\":{},\"stats\":{}",
             SCHEMA_VERSION,
-            json_escape(&self.workload),
-            json_escape(&self.analysis),
+            escape(&self.workload),
+            escape(&self.analysis),
             self.status.as_str(),
             self.threads,
             self.reachable_methods,
@@ -1173,7 +1157,7 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::NAN), "null");
     }

@@ -8,9 +8,9 @@
 //! The `pta-lang` textual frontend and the `pta-workload` generator are both
 //! thin layers over this builder.
 
-use crate::hash::FxHashMap;
 use crate::hierarchy::Hierarchy;
 use crate::ids::{FieldId, HeapId, InvoId, MethodId, SigId, TypeId, VarId};
+use crate::names::{name_hash, NameIndex, Span};
 use crate::program::{
     FieldInfo, HeapInfo, Instr, InvoInfo, InvoKind, MethodInfo, Program, SigInfo, TypeInfo, VarInfo,
 };
@@ -42,6 +42,10 @@ use crate::validate::{validate, ValidateError};
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
+    /// The program's name arena; every name and label is appended here.
+    names: String,
+    /// The program's flat list of formals and actual arguments.
+    var_lists: Vec<VarId>,
     types: Vec<TypeInfo>,
     fields: Vec<FieldInfo>,
     sigs: Vec<SigInfo>,
@@ -50,9 +54,12 @@ pub struct ProgramBuilder {
     heaps: Vec<HeapInfo>,
     invos: Vec<InvoInfo>,
     entry_points: Vec<MethodId>,
-    type_by_name: FxHashMap<String, TypeId>,
-    sig_by_key: FxHashMap<(String, usize), SigId>,
-    field_by_key: FxHashMap<(TypeId, String), FieldId>,
+    /// Classes by name.
+    type_by_name: NameIndex,
+    /// Signatures by `(name, arity)`.
+    sig_by_key: NameIndex,
+    /// Fields by `(owner, name)`.
+    field_by_key: NameIndex,
 }
 
 impl ProgramBuilder {
@@ -70,7 +77,7 @@ impl ProgramBuilder {
     ///
     /// Panics if the class was already declared with a *different* parent.
     pub fn class(&mut self, name: &str, parent: Option<TypeId>) -> TypeId {
-        if let Some(&id) = self.type_by_name.get(name) {
+        if let Some(id) = self.class_by_name(name) {
             assert_eq!(
                 self.types[id.index()].parent,
                 parent,
@@ -80,29 +87,38 @@ impl ProgramBuilder {
         }
         let id = TypeId::from_index(self.types.len());
         self.types.push(TypeInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             parent,
         });
-        self.type_by_name.insert(name.to_owned(), id);
+        self.type_by_name.insert(name_hash(name, 0), id.index());
         id
     }
 
     /// Looks up a previously declared class by name.
     pub fn class_by_name(&self, name: &str) -> Option<TypeId> {
-        self.type_by_name.get(name).copied()
+        self.type_by_name
+            .find(name_hash(name, 0), |i| {
+                self.types[i].name.str(&self.names) == name
+            })
+            .map(TypeId::from_index)
     }
 
     /// Interns a method signature (name, arity).
     pub fn sig(&mut self, name: &str, arity: usize) -> SigId {
-        if let Some(&id) = self.sig_by_key.get(&(name.to_owned(), arity)) {
-            return id;
+        let hash = name_hash(name, arity);
+        let found = self.sig_by_key.find(hash, |i| {
+            let s = &self.sigs[i];
+            s.arity == arity && s.name.str(&self.names) == name
+        });
+        if let Some(i) = found {
+            return SigId::from_index(i);
         }
         let id = SigId::from_index(self.sigs.len());
         self.sigs.push(SigInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             arity,
         });
-        self.sig_by_key.insert((name.to_owned(), arity), id);
+        self.sig_by_key.insert(hash, id.index());
         id
     }
 
@@ -117,21 +133,25 @@ impl ProgramBuilder {
     }
 
     fn field_impl(&mut self, owner: TypeId, name: &str, is_static: bool) -> FieldId {
-        if let Some(&id) = self.field_by_key.get(&(owner, name.to_owned())) {
+        let hash = name_hash(name, owner.index());
+        let found = self.field_by_key.find(hash, |i| {
+            let f = &self.fields[i];
+            f.owner == owner && f.name.str(&self.names) == name
+        });
+        if let Some(i) = found {
             assert_eq!(
-                self.fields[id.index()].is_static,
-                is_static,
+                self.fields[i].is_static, is_static,
                 "field {name} redeclared with different staticness"
             );
-            return id;
+            return FieldId::from_index(i);
         }
         let id = FieldId::from_index(self.fields.len());
         self.fields.push(FieldInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             owner,
             is_static,
         });
-        self.field_by_key.insert((owner, name.to_owned()), id);
+        self.field_by_key.insert(hash, id.index());
         id
     }
 
@@ -148,12 +168,11 @@ impl ProgramBuilder {
         let sig = self.sig(name, params.len());
         let id = MethodId::from_index(self.methods.len());
         self.methods.push(MethodInfo {
-            name: name.to_owned(),
             declaring,
             sig,
             is_static,
             this: None,
-            formals: Vec::new(),
+            formals: Span::default(),
             ret: None,
             instrs: Vec::new(),
             instr_locs: Vec::new(),
@@ -164,8 +183,12 @@ impl ProgramBuilder {
             let this = self.var(id, "this");
             self.methods[id.index()].this = Some(this);
         }
-        let formals: Vec<VarId> = params.iter().map(|p| self.var(id, p)).collect();
-        self.methods[id.index()].formals = formals;
+        let start = self.var_lists.len();
+        for p in params {
+            let v = self.var(id, p);
+            self.var_lists.push(v);
+        }
+        self.methods[id.index()].formals = Span::since(&self.var_lists, start);
         id
     }
 
@@ -173,7 +196,7 @@ impl ProgramBuilder {
     pub fn var(&mut self, meth: MethodId, name: &str) -> VarId {
         let id = VarId::from_index(self.vars.len());
         self.vars.push(VarInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             method: meth,
         });
         id
@@ -187,7 +210,7 @@ impl ProgramBuilder {
 
     /// The formal parameters of a previously declared method.
     pub fn formals(&self, meth: MethodId) -> &[VarId] {
-        &self.methods[meth.index()].formals
+        self.methods[meth.index()].formals.slice(&self.var_lists)
     }
 
     /// The implicit receiver variable of an instance method.
@@ -206,7 +229,7 @@ impl ProgramBuilder {
     pub fn alloc(&mut self, meth: MethodId, var: VarId, ty: TypeId, label: &str) -> HeapId {
         let heap = HeapId::from_index(self.heaps.len());
         self.heaps.push(HeapInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             ty,
             method: meth,
         });
@@ -285,10 +308,10 @@ impl ProgramBuilder {
         let sig = self.sig(name, args.len());
         let invo = InvoId::from_index(self.invos.len());
         self.invos.push(InvoInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             method: meth,
             kind: InvoKind::Virtual,
-            args: args.to_vec(),
+            args: Span::push_slice(&mut self.var_lists, args),
             ret,
         });
         self.methods[meth.index()]
@@ -309,10 +332,10 @@ impl ProgramBuilder {
     ) -> InvoId {
         let invo = InvoId::from_index(self.invos.len());
         self.invos.push(InvoInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             method: meth,
             kind: InvoKind::Static,
-            args: args.to_vec(),
+            args: Span::push_slice(&mut self.var_lists, args),
             ret,
         });
         self.methods[meth.index()]
@@ -370,7 +393,7 @@ impl ProgramBuilder {
 
     /// Actual arguments recorded for an invocation site.
     pub fn actual_args(&self, invo: InvoId) -> &[VarId] {
-        &self.invos[invo.index()].args
+        self.invos[invo.index()].args.slice(&self.var_lists)
     }
 
     /// The variable receiving an invocation site's return value, if any.
@@ -391,6 +414,8 @@ impl ProgramBuilder {
     pub fn finish(self) -> Result<Program, ValidateError> {
         let hierarchy = Hierarchy::build(&self.types, &self.methods);
         let program = Program {
+            names: self.names,
+            var_lists: self.var_lists,
             types: self.types,
             fields: self.fields,
             sigs: self.sigs,

@@ -25,10 +25,20 @@
 //! *existing* classes may override inherited signatures, which changes
 //! `Lookup` for old receivers; `pta-core` detects that case and falls
 //! back to a full re-solve (the hierarchy is rebuilt here either way).
+//!
+//! Names follow the same append-only rule. A delta keeps the names and
+//! labels of its new entities in a name arena of its own, and their
+//! formals and argument lists in a flat list of its own, with spans
+//! counted from the start of each. Applying the delta appends both to the
+//! program's arenas and rebases every new span by the program's arena
+//! lengths at that moment. Interning against the base (`class`, `sig`) looks names up in a
+//! snapshot of the base's class and signature names, taken once in
+//! [`ProgramDelta::new`] into one buffer.
 
 use crate::hash::FxHashMap;
 use crate::hierarchy::Hierarchy;
 use crate::ids::{FieldId, HeapId, InvoId, MethodId, SigId, TypeId, VarId};
+use crate::names::{name_hash, NameIndex, Span};
 use crate::program::{
     FieldInfo, HeapInfo, Instr, InvoInfo, InvoKind, MethodInfo, Program, SigInfo, TypeInfo, VarInfo,
 };
@@ -144,6 +154,12 @@ impl BaseCounts {
 #[derive(Debug, Clone)]
 pub struct ProgramDelta {
     base: BaseCounts,
+    /// Names and labels of the appended entities; spans count from 0 and
+    /// are rebased when the delta is applied.
+    names: String,
+    /// Formals of the appended methods and actual arguments of the
+    /// appended invocation sites, likewise.
+    var_lists: Vec<VarId>,
     // Appended entities (IDs continue the base numbering).
     new_types: Vec<TypeInfo>,
     new_fields: Vec<FieldInfo>,
@@ -159,26 +175,49 @@ pub struct ProgramDelta {
     new_catches: Vec<(MethodId, TypeId, VarId)>,
     add_entries: Vec<MethodId>,
     remove_entries: Vec<MethodId>,
-    // Base-program snapshots needed for interning against the base.
-    base_type_names: FxHashMap<String, TypeId>,
-    base_sig_keys: FxHashMap<(String, usize), SigId>,
+    // Interning against the base and the pending entities. The base's
+    // class and signature names are copied into `base_names`, with their
+    // spans in `base_types`/`base_sigs`.
+    base_names: String,
+    base_types: Vec<Span>,
+    base_sigs: Vec<(Span, usize)>,
+    /// Base and appended classes by name.
+    type_by_name: NameIndex,
+    /// Base and appended signatures by `(name, arity)`.
+    sig_by_key: NameIndex,
+    /// Appended fields by `(owner, name)`.
+    field_by_key: NameIndex,
 }
 
 impl ProgramDelta {
     /// Starts an empty delta against `base`.
     #[must_use]
     pub fn new(base: &Program) -> ProgramDelta {
-        let mut base_type_names = FxHashMap::default();
-        for t in base.types() {
-            base_type_names.insert(base.type_name(t).to_owned(), t);
-        }
-        let mut base_sig_keys = FxHashMap::default();
-        for i in 0..base.sig_count() {
-            let s = SigId::from_index(i);
-            base_sig_keys.insert((base.sig_name(s).to_owned(), base.sig_arity(s)), s);
-        }
+        let mut base_names = String::new();
+        let mut type_by_name = NameIndex::default();
+        let base_types = base
+            .types()
+            .map(|t| {
+                let name = base.type_name(t);
+                type_by_name.insert(name_hash(name, 0), t.index());
+                Span::push_str(&mut base_names, name)
+            })
+            .collect();
+        let mut sig_by_key = NameIndex::default();
+        let base_sigs = base
+            .sigs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let name = s.name.str(&base.names);
+                sig_by_key.insert(name_hash(name, s.arity), i);
+                (Span::push_str(&mut base_names, name), s.arity)
+            })
+            .collect();
         ProgramDelta {
             base: BaseCounts::of(base),
+            names: String::new(),
+            var_lists: Vec::new(),
             new_types: Vec::new(),
             new_fields: Vec::new(),
             new_sigs: Vec::new(),
@@ -192,8 +231,12 @@ impl ProgramDelta {
             new_catches: Vec::new(),
             add_entries: Vec::new(),
             remove_entries: Vec::new(),
-            base_type_names,
-            base_sig_keys,
+            base_names,
+            base_types,
+            base_sigs,
+            type_by_name,
+            sig_by_key,
+            field_by_key: NameIndex::default(),
         }
     }
 
@@ -321,45 +364,59 @@ impl ProgramDelta {
     ///
     /// Panics if the name exists with a different parent.
     pub fn class(&mut self, name: &str, parent: Option<TypeId>) -> TypeId {
-        if let Some(&id) = self.base_type_names.get(name) {
-            return id;
-        }
-        if let Some(pos) = self.new_types.iter().position(|t| t.name == name) {
-            assert_eq!(
-                self.new_types[pos].parent, parent,
-                "class {name} redeclared with a different parent"
-            );
-            return TypeId::from_index(self.base.types + pos);
+        let hash = name_hash(name, 0);
+        let found = self
+            .type_by_name
+            .find(hash, |i| match i.checked_sub(self.base.types) {
+                None => self.base_types[i].str(&self.base_names) == name,
+                Some(pos) => self.new_types[pos].name.str(&self.names) == name,
+            });
+        if let Some(i) = found {
+            if let Some(pos) = i.checked_sub(self.base.types) {
+                assert_eq!(
+                    self.new_types[pos].parent, parent,
+                    "class {name} redeclared with a different parent"
+                );
+            }
+            return TypeId::from_index(i);
         }
         if let Some(p) = parent {
             self.type_index(p);
         }
         let id = TypeId::from_index(self.base.types + self.new_types.len());
         self.new_types.push(TypeInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             parent,
         });
+        self.type_by_name.insert(hash, id.index());
         id
     }
 
     /// Interns a signature `(name, arity)` against the base and pending
     /// signatures.
     pub fn sig(&mut self, name: &str, arity: usize) -> SigId {
-        if let Some(&id) = self.base_sig_keys.get(&(name.to_owned(), arity)) {
-            return id;
-        }
-        if let Some(pos) = self
-            .new_sigs
-            .iter()
-            .position(|s| s.name == name && s.arity == arity)
-        {
-            return SigId::from_index(self.base.sigs + pos);
+        let hash = name_hash(name, arity);
+        let found = self
+            .sig_by_key
+            .find(hash, |i| match i.checked_sub(self.base.sigs) {
+                None => {
+                    let (span, a) = self.base_sigs[i];
+                    a == arity && span.str(&self.base_names) == name
+                }
+                Some(pos) => {
+                    let s = &self.new_sigs[pos];
+                    s.arity == arity && s.name.str(&self.names) == name
+                }
+            });
+        if let Some(i) = found {
+            return SigId::from_index(i);
         }
         let id = SigId::from_index(self.base.sigs + self.new_sigs.len());
         self.new_sigs.push(SigInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             arity,
         });
+        self.sig_by_key.insert(hash, id.index());
         id
     }
 
@@ -375,11 +432,12 @@ impl ProgramDelta {
 
     fn field_impl(&mut self, owner: TypeId, name: &str, is_static: bool) -> FieldId {
         self.type_index(owner);
-        if let Some(pos) = self
-            .new_fields
-            .iter()
-            .position(|f| f.owner == owner && f.name == name)
-        {
+        let hash = name_hash(name, owner.index());
+        let found = self.field_by_key.find(hash, |pos| {
+            let f = &self.new_fields[pos];
+            f.owner == owner && f.name.str(&self.names) == name
+        });
+        if let Some(pos) = found {
             assert_eq!(
                 self.new_fields[pos].is_static, is_static,
                 "field {name} redeclared with different staticness"
@@ -387,8 +445,9 @@ impl ProgramDelta {
             return FieldId::from_index(self.base.fields + pos);
         }
         let id = FieldId::from_index(self.base.fields + self.new_fields.len());
+        self.field_by_key.insert(hash, self.new_fields.len());
         self.new_fields.push(FieldInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             owner,
             is_static,
         });
@@ -408,12 +467,11 @@ impl ProgramDelta {
         let sig = self.sig(name, params.len());
         let id = MethodId::from_index(self.base.methods + self.new_methods.len());
         self.new_methods.push(MethodInfo {
-            name: name.to_owned(),
             declaring,
             sig,
             is_static,
             this: None,
-            formals: Vec::new(),
+            formals: Span::default(),
             ret: None,
             instrs: Vec::new(),
             instr_locs: Vec::new(),
@@ -424,8 +482,12 @@ impl ProgramDelta {
             let this = self.var(id, "this");
             self.method_info(id).this = Some(this);
         }
-        let formals: Vec<VarId> = params.iter().map(|p| self.var(id, p)).collect();
-        self.method_info(id).formals = formals;
+        let start = self.var_lists.len();
+        for p in params {
+            let v = self.var(id, p);
+            self.var_lists.push(v);
+        }
+        self.method_info(id).formals = Span::since(&self.var_lists, start);
         id
     }
 
@@ -437,7 +499,7 @@ impl ProgramDelta {
         );
         let id = VarId::from_index(self.base.vars + self.new_vars.len());
         self.new_vars.push(VarInfo {
-            name: name.to_owned(),
+            name: Span::push_str(&mut self.names, name),
             method: meth,
         });
         id
@@ -453,7 +515,9 @@ impl ProgramDelta {
     #[must_use]
     pub fn formals(&self, meth: MethodId) -> &[VarId] {
         assert!(self.is_new_method(meth), "formals only for delta methods");
-        &self.new_methods[meth.index() - self.base.methods].formals
+        self.new_methods[meth.index() - self.base.methods]
+            .formals
+            .slice(&self.var_lists)
     }
 
     /// Registers `meth` as an additional entry point.
@@ -473,7 +537,7 @@ impl ProgramDelta {
         self.type_index(ty);
         let heap = HeapId::from_index(self.base.heaps + self.new_heaps.len());
         self.new_heaps.push(HeapInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             ty,
             method: meth,
         });
@@ -542,10 +606,10 @@ impl ProgramDelta {
         let sig = self.sig(name, args.len());
         let invo = InvoId::from_index(self.base.invos + self.new_invos.len());
         self.new_invos.push(InvoInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             method: meth,
             kind: InvoKind::Virtual,
-            args: args.to_vec(),
+            args: Span::push_slice(&mut self.var_lists, args),
             ret,
         });
         self.push_instr(meth, Instr::VCall { base, sig, invo });
@@ -563,10 +627,10 @@ impl ProgramDelta {
     ) -> InvoId {
         let invo = InvoId::from_index(self.base.invos + self.new_invos.len());
         self.new_invos.push(InvoInfo {
-            label: label.to_owned(),
+            label: Span::push_str(&mut self.names, label),
             method: meth,
             kind: InvoKind::Static,
-            args: args.to_vec(),
+            args: Span::push_slice(&mut self.var_lists, args),
             ret,
         });
         self.push_instr(meth, Instr::SCall { target, invo });
@@ -629,7 +693,7 @@ impl EntityView for DeltaView<'_> {
     fn actual_args(&self, invo: InvoId) -> &[VarId] {
         match invo.index().checked_sub(self.delta.base.invos) {
             None => self.base.actual_args(invo),
-            Some(i) => &self.delta.new_invos[i].args,
+            Some(i) => self.delta.new_invos[i].args.slice(&self.delta.var_lists),
         }
     }
     fn actual_return(&self, invo: InvoId) -> Option<VarId> {
@@ -752,13 +816,44 @@ impl Program {
     /// The mutation half of delta application; `delta` must already have
     /// passed [`validate_delta`]. Infallible by construction.
     fn apply_validated(&mut self, delta: &ProgramDelta) {
-        self.types.extend(delta.new_types.iter().cloned());
-        self.fields.extend(delta.new_fields.iter().cloned());
-        self.sigs.extend(delta.new_sigs.iter().cloned());
-        self.methods.extend(delta.new_methods.iter().cloned());
-        self.vars.extend(delta.new_vars.iter().cloned());
-        self.heaps.extend(delta.new_heaps.iter().cloned());
-        self.invos.extend(delta.new_invos.iter().cloned());
+        // The delta's spans count from the start of its own arenas; after
+        // the append they start where this program's arenas ended.
+        let at = self.names.len();
+        let lists_at = self.var_lists.len();
+        self.names.push_str(&delta.names);
+        self.var_lists.extend_from_slice(&delta.var_lists);
+        let rebase = |name: Span| name.rebase(at);
+        self.types.extend(delta.new_types.iter().map(|t| TypeInfo {
+            name: rebase(t.name),
+            ..*t
+        }));
+        self.fields
+            .extend(delta.new_fields.iter().map(|f| FieldInfo {
+                name: rebase(f.name),
+                ..*f
+            }));
+        self.sigs.extend(delta.new_sigs.iter().map(|s| SigInfo {
+            name: rebase(s.name),
+            ..*s
+        }));
+        self.methods
+            .extend(delta.new_methods.iter().map(|m| MethodInfo {
+                formals: m.formals.rebase(lists_at),
+                ..m.clone()
+            }));
+        self.vars.extend(delta.new_vars.iter().map(|v| VarInfo {
+            name: rebase(v.name),
+            ..*v
+        }));
+        self.heaps.extend(delta.new_heaps.iter().map(|h| HeapInfo {
+            label: rebase(h.label),
+            ..*h
+        }));
+        self.invos.extend(delta.new_invos.iter().map(|i| InvoInfo {
+            label: rebase(i.label),
+            args: i.args.rebase(lists_at),
+            ..*i
+        }));
 
         for &m in &delta.cleared {
             let info = &mut self.methods[m.index()];
@@ -935,6 +1030,48 @@ mod tests {
             p.apply_delta(&d).unwrap_err(),
             DeltaError::Invalid(ValidateError::NoEntryPoint)
         ));
+    }
+
+    #[test]
+    fn appended_names_and_lists_are_rebased_onto_the_program() {
+        let (p, main, v, c) = base();
+        let mut d = ProgramDelta::new(&p);
+        assert_eq!(d.class("C", None), c, "base classes intern by name");
+        let sub = d.class("Sub", Some(c));
+        let helper = d.method(sub, "helper", &["a", "b"], true);
+        let (a, b) = (d.formals(helper)[0], d.formals(helper)[1]);
+        d.set_return(helper, b);
+        d.move_(helper, a, b);
+        let r = d.var(main, "r");
+        let invo = d.scall(main, helper, &[v, v], Some(r), "call helper");
+        let heap = d.alloc(main, r, sub, "new Sub");
+        let check = |edited: &Program| {
+            assert_eq!(edited.type_name(sub), "Sub");
+            assert_eq!(edited.method_qualified_name(helper), "Sub.helper");
+            assert_eq!(edited.formals(helper), &[a, b]);
+            assert_eq!((edited.var_name(a), edited.var_name(b)), ("a", "b"));
+            assert_eq!(edited.var_name(r), "r");
+            assert_eq!(edited.invo_label(invo), "call helper");
+            assert_eq!(edited.actual_args(invo), &[v, v]);
+            assert_eq!(edited.heap_label(heap), "new Sub");
+            // Base names keep their meaning.
+            assert_eq!(edited.var_name(v), "v");
+            assert_eq!(edited.heap_label(HeapId::from_index(0)), "new C");
+        };
+        check(&p.apply_delta(&d).unwrap());
+        let mut in_place = p.clone();
+        in_place.apply_delta_in_place(&d).unwrap();
+        check(&in_place);
+
+        // A second delta on the edited program rebases past the first.
+        let edited = p.apply_delta(&d).unwrap();
+        let mut d2 = ProgramDelta::new(&edited);
+        assert_eq!(d2.class("Sub", None), sub, "appended classes intern too");
+        let w = d2.var(helper, "w");
+        let again = edited.apply_delta(&d2).unwrap();
+        assert_eq!(again.var_name(w), "w");
+        assert_eq!(again.formals(helper), &[a, b]);
+        assert_eq!(again.method_qualified_name(helper), "Sub.helper");
     }
 
     #[test]

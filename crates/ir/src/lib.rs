@@ -50,6 +50,7 @@ pub mod hash;
 pub mod hierarchy;
 pub mod ids;
 pub mod interp;
+mod names;
 pub mod program;
 pub mod rng;
 pub mod srcloc;

@@ -10,6 +10,7 @@
 
 use crate::hierarchy::Hierarchy;
 use crate::ids::{FieldId, HeapId, InvoId, MethodId, SigId, TypeId, VarId};
+use crate::names::Span;
 use crate::srcloc::SrcLoc;
 
 /// One instruction of the simplified intermediate language (paper §2.1).
@@ -128,33 +129,34 @@ pub enum InvoKind {
     Static,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TypeInfo {
-    pub name: String,
+    pub name: Span,
     pub parent: Option<TypeId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FieldInfo {
-    pub name: String,
+    pub name: Span,
     pub owner: TypeId,
     pub is_static: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SigInfo {
-    pub name: String,
+    pub name: Span,
     pub arity: usize,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct MethodInfo {
-    pub name: String,
     pub declaring: TypeId,
+    /// The method's signature, which also carries its simple name.
     pub sig: SigId,
     pub is_static: bool,
     pub this: Option<VarId>,
-    pub formals: Vec<VarId>,
+    /// A span of the program's variable lists.
+    pub formals: Span,
     pub ret: Option<VarId>,
     pub instrs: Vec<Instr>,
     /// Source location of each instruction, parallel to `instrs`. Entries
@@ -171,33 +173,41 @@ pub(crate) struct MethodInfo {
     pub catches: Vec<(TypeId, VarId)>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct VarInfo {
-    pub name: String,
+    pub name: Span,
     pub method: MethodId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct HeapInfo {
-    pub label: String,
+    pub label: Span,
     pub ty: TypeId,
     pub method: MethodId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct InvoInfo {
-    pub label: String,
+    pub label: Span,
     pub method: MethodId,
     pub kind: InvoKind,
-    pub args: Vec<VarId>,
+    /// A span of the program's variable lists.
+    pub args: Span,
     pub ret: Option<VarId>,
 }
 
 /// An immutable, fully-resolved program module.
 ///
 /// See the [crate docs](crate) for the relationship to the paper's model.
+/// Every entity name and site label lives in one name arena (`names`), and
+/// every method's formals and every call's actual arguments in one flat
+/// list (`var_lists`); the per-entity records hold [`Span`]s into them, so
+/// a program owns a handful of buffers plus each method's body rather than
+/// a string or list per entity.
 #[derive(Debug, Clone)]
 pub struct Program {
+    pub(crate) names: String,
+    pub(crate) var_lists: Vec<VarId>,
     pub(crate) types: Vec<TypeInfo>,
     pub(crate) fields: Vec<FieldInfo>,
     pub(crate) sigs: Vec<SigInfo>,
@@ -290,7 +300,7 @@ impl Program {
 
     /// The name of a class type.
     pub fn type_name(&self, ty: TypeId) -> &str {
-        &self.types[ty.index()].name
+        self.types[ty.index()].name.str(&self.names)
     }
 
     /// The direct superclass, if any.
@@ -318,7 +328,7 @@ impl Program {
 
     /// The name of a field.
     pub fn field_name(&self, field: FieldId) -> &str {
-        &self.fields[field.index()].name
+        self.fields[field.index()].name.str(&self.names)
     }
 
     /// The class declaring a field.
@@ -336,7 +346,7 @@ impl Program {
 
     /// The name component of a signature.
     pub fn sig_name(&self, sig: SigId) -> &str {
-        &self.sigs[sig.index()].name
+        self.sigs[sig.index()].name.str(&self.names)
     }
 
     /// The parameter count of a signature.
@@ -348,7 +358,7 @@ impl Program {
 
     /// The simple name of a method.
     pub fn method_name(&self, meth: MethodId) -> &str {
-        &self.methods[meth.index()].name
+        self.sig_name(self.method_sig(meth))
     }
 
     /// A qualified `Class.name` display form.
@@ -360,7 +370,11 @@ impl Program {
     /// compare or render it without building the string.
     pub fn method_qualified_parts(&self, meth: MethodId) -> [&str; 3] {
         let info = &self.methods[meth.index()];
-        [&self.types[info.declaring.index()].name, ".", &info.name]
+        [
+            self.types[info.declaring.index()].name.str(&self.names),
+            ".",
+            self.sig_name(info.sig),
+        ]
     }
 
     /// The class declaring a method.
@@ -386,7 +400,7 @@ impl Program {
 
     /// The paper's `FORMALARG(meth, i) = arg` relation, as a slice.
     pub fn formals(&self, meth: MethodId) -> &[VarId] {
-        &self.methods[meth.index()].formals
+        self.methods[meth.index()].formals.slice(&self.var_lists)
     }
 
     /// The paper's `FORMALRETURN(meth) = ret`: the variable whose value a
@@ -424,7 +438,7 @@ impl Program {
 
     /// The declared name of a variable.
     pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
+        self.vars[var.index()].name.str(&self.names)
     }
 
     /// The unique method declaring a variable (every local "is defined in a
@@ -437,7 +451,7 @@ impl Program {
 
     /// A display label for an allocation site.
     pub fn heap_label(&self, heap: HeapId) -> &str {
-        &self.heaps[heap.index()].label
+        self.heaps[heap.index()].label.str(&self.names)
     }
 
     /// The paper's `HEAPTYPE(heap) = type`: the class instantiated at the
@@ -462,7 +476,7 @@ impl Program {
 
     /// A display label for an invocation site.
     pub fn invo_label(&self, invo: InvoId) -> &str {
-        &self.invos[invo.index()].label
+        self.invos[invo.index()].label.str(&self.names)
     }
 
     /// The method containing the invocation site.
@@ -477,7 +491,7 @@ impl Program {
 
     /// The paper's `ACTUALARG(invo, i) = arg` relation, as a slice.
     pub fn actual_args(&self, invo: InvoId) -> &[VarId] {
-        &self.invos[invo.index()].args
+        self.invos[invo.index()].args.slice(&self.var_lists)
     }
 
     /// The paper's `ACTUALRETURN(invo) = var`: the local receiving the

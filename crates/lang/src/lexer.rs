@@ -1,10 +1,13 @@
 //! Tokenizer for the `.jir` surface syntax.
+//!
+//! Tokens borrow their identifiers from the source text (`Token<'src>`),
+//! so lexing allocates the token vector and nothing per token.
 
 use crate::error::{LangError, Location};
 
 /// A lexical token kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     /// `class`
     KwClass,
     /// `field`
@@ -23,8 +26,9 @@ pub enum TokenKind {
     KwCatch,
     /// `entry`
     KwEntry,
-    /// An identifier (`[A-Za-z_$][A-Za-z0-9_$]*`).
-    Ident(String),
+    /// An identifier (`[A-Za-z_$][A-Za-z0-9_$]*`), borrowed from the
+    /// source.
+    Ident(&'src str),
     /// `{`
     LBrace,
     /// `}`
@@ -47,7 +51,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short display form used in parse-error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -76,10 +80,10 @@ impl TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it starts.
     pub location: Location,
 }
@@ -91,7 +95,7 @@ pub struct Token {
 ///
 /// Returns [`LangError::Lex`] on an unexpected character or unterminated
 /// block comment.
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
@@ -140,65 +144,20 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     });
                 }
             }
-            b'{' => {
+            b'{' | b'}' | b'(' | b')' | b'=' | b';' | b',' | b':' | b'.' => {
+                let kind = match c {
+                    b'{' => TokenKind::LBrace,
+                    b'}' => TokenKind::RBrace,
+                    b'(' => TokenKind::LParen,
+                    b')' => TokenKind::RParen,
+                    b'=' => TokenKind::Eq,
+                    b';' => TokenKind::Semi,
+                    b',' => TokenKind::Comma,
+                    b':' => TokenKind::Colon,
+                    _ => TokenKind::Dot,
+                };
                 tokens.push(Token {
-                    kind: TokenKind::LBrace,
-                    location: loc,
-                });
-                bump!();
-            }
-            b'}' => {
-                tokens.push(Token {
-                    kind: TokenKind::RBrace,
-                    location: loc,
-                });
-                bump!();
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    location: loc,
-                });
-                bump!();
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    location: loc,
-                });
-                bump!();
-            }
-            b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    location: loc,
-                });
-                bump!();
-            }
-            b';' => {
-                tokens.push(Token {
-                    kind: TokenKind::Semi,
-                    location: loc,
-                });
-                bump!();
-            }
-            b',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    location: loc,
-                });
-                bump!();
-            }
-            b':' => {
-                tokens.push(Token {
-                    kind: TokenKind::Colon,
-                    location: loc,
-                });
-                bump!();
-            }
-            b'.' => {
-                tokens.push(Token {
-                    kind: TokenKind::Dot,
+                    kind,
                     location: loc,
                 });
                 bump!();
@@ -221,7 +180,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     "throw" => TokenKind::KwThrow,
                     "catch" => TokenKind::KwCatch,
                     "entry" => TokenKind::KwEntry,
-                    _ => TokenKind::Ident(word.to_owned()),
+                    _ => TokenKind::Ident(word),
                 };
                 tokens.push(Token {
                     kind,
@@ -247,7 +206,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -257,9 +216,9 @@ mod tests {
             kinds("class Foo : Bar {"),
             vec![
                 TokenKind::KwClass,
-                TokenKind::Ident("Foo".into()),
+                TokenKind::Ident("Foo"),
                 TokenKind::Colon,
-                TokenKind::Ident("Bar".into()),
+                TokenKind::Ident("Bar"),
                 TokenKind::LBrace,
                 TokenKind::Eof
             ]
@@ -271,9 +230,9 @@ mod tests {
         assert_eq!(
             kinds("x // comment\n/* multi\nline */ = y;"),
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Eq,
-                TokenKind::Ident("y".into()),
+                TokenKind::Ident("y"),
                 TokenKind::Semi,
                 TokenKind::Eof
             ]
@@ -304,8 +263,8 @@ mod tests {
         assert_eq!(
             kinds("$ret x$1"),
             vec![
-                TokenKind::Ident("$ret".into()),
-                TokenKind::Ident("x$1".into()),
+                TokenKind::Ident("$ret"),
+                TokenKind::Ident("x$1"),
                 TokenKind::Eof
             ]
         );

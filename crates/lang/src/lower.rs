@@ -11,8 +11,15 @@
 //! Field names must be unique program-wide (diagnosed otherwise); prefix
 //! with the class name (`box_value`) when two classes need a same-named
 //! field. This keeps field uses resolvable without local type annotations.
+//!
+//! Every table is keyed on names borrowed from the source text, and the
+//! per-method state (the variable map, the site-label and argument
+//! buffers) is cleared and reused from one method to the next, so lowering
+//! allocates per table and per method body, not per name.
 
-use pta_ir::hash::FxHashMap;
+use std::fmt::{self, Write as _};
+
+use pta_ir::hash::{FxHashMap, FxHashSet};
 use pta_ir::{FieldId, MethodId, Program, ProgramBuilder, TypeId, VarId};
 
 use crate::ast::{ClassDecl, MethodDecl, Module, StmtKind};
@@ -24,19 +31,28 @@ use crate::error::LangError;
 ///
 /// Returns [`LangError::Lower`] for unresolved or ambiguous names and
 /// [`LangError::Validate`] if the resulting IR is ill-formed.
-pub fn lower(module: &Module) -> Result<Program, LangError> {
+pub fn lower(module: &Module<'_>) -> Result<Program, LangError> {
     Lowerer::default().run(module)
 }
 
 #[derive(Default)]
-struct Lowerer {
+struct Lowerer<'src> {
     builder: ProgramBuilder,
-    classes: FxHashMap<String, TypeId>,
-    fields: FxHashMap<String, FieldId>,
+    fields: FxHashMap<&'src str, FieldId>,
     /// (class, method name) -> (id, arity, is_static)
-    methods: FxHashMap<(TypeId, String), (MethodId, usize, bool)>,
-    /// Superclass links, kept for static-method resolution up the chain.
-    parents: FxHashMap<TypeId, Option<TypeId>>,
+    methods: FxHashMap<(TypeId, &'src str), (MethodId, usize, bool)>,
+    /// Every declared method, in declaration order (the order bodies are
+    /// lowered in).
+    declared: Vec<MethodId>,
+    /// Superclass of each class by type index, kept for static-method
+    /// resolution up the chain.
+    parents: Vec<Option<TypeId>>,
+    /// The locals of the method being lowered.
+    vars: FxHashMap<&'src str, VarId>,
+    /// The label of the allocation or call site being lowered.
+    label: String,
+    /// The actual arguments of the call being lowered.
+    args: Vec<VarId>,
 }
 
 fn err(message: impl Into<String>) -> LangError {
@@ -45,22 +61,48 @@ fn err(message: impl Into<String>) -> LangError {
     }
 }
 
-impl Lowerer {
-    fn run(mut self, module: &Module) -> Result<Program, LangError> {
+/// A method's `Class.name` display form, written into messages and site
+/// labels without building a string of its own.
+#[derive(Clone, Copy)]
+struct Qualified<'a>(&'a str, &'a str);
+
+impl fmt::Display for Qualified<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.0, self.1)
+    }
+}
+
+/// The local `name` refers to, or the error for using it unassigned.
+fn use_var(
+    vars: &FxHashMap<&str, VarId>,
+    qualified: Qualified<'_>,
+    name: &str,
+) -> Result<VarId, LangError> {
+    vars.get(name).copied().ok_or_else(|| {
+        err(format!(
+            "in {qualified}: variable `{name}` is used but never assigned"
+        ))
+    })
+}
+
+impl<'src> Lowerer<'src> {
+    fn run(mut self, module: &Module<'src>) -> Result<Program, LangError> {
         self.declare_classes(module)?;
         self.declare_members(module)?;
-        for class in &module.classes {
-            let ty = self.classes[&class.name];
-            for method in &class.methods {
-                self.lower_body(class, ty, method)?;
-            }
+        let declared = std::mem::take(&mut self.declared);
+        let bodies = module
+            .classes
+            .iter()
+            .flat_map(|class| module.methods_of(class).iter().map(move |m| (class, m)));
+        for ((class, method), meth) in bodies.zip(declared) {
+            self.lower_body(module, class, meth, method)?;
         }
         for entry in &module.entries {
-            let ty = *self
-                .classes
-                .get(&entry.class)
+            let ty = self
+                .builder
+                .class_by_name(entry.class)
                 .ok_or_else(|| err(format!("entry names unknown class `{}`", entry.class)))?;
-            let (meth, _, is_static) = self.resolve_method(ty, &entry.method).ok_or_else(|| {
+            let (meth, _, is_static) = self.resolve_method(ty, entry.method).ok_or_else(|| {
                 err(format!(
                     "entry names unknown method `{}.{}`",
                     entry.class, entry.method
@@ -80,13 +122,13 @@ impl Lowerer {
     /// Declares all classes, tolerating forward references to superclasses
     /// by iterating to a fixpoint. Remaining unresolved classes indicate an
     /// unknown parent or an inheritance cycle.
-    fn declare_classes(&mut self, module: &Module) -> Result<(), LangError> {
-        let mut pending: Vec<&ClassDecl> = module.classes.iter().collect();
+    fn declare_classes(&mut self, module: &Module<'src>) -> Result<(), LangError> {
+        let mut pending: Vec<&ClassDecl<'src>> = module.classes.iter().collect();
         // Duplicate check first for a clearer message.
         {
-            let mut seen = FxHashMap::default();
+            let mut seen = FxHashSet::default();
             for c in &pending {
-                if seen.insert(c.name.clone(), ()).is_some() {
+                if !seen.insert(c.name) {
                     return Err(err(format!("class `{}` declared twice", c.name)));
                 }
             }
@@ -94,20 +136,20 @@ impl Lowerer {
         while !pending.is_empty() {
             let before = pending.len();
             pending.retain(|class| {
-                let parent = match &class.parent {
+                let parent = match class.parent {
                     None => None,
-                    Some(p) => match self.classes.get(p) {
-                        Some(&ty) => Some(ty),
+                    Some(p) => match self.builder.class_by_name(p) {
+                        Some(ty) => Some(ty),
                         None => return true, // try again next round
                     },
                 };
-                let ty = self.builder.class(&class.name, parent);
-                self.classes.insert(class.name.clone(), ty);
-                self.parents.insert(ty, parent);
+                let ty = self.builder.class(class.name, parent);
+                debug_assert_eq!(ty.index(), self.parents.len());
+                self.parents.push(parent);
                 false
             });
             if pending.len() == before {
-                let names: Vec<&str> = pending.iter().map(|c| c.name.as_str()).collect();
+                let names: Vec<&str> = pending.iter().map(|c| c.name).collect();
                 return Err(err(format!(
                     "unresolved superclass or inheritance cycle involving: {}",
                     names.join(", ")
@@ -117,117 +159,113 @@ impl Lowerer {
         Ok(())
     }
 
-    fn declare_members(&mut self, module: &Module) -> Result<(), LangError> {
+    fn declare_members(&mut self, module: &Module<'src>) -> Result<(), LangError> {
         for class in &module.classes {
-            let ty = self.classes[&class.name];
-            for field in &class.fields {
+            let ty = self
+                .builder
+                .class_by_name(class.name)
+                .expect("declared above");
+            let instance = module.names(class.fields).iter().map(|&f| (f, false));
+            let statics = module.names(class.static_fields).iter().map(|&f| (f, true));
+            for (field, is_static) in instance.chain(statics) {
                 if self.fields.contains_key(field) {
                     return Err(err(format!(
                         "field `{field}` declared in more than one class; field names must be \
                          unique program-wide (prefix with the class name)"
                     )));
                 }
-                let id = self.builder.field(ty, field);
-                self.fields.insert(field.clone(), id);
+                let id = if is_static {
+                    self.builder.static_field(ty, field)
+                } else {
+                    self.builder.field(ty, field)
+                };
+                self.fields.insert(field, id);
             }
-            for field in &class.static_fields {
-                if self.fields.contains_key(field) {
-                    return Err(err(format!(
-                        "field `{field}` declared in more than one class; field names must be \
-                         unique program-wide (prefix with the class name)"
-                    )));
-                }
-                let id = self.builder.static_field(ty, field);
-                self.fields.insert(field.clone(), id);
-            }
-            for method in &class.methods {
-                let key = (ty, method.name.clone());
+            for method in module.methods_of(class) {
+                let key = (ty, method.name);
                 if self.methods.contains_key(&key) {
                     return Err(err(format!(
                         "method `{}.{}` declared twice",
                         class.name, method.name
                     )));
                 }
-                let params: Vec<&str> = method.params.iter().map(String::as_str).collect();
+                let params = module.names(method.params);
                 let id = self
                     .builder
-                    .method(ty, &method.name, &params, method.is_static);
+                    .method(ty, method.name, params, method.is_static);
                 self.methods
                     .insert(key, (id, method.params.len(), method.is_static));
+                self.declared.push(id);
             }
         }
         Ok(())
     }
 
-    /// Resolves `name` on `ty` or the nearest ancestor declaring it.
-    fn resolve_method(&self, ty: TypeId, name: &str) -> Option<(MethodId, usize, bool)> {
-        // Walk up the superclass chain using builder-declared parents. The
-        // chain is finite because declare_classes rejected cycles.
+    /// Resolves `name` on `ty` or the nearest ancestor declaring it. The
+    /// chain is finite because `declare_classes` rejected cycles.
+    fn resolve_method(&self, ty: TypeId, name: &'src str) -> Option<(MethodId, usize, bool)> {
         let mut cur = Some(ty);
         while let Some(t) = cur {
-            if let Some(&found) = self.methods.get(&(t, name.to_owned())) {
+            if let Some(&found) = self.methods.get(&(t, name)) {
                 return Some(found);
             }
-            cur = self.parent_of(t);
+            cur = self.parents[t.index()];
         }
         None
     }
 
-    fn parent_of(&self, ty: TypeId) -> Option<TypeId> {
-        // The builder does not expose parents, so consult our own map via
-        // the module-declared names. Cheaper: store parents alongside.
-        self.parents.get(&ty).copied().flatten()
-    }
-
     fn lower_body(
         &mut self,
-        class: &ClassDecl,
-        ty: TypeId,
-        method: &MethodDecl,
+        module: &Module<'src>,
+        class: &ClassDecl<'src>,
+        meth: MethodId,
+        method: &MethodDecl<'src>,
     ) -> Result<(), LangError> {
-        let (meth, _, _) = self.methods[&(ty, method.name.clone())];
         self.builder.set_method_loc(meth, method.location);
-        let qualified = format!("{}.{}", class.name, method.name);
+        let qualified = Qualified(class.name, method.name);
+        let body = module.body(method);
+
+        // Clearing a hash map costs its capacity, so one huge method must
+        // not tax every method after it: drop a map far larger than needed.
+        let needed = 1 + method.params.len() + method.body.len() + method.catches.len();
+        let vars = &mut self.vars;
+        if vars.capacity() > 4 * needed.max(16) {
+            *vars = FxHashMap::default();
+        }
+        vars.clear();
 
         // Pass 1: names assigned somewhere in the body (flow-insensitive
         // definition set).
-        let mut vars: FxHashMap<String, VarId> = FxHashMap::default();
         if let Some(this) = self.builder.this(meth) {
-            vars.insert("this".to_owned(), this);
+            vars.insert("this", this);
         }
-        for (i, p) in method.params.iter().enumerate() {
-            vars.insert(p.clone(), self.builder.formals(meth)[i]);
+        for (&p, &v) in module
+            .names(method.params)
+            .iter()
+            .zip(self.builder.formals(meth))
+        {
+            vars.insert(p, v);
         }
-        for stmt in &method.body {
-            let target = match &stmt.kind {
+        for stmt in body {
+            let target = match stmt.kind {
                 StmtKind::Alloc { to, .. }
                 | StmtKind::Move { to, .. }
                 | StmtKind::Cast { to, .. }
                 | StmtKind::Load { to, .. } => Some(to),
-                StmtKind::Call { to: Some(to), .. } => Some(to),
+                StmtKind::Call { to, .. } => to,
                 _ => None,
             };
             if let Some(name) = target {
-                if !vars.contains_key(name) {
-                    let v = self.builder.var(meth, name);
-                    vars.insert(name.clone(), v);
-                }
+                let builder = &mut self.builder;
+                vars.entry(name).or_insert_with(|| builder.var(meth, name));
             }
         }
 
-        let use_var = |vars: &FxHashMap<String, VarId>, name: &str| -> Result<VarId, LangError> {
-            vars.get(name).copied().ok_or_else(|| {
-                err(format!(
-                    "in {qualified}: variable `{name}` is used but never assigned"
-                ))
-            })
-        };
-
         // Catch binders are implicit definitions.
-        for (ty_name, binder) in &method.catches {
-            let cty = *self
-                .classes
-                .get(ty_name)
+        for &(ty_name, binder) in module.catches_of(method) {
+            let cty = self
+                .builder
+                .class_by_name(ty_name)
                 .ok_or_else(|| err(format!("in {qualified}: unknown catch type `{ty_name}`")))?;
             if vars.contains_key(binder) {
                 return Err(err(format!(
@@ -235,13 +273,12 @@ impl Lowerer {
                 )));
             }
             let v = self.builder.catch_clause(meth, cty, binder);
-            vars.insert(binder.clone(), v);
+            vars.insert(binder, v);
         }
 
         // Return handling: a single `return v;` sets the return variable
         // directly; multiple returns move into a synthetic `$ret`.
-        let return_count = method
-            .body
+        let return_count = body
             .iter()
             .filter(|s| matches!(s.kind, StmtKind::Return { .. }))
             .count();
@@ -254,22 +291,24 @@ impl Lowerer {
         };
 
         // Pass 2: lower statements.
+        let vars = &self.vars;
         let mut alloc_counter = 0usize;
         let mut invo_counter = 0usize;
-        for stmt in &method.body {
+        for stmt in body {
             let emitted_before = self.builder.instrs(meth).len();
-            match &stmt.kind {
+            match stmt.kind {
                 StmtKind::Alloc { to, class: cname } => {
                     let to = vars[to];
-                    let cty = *self.classes.get(cname).ok_or_else(|| {
+                    let cty = self.builder.class_by_name(cname).ok_or_else(|| {
                         err(format!("in {qualified}: unknown class `{cname}` in `new`"))
                     })?;
-                    let label = format!("{qualified}/new {cname}#{alloc_counter}");
+                    self.label.clear();
+                    let _ = write!(self.label, "{qualified}/new {cname}#{alloc_counter}");
                     alloc_counter += 1;
-                    self.builder.alloc(meth, to, cty, &label);
+                    self.builder.alloc(meth, to, cty, &self.label);
                 }
                 StmtKind::Move { to, from } => {
-                    let from = use_var(&vars, from)?;
+                    let from = use_var(vars, qualified, from)?;
                     self.builder.move_(meth, vars[to], from);
                 }
                 StmtKind::Cast {
@@ -277,8 +316,8 @@ impl Lowerer {
                     class: cname,
                     from,
                 } => {
-                    let from = use_var(&vars, from)?;
-                    let cty = *self.classes.get(cname).ok_or_else(|| {
+                    let from = use_var(vars, qualified, from)?;
+                    let cty = self.builder.class_by_name(cname).ok_or_else(|| {
                         err(format!("in {qualified}: unknown class `{cname}` in cast"))
                     })?;
                     self.builder.cast(meth, vars[to], from, cty);
@@ -290,7 +329,7 @@ impl Lowerer {
                         .ok_or_else(|| err(format!("in {qualified}: unknown field `{field}`")))?;
                     if let Some(&base) = vars.get(base) {
                         self.builder.load(meth, vars[to], base, f);
-                    } else if self.classes.contains_key(base) {
+                    } else if self.builder.class_by_name(base).is_some() {
                         // `x = Class.field` — static-field load.
                         self.builder.sload(meth, vars[to], f);
                     } else {
@@ -300,14 +339,14 @@ impl Lowerer {
                     }
                 }
                 StmtKind::Store { base, field, from } => {
-                    let from = use_var(&vars, from)?;
+                    let from = use_var(vars, qualified, from)?;
                     let f = *self
                         .fields
                         .get(field)
                         .ok_or_else(|| err(format!("in {qualified}: unknown field `{field}`")))?;
                     if let Some(&base) = vars.get(base) {
                         self.builder.store(meth, base, f, from);
-                    } else if self.classes.contains_key(base) {
+                    } else if self.builder.class_by_name(base).is_some() {
                         // `Class.field = x` — static-field store.
                         self.builder.sstore(meth, f, from);
                     } else {
@@ -322,17 +361,19 @@ impl Lowerer {
                     method: mname,
                     args,
                 } => {
-                    let ret = to.as_ref().map(|name| vars[name]);
-                    let arg_ids: Vec<VarId> = args
-                        .iter()
-                        .map(|a| use_var(&vars, a))
-                        .collect::<Result<_, _>>()?;
-                    let label = format!("{qualified}/{mname}#{invo_counter}");
+                    let ret = to.map(|name| vars[name]);
+                    self.args.clear();
+                    for a in module.names(args) {
+                        self.args.push(use_var(vars, qualified, a)?);
+                    }
+                    self.label.clear();
+                    let _ = write!(self.label, "{qualified}/{mname}#{invo_counter}");
                     invo_counter += 1;
                     if let Some(&base) = vars.get(recv) {
                         // Virtual call on a local.
-                        self.builder.vcall(meth, base, mname, &arg_ids, ret, &label);
-                    } else if let Some(&cty) = self.classes.get(recv) {
+                        self.builder
+                            .vcall(meth, base, mname, &self.args, ret, &self.label);
+                    } else if let Some(cty) = self.builder.class_by_name(recv) {
                         // Static call on a class.
                         let (target, arity, is_static) =
                             self.resolve_method(cty, mname).ok_or_else(|| {
@@ -346,13 +387,14 @@ impl Lowerer {
                                  on a variable"
                             )));
                         }
-                        if arity != arg_ids.len() {
+                        if arity != self.args.len() {
                             return Err(err(format!(
                                 "in {qualified}: `{recv}.{mname}` expects {arity} arguments, got {}",
-                                arg_ids.len()
+                                self.args.len()
                             )));
                         }
-                        self.builder.scall(meth, target, &arg_ids, ret, &label);
+                        self.builder
+                            .scall(meth, target, &self.args, ret, &self.label);
                     } else {
                         return Err(err(format!(
                             "in {qualified}: `{recv}` is neither a local variable nor a class"
@@ -360,11 +402,11 @@ impl Lowerer {
                     }
                 }
                 StmtKind::Throw { var } => {
-                    let v = use_var(&vars, var)?;
+                    let v = use_var(vars, qualified, var)?;
                     self.builder.throw(meth, v);
                 }
                 StmtKind::Return { var } => {
-                    let v = use_var(&vars, var)?;
+                    let v = use_var(vars, qualified, var)?;
                     match ret_var {
                         Some(synthetic) => self.builder.move_(meth, synthetic, v),
                         None => self.builder.set_return(meth, v),

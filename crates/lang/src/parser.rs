@@ -1,6 +1,11 @@
 //! Recursive-descent parser for `.jir` modules.
+//!
+//! The [`Module`] borrows its identifiers from the source text the tokens
+//! came from, not from the token vector, so the tokens may be dropped as
+//! soon as parsing returns. Declarations, statements and name lists are
+//! appended straight to the module's flat vectors.
 
-use crate::ast::{ClassDecl, EntryDecl, MethodDecl, Module, Stmt, StmtKind};
+use crate::ast::{ClassDecl, EntryDecl, List, MethodDecl, Module, Stmt, StmtKind};
 use crate::error::{LangError, Location};
 use crate::lexer::{Token, TokenKind};
 
@@ -9,30 +14,43 @@ use crate::lexer::{Token, TokenKind};
 /// # Errors
 ///
 /// Returns [`LangError::Parse`] at the first unexpected token.
-pub fn parse(tokens: &[Token]) -> Result<Module, LangError> {
-    Parser { tokens, pos: 0 }.module()
+pub fn parse<'src>(tokens: &[Token<'src>]) -> Result<Module<'src>, LangError> {
+    Parser {
+        tokens,
+        pos: 0,
+        out: Module::default(),
+        fields: Vec::new(),
+        static_fields: Vec::new(),
+    }
+    .module()
 }
 
-struct Parser<'t> {
-    tokens: &'t [Token],
+struct Parser<'t, 'src> {
+    tokens: &'t [Token<'src>],
     pos: usize,
+    /// The module being built.
+    out: Module<'src>,
+    /// Field names of the class being parsed. Its methods' parameters and
+    /// arguments go to `out.names` while the class body is read, so its
+    /// fields are appended there only at the closing brace.
+    fields: Vec<&'src str>,
+    /// Static field names of the class being parsed, likewise.
+    static_fields: Vec<&'src str>,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'src> Parser<'_, 'src> {
+    fn peek(&self) -> TokenKind<'src> {
+        self.tokens[self.pos].kind
     }
 
     fn location(&self) -> Location {
         self.tokens[self.pos].location
     }
 
-    fn advance(&mut self) -> &TokenKind {
-        let k = &self.tokens[self.pos].kind;
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        k
     }
 
     fn error(&self, expected: &str) -> LangError {
@@ -42,8 +60,8 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), LangError> {
-        if *self.peek() == kind {
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), LangError> {
+        if self.peek() == kind {
             self.advance();
             Ok(())
         } else {
@@ -51,9 +69,8 @@ impl Parser<'_> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, LangError> {
+    fn ident(&mut self, what: &str) -> Result<&'src str, LangError> {
         if let TokenKind::Ident(name) = self.peek() {
-            let name = name.clone();
             self.advance();
             Ok(name)
         } else {
@@ -61,54 +78,68 @@ impl Parser<'_> {
         }
     }
 
-    fn module(&mut self) -> Result<Module, LangError> {
-        let mut module = Module::default();
+    fn module(mut self) -> Result<Module<'src>, LangError> {
         loop {
             match self.peek() {
-                TokenKind::KwClass => module.classes.push(self.class_decl()?),
-                TokenKind::KwEntry => module.entries.push(self.entry_decl()?),
+                TokenKind::KwClass => {
+                    let class = self.class_decl()?;
+                    self.out.classes.push(class);
+                }
+                TokenKind::KwEntry => {
+                    let entry = self.entry_decl()?;
+                    self.out.entries.push(entry);
+                }
                 TokenKind::Eof => break,
                 _ => return Err(self.error("`class`, `entry`, or end of input")),
             }
         }
-        Ok(module)
+        Ok(self.out)
     }
 
-    fn class_decl(&mut self) -> Result<ClassDecl, LangError> {
+    /// Appends `names` to the module's name lists.
+    fn push_names(out: &mut Module<'src>, names: &[&'src str]) -> List {
+        let start = out.names.len();
+        out.names.extend_from_slice(names);
+        List::since(&out.names, start)
+    }
+
+    fn class_decl(&mut self) -> Result<ClassDecl<'src>, LangError> {
         let location = self.location();
         self.expect(TokenKind::KwClass, "`class`")?;
         let name = self.ident("class name")?;
-        let parent = if *self.peek() == TokenKind::Colon {
+        let parent = if self.peek() == TokenKind::Colon {
             self.advance();
             Some(self.ident("superclass name")?)
         } else {
             None
         };
         self.expect(TokenKind::LBrace, "`{`")?;
-        let mut fields = Vec::new();
-        let mut static_fields = Vec::new();
-        let mut methods = Vec::new();
+        self.fields.clear();
+        self.static_fields.clear();
+        let methods = self.out.methods.len();
         loop {
             match self.peek() {
                 TokenKind::KwField => {
                     self.advance();
-                    fields.push(self.ident("field name")?);
+                    let field = self.ident("field name")?;
+                    self.fields.push(field);
                     self.expect(TokenKind::Semi, "`;`")?;
                 }
                 TokenKind::KwMethod => {
                     self.advance();
-                    methods.push(self.method_decl(false)?);
+                    self.method_decl(false)?;
                 }
                 TokenKind::KwStatic => {
                     self.advance();
                     // `static field name;` declares a static field;
                     // `static name(...) {...}` declares a static method.
-                    if *self.peek() == TokenKind::KwField {
+                    if self.peek() == TokenKind::KwField {
                         self.advance();
-                        static_fields.push(self.ident("field name")?);
+                        let field = self.ident("field name")?;
+                        self.static_fields.push(field);
                         self.expect(TokenKind::Semi, "`;`")?;
                     } else {
-                        methods.push(self.method_decl(true)?);
+                        self.method_decl(true)?;
                     }
                 }
                 TokenKind::RBrace => {
@@ -121,39 +152,42 @@ impl Parser<'_> {
         Ok(ClassDecl {
             name,
             parent,
-            fields,
-            static_fields,
-            methods,
+            fields: Self::push_names(&mut self.out, &self.fields),
+            static_fields: Self::push_names(&mut self.out, &self.static_fields),
+            methods: List::since(&self.out.methods, methods),
             location,
         })
     }
 
-    fn method_decl(&mut self, is_static: bool) -> Result<MethodDecl, LangError> {
+    /// Parses a method declaration and appends it to the module.
+    fn method_decl(&mut self, is_static: bool) -> Result<(), LangError> {
         let location = self.location();
         let name = self.ident("method name")?;
         self.expect(TokenKind::LParen, "`(`")?;
-        let mut params = Vec::new();
-        if *self.peek() != TokenKind::RParen {
+        let params = self.out.names.len();
+        if self.peek() != TokenKind::RParen {
             loop {
-                params.push(self.ident("parameter name")?);
-                if *self.peek() == TokenKind::Comma {
+                let param = self.ident("parameter name")?;
+                self.out.names.push(param);
+                if self.peek() == TokenKind::Comma {
                     self.advance();
                 } else {
                     break;
                 }
             }
         }
+        let params = List::since(&self.out.names, params);
         self.expect(TokenKind::RParen, "`)`")?;
         // Optional `catch (T e, U f)` clause list.
-        let mut catches = Vec::new();
-        if *self.peek() == TokenKind::KwCatch {
+        let catches = self.out.catches.len();
+        if self.peek() == TokenKind::KwCatch {
             self.advance();
             self.expect(TokenKind::LParen, "`(`")?;
             loop {
                 let ty = self.ident("catch type")?;
                 let binder = self.ident("catch binder")?;
-                catches.push((ty, binder));
-                if *self.peek() == TokenKind::Comma {
+                self.out.catches.push((ty, binder));
+                if self.peek() == TokenKind::Comma {
                     self.advance();
                 } else {
                     break;
@@ -161,23 +195,27 @@ impl Parser<'_> {
             }
             self.expect(TokenKind::RParen, "`)`")?;
         }
+        let catches = List::since(&self.out.catches, catches);
         self.expect(TokenKind::LBrace, "`{`")?;
-        let mut body = Vec::new();
-        while *self.peek() != TokenKind::RBrace {
-            body.push(self.stmt()?);
+        let body = self.out.stmts.len();
+        while self.peek() != TokenKind::RBrace {
+            let stmt = self.stmt()?;
+            self.out.stmts.push(stmt);
         }
+        let body = List::since(&self.out.stmts, body);
         self.expect(TokenKind::RBrace, "`}`")?;
-        Ok(MethodDecl {
+        self.out.methods.push(MethodDecl {
             name,
             params,
             is_static,
             catches,
             body,
             location,
-        })
+        });
+        Ok(())
     }
 
-    fn entry_decl(&mut self) -> Result<EntryDecl, LangError> {
+    fn entry_decl(&mut self) -> Result<EntryDecl<'src>, LangError> {
         let location = self.location();
         self.expect(TokenKind::KwEntry, "`entry`")?;
         let class = self.ident("class name")?;
@@ -191,10 +229,10 @@ impl Parser<'_> {
         })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, LangError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, LangError> {
         let location = self.location();
         // return x;
-        if *self.peek() == TokenKind::KwReturn {
+        if self.peek() == TokenKind::KwReturn {
             self.advance();
             let var = self.ident("variable")?;
             self.expect(TokenKind::Semi, "`;`")?;
@@ -205,7 +243,7 @@ impl Parser<'_> {
         }
 
         // throw x;
-        if *self.peek() == TokenKind::KwThrow {
+        if self.peek() == TokenKind::KwThrow {
             self.advance();
             let var = self.ident("variable")?;
             self.expect(TokenKind::Semi, "`;`")?;
@@ -216,7 +254,7 @@ impl Parser<'_> {
         }
 
         let first = self.ident("statement")?;
-        match self.peek().clone() {
+        match self.peek() {
             // x = ...
             TokenKind::Eq => {
                 self.advance();
@@ -263,8 +301,8 @@ impl Parser<'_> {
     }
 
     /// Parses the right-hand side of `to = ...`.
-    fn assignment_rhs(&mut self, to: String) -> Result<StmtKind, LangError> {
-        match self.peek().clone() {
+    fn assignment_rhs(&mut self, to: &'src str) -> Result<StmtKind<'src>, LangError> {
+        match self.peek() {
             // to = new C
             TokenKind::KwNew => {
                 self.advance();
@@ -286,7 +324,7 @@ impl Parser<'_> {
                     TokenKind::Dot => {
                         self.advance();
                         let member = self.ident("field or method name")?;
-                        if *self.peek() == TokenKind::LParen {
+                        if self.peek() == TokenKind::LParen {
                             let args = self.call_args()?;
                             Ok(StmtKind::Call {
                                 to: Some(to),
@@ -310,13 +348,14 @@ impl Parser<'_> {
         }
     }
 
-    fn call_args(&mut self) -> Result<Vec<String>, LangError> {
+    fn call_args(&mut self) -> Result<List, LangError> {
         self.expect(TokenKind::LParen, "`(`")?;
-        let mut args = Vec::new();
-        if *self.peek() != TokenKind::RParen {
+        let args = self.out.names.len();
+        if self.peek() != TokenKind::RParen {
             loop {
-                args.push(self.ident("argument variable")?);
-                if *self.peek() == TokenKind::Comma {
+                let arg = self.ident("argument variable")?;
+                self.out.names.push(arg);
+                if self.peek() == TokenKind::Comma {
                     self.advance();
                 } else {
                     break;
@@ -324,7 +363,7 @@ impl Parser<'_> {
             }
         }
         self.expect(TokenKind::RParen, "`)`")?;
-        Ok(args)
+        Ok(List::since(&self.out.names, args))
     }
 }
 
@@ -333,7 +372,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> Result<Module, LangError> {
+    fn parse_src(src: &str) -> Result<Module<'_>, LangError> {
         parse(&lex(src).unwrap())
     }
 
@@ -365,18 +404,24 @@ mod tests {
         .unwrap();
         assert_eq!(m.classes.len(), 3);
         assert_eq!(m.entries.len(), 1);
-        let main = &m.classes[2].methods[0];
+        let main = &m.methods_of(&m.classes[2])[0];
         assert!(main.is_static);
-        assert_eq!(main.body.len(), 7);
-        assert!(matches!(main.body[0].kind, StmtKind::Alloc { .. }));
-        assert!(matches!(main.body[2].kind, StmtKind::Call { to: None, .. }));
-        assert!(matches!(
-            main.body[3].kind,
-            StmtKind::Call { to: Some(_), .. }
-        ));
-        assert!(matches!(main.body[4].kind, StmtKind::Cast { .. }));
-        assert!(matches!(main.body[5].kind, StmtKind::Move { .. }));
-        assert!(matches!(main.body[6].kind, StmtKind::Call { .. }));
+        let body = m.body(main);
+        assert_eq!(body.len(), 7);
+        assert!(matches!(body[0].kind, StmtKind::Alloc { .. }));
+        assert!(matches!(body[2].kind, StmtKind::Call { to: None, .. }));
+        assert!(matches!(body[3].kind, StmtKind::Call { to: Some(_), .. }));
+        assert!(matches!(body[4].kind, StmtKind::Cast { .. }));
+        assert!(matches!(body[5].kind, StmtKind::Move { .. }));
+        assert!(matches!(body[6].kind, StmtKind::Call { .. }));
+        // Name lists land in the module's flat vector, in source order.
+        let box_class = &m.classes[1];
+        assert_eq!(m.names(box_class.fields), ["value"]);
+        assert_eq!(m.names(m.methods_of(box_class)[0].params), ["v"]);
+        let StmtKind::Call { args, .. } = body[2].kind else {
+            unreachable!()
+        };
+        assert_eq!(m.names(args), ["p"]);
     }
 
     #[test]
@@ -394,7 +439,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let body = &m.classes[0].methods[0].body;
+        let body = m.body(&m.methods_of(&m.classes[0])[0]);
         assert!(matches!(body[0].kind, StmtKind::Store { .. }));
         assert!(matches!(body[1].kind, StmtKind::Load { .. }));
         assert!(matches!(body[2].kind, StmtKind::Return { .. }));

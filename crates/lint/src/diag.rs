@@ -53,6 +53,7 @@
 use std::fmt;
 
 use pta_ir::SrcLoc;
+use pta_obs::escape;
 
 /// How bad a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -216,22 +217,6 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders diagnostics as a JSON array (one object per line). Spans render
 /// as `"line"`/`"column"` numbers; absent spans and contexts as `null`.
 #[must_use]
@@ -243,7 +228,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
             None => ("null".to_owned(), "null".to_owned()),
         };
         let context = match &d.context {
-            Some(c) => format!("\"{}\"", json_escape(c)),
+            Some(c) => format!("\"{}\"", escape(c)),
             None => "null".to_owned(),
         };
         body.push(format!(
@@ -251,7 +236,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
              \"line\":{line},\"column\":{column},\"context\":{context}}}",
             d.code,
             d.severity,
-            json_escape(&d.message),
+            escape(&d.message),
         ));
     }
     format!("[\n{}\n]\n", body.join(",\n"))

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json_escape;
+use crate::escape_into;
 
 /// A typed event field value.
 #[derive(Debug, Clone, Copy)]
@@ -112,11 +112,11 @@ impl EventLog {
         line.push_str(",\"ts_ms\":");
         line.push_str(&ts_ms.to_string());
         line.push_str(",\"event\":\"");
-        line.push_str(&json_escape(event));
+        escape_into(&mut line, event);
         line.push('"');
         for (k, v) in fields {
             line.push_str(",\"");
-            line.push_str(&json_escape(k));
+            escape_into(&mut line, k);
             line.push_str("\":");
             match v {
                 Field::U64(n) => line.push_str(&n.to_string()),
@@ -124,7 +124,7 @@ impl EventLog {
                 Field::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
                 Field::Str(s) => {
                     line.push('"');
-                    line.push_str(&json_escape(s));
+                    escape_into(&mut line, s);
                     line.push('"');
                 }
             }

@@ -33,6 +33,7 @@
 //! as a text table (`--profile`) or embeds it in JSON reports and bench
 //! rows.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -223,7 +224,7 @@ pub fn events_to_chrome_json(events: &[Event]) -> String {
         if ev.phase == Phase::ThreadName {
             out.push_str("thread_name");
         } else {
-            out.push_str(&json_escape(&ev.name));
+            escape_into(&mut out, &ev.name);
         }
         out.push_str("\",\"cat\":\"");
         out.push_str(ev.cat);
@@ -247,7 +248,7 @@ pub fn events_to_chrome_json(events: &[Event]) -> String {
         out.push_str(&ev.tid.to_string());
         if ev.phase == Phase::ThreadName {
             out.push_str(",\"args\":{\"name\":\"");
-            out.push_str(&json_escape(&ev.name));
+            escape_into(&mut out, &ev.name);
             out.push_str("\"}");
         } else if !ev.args.is_empty() {
             out.push_str(",\"args\":{");
@@ -280,8 +281,19 @@ fn push_us(out: &mut String, ns: u64) {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding inside a JSON string literal (quotes not
+/// included). The workspace's one JSON escaper: traces, metrics, event
+/// logs, lint diagnostics, bench reports and the daemon's wire protocol
+/// all use it.
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`] appending to `out` instead of allocating.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -289,11 +301,12 @@ pub(crate) fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// A per-thread event recorder. All methods are inlined no-ops when the
@@ -506,7 +519,7 @@ impl Profile {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"fires\":{},\"derived\":{},\"ns\":{}}}",
-                json_escape(&r.name),
+                escape(&r.name),
                 r.fires,
                 r.derived,
                 r.ns
@@ -519,7 +532,7 @@ impl Profile {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"size\":{}}}",
-                json_escape(&hv.name),
+                escape(&hv.name),
                 hv.size
             ));
         }

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json_escape;
+use crate::escape_into;
 
 /// Fixed latency bucket upper bounds, in microseconds, shared by every
 /// request-latency histogram in the workspace (daemon and soak driver)
@@ -342,16 +342,16 @@ impl Metrics {
                 target.push(',');
             }
             target.push_str("{\"name\":\"");
-            target.push_str(&json_escape(&cell.name));
+            escape_into(target, &cell.name);
             target.push_str("\",\"labels\":{");
             for (i, (k, v)) in cell.labels.iter().enumerate() {
                 if i > 0 {
                     target.push(',');
                 }
                 target.push('"');
-                target.push_str(&json_escape(k));
+                escape_into(target, k);
                 target.push_str("\":\"");
-                target.push_str(&json_escape(v));
+                escape_into(target, v);
                 target.push('"');
             }
             target.push('}');

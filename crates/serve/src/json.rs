@@ -1,4 +1,5 @@
-//! A minimal JSON reader/escaper for the serve wire protocol.
+//! A minimal JSON reader for the serve wire protocol, plus the escaper it
+//! shares with the rest of the workspace (`pta_obs::escape`).
 //!
 //! The workspace is dependency-free by design (no serde), so the daemon
 //! parses request lines with this hand-rolled recursive-descent parser
@@ -8,12 +9,11 @@
 //! pairs; numbers parse as `f64`, exact for every id the protocol
 //! accepts (< 2^53).
 //!
-//! `crates/bench` carries a sibling parser for validating harness
-//! output; the two cannot be shared because bench depends on serve (the
-//! soak driver), so the dependency arrow points the wrong way.
+//! `crates/bench` still carries a sibling parser for validating harness
+//! output; both crates depend on the leaf crate `pta-obs`, which is where
+//! one shared reader belongs, as the escaper already does.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects use a `BTreeMap` so iteration and error
 /// messages are deterministic.
@@ -255,33 +255,9 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included). The emitting side of the protocol uses this everywhere a
-/// program-derived name reaches the wire.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// [`escape`] appending to `out` instead of allocating: response
-/// rendering escapes every name straight into the response line.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+/// The emitting side of the protocol escapes every program-derived name
+/// that reaches the wire with the workspace's one JSON escaper.
+pub use pta_obs::{escape, escape_into};
 
 #[cfg(test)]
 mod tests {
