@@ -23,11 +23,6 @@ cargo test -q
 echo "==> tier-1: benchmark package (cargo test --manifest-path benchmark/Cargo.toml)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-# Gating: the fault-injection / governance suite (all four Termination
-# variants, budget determinism, mid-run demotion soundness).
-echo "==> tier-1: governance + fault-injection suite"
-cargo test -q -p pta-core --test governance
-
 # Gating: starved-budget smoke. A deliberately exhausted step budget
 # under --degrade must still exit 0 and report its demotions (W007).
 echo "==> tier-1: starved-budget smoke (--max-steps 1000 --degrade)"

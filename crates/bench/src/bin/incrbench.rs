@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use pta_core::{Analysis, AnalysisSession, PointsToResult};
 use pta_ir::{Program, ProgramDelta};
-use pta_workload::{dacapo_config, generate, DACAPO_NAMES};
+use pta_workload::{check_name, dacapo_config, generate, parse_scale};
 
 struct Options {
     workload: String,
@@ -62,19 +62,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let need = |key: &str| args.get(i + 1).ok_or(format!("{key} needs a value"));
         match args[i].as_str() {
             "--workload" => {
-                o.workload = need("--workload")?.clone();
-                if !DACAPO_NAMES.contains(&o.workload.as_str()) {
-                    return Err(format!("unknown workload {}", o.workload));
-                }
+                o.workload = check_name(need("--workload")?)?.to_owned();
                 i += 1;
             }
             "--scale" => {
-                o.scale = need("--scale")?
-                    .parse()
-                    .map_err(|_| "--scale needs a number")?;
-                if !(o.scale.is_finite() && o.scale > 0.0 && o.scale <= 1024.0) {
-                    return Err("--scale must be in (0, 1024]".into());
-                }
+                o.scale = parse_scale(need("--scale")?)?;
                 i += 1;
             }
             "--analysis" => {

@@ -22,7 +22,8 @@
 
 use std::process::ExitCode;
 
-use pta_bench::json::{self, Value};
+use pta_bench::json::validate_rows;
+use pta_obs::json::{self, Value};
 
 const USAGE: &str = "usage: profdiff BASELINE CURRENT [--tolerance PCT]";
 
@@ -36,7 +37,7 @@ struct ProfiledRow {
 fn load(path: &str) -> Result<Vec<ProfiledRow>, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-    json::validate_rows(&doc).map_err(|e| format!("{path}: {e}"))?;
+    validate_rows(&doc).map_err(|e| format!("{path}: {e}"))?;
     let rows = doc.as_array().expect("validated dumps are arrays");
     let mut out = Vec::new();
     for row in rows {

@@ -6,14 +6,15 @@
 //! crate docs; `PTA_*` environment variables are the fallback for each).
 //!
 //! Check mode: `table1 --check FILE [--expect-cells N]` parses a previous
-//! `--json` dump with the crate's own JSON reader, validates every row, and
+//! `--json` dump with the workspace JSON reader, validates every row, and
 //! exits without running anything — the CI smoke-perf step uses this to
 //! assert a fresh dump is well-formed and complete. Rows with `--profile`
 //! embeds validate too and are counted in the summary line.
 
 use std::process::ExitCode;
 
-use pta_bench::{json, maybe_dump_json, render_table1, run_matrix, MatrixOptions};
+use pta_bench::{json::validate_rows, maybe_dump_json, render_table1, run_matrix, MatrixOptions};
+use pta_obs::json;
 
 /// Count heap usage so every row carries `peak_rss_bytes` (see
 /// `pta_govern::memtrack`); delegates to the system allocator.
@@ -35,7 +36,7 @@ fn check(path: &str, expect_cells: Option<usize>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let summary = match json::validate_rows(&doc) {
+    let summary = match validate_rows(&doc) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {path}: {e}");

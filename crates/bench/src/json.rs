@@ -1,285 +1,13 @@
-//! A minimal JSON reader for validating harness output.
+//! Validation of the harness's `--json` dumps.
 //!
-//! The toolchain runs fully offline (no serde), and the harness emits JSON
-//! by hand — so round-tripping through an independent parser is the
-//! cheapest way to catch a malformed emitter. `table1 --check FILE` and the
-//! CI smoke-perf step both parse a dumped `--json` file with this module
-//! and assert every cell is present and well-formed.
-//!
-//! Scope: the full JSON grammar minus `\u` surrogate pairs (the emitter
-//! never produces them). Numbers are parsed as `f64`, which is exact for
-//! every counter the solver can realistically produce (< 2^53).
+//! The harness emits JSON by hand, so round-tripping a dump through the
+//! workspace's JSON reader ([`pta_obs::json`], which shares no code with
+//! the emitter) is the cheapest way to catch a malformed emitter.
+//! `table1 --check FILE` and the CI smoke-perf step both parse a dumped
+//! `--json` file and assert every cell is present and well-formed with
+//! [`validate_rows`].
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value. Objects use a `BTreeMap` so iteration order is
-/// deterministic in error messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// The value as a finite number, if it is one.
-    #[must_use]
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup; `None` for non-objects and missing keys.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-/// A parse error with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parses a complete JSON document; trailing content is an error.
-///
-/// # Errors
-///
-/// Returns the first syntax error with its byte offset.
-pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after document"));
-    }
-    Ok(v)
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.to_owned(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return Err(self.err("expected a string"));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                // Multi-byte UTF-8 passes through unchanged.
-                _ => {
-                    let start = self.pos - 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Value::Number)
-            .ok_or_else(|| self.err("bad number"))
-    }
-}
+use pta_obs::json::Value;
 
 /// Fields every [`crate::ExperimentRow`] JSON object must carry.
 ///
@@ -473,31 +201,7 @@ fn validate_profile(profile: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_and_nesting() {
-        let v = parse(r#"{"a": [1, -2.5, "x\n", true, false, null], "b": {}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 6);
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[0].as_number(),
-            Some(1.0)
-        );
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_str(),
-            Some("x\n")
-        );
-        assert_eq!(v.get("b"), Some(&Value::Object(BTreeMap::new())));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("[1] garbage").is_err());
-        assert!(parse(r#"{"a" 1}"#).is_err());
-        assert!(parse("1e999").is_err()); // non-finite
-    }
+    use pta_obs::json::parse;
 
     #[test]
     fn round_trips_real_rows() {

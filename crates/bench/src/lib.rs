@@ -914,7 +914,7 @@ mod tests {
         );
         // The column round-trips through the JSON dump and its validator.
         let dump = rows_to_json(&rows);
-        let doc = json::parse(&dump).unwrap();
+        let doc = pta_obs::json::parse(&dump).unwrap();
         json::validate_rows(&doc).unwrap();
         assert!(dump.contains("\"clients\""), "{dump}");
         // Without fixtures the column stays absent.
@@ -1145,10 +1145,10 @@ mod tests {
         for analysis in ["1obj", "insens"] {
             let path = dir.join(format!("luindex-{analysis}.trace.json"));
             let source = std::fs::read_to_string(&path).expect("trace file written");
-            let doc = json::parse(&source).expect("trace file is valid JSON");
+            let doc = pta_obs::json::parse(&source).expect("trace file is valid JSON");
             let events = doc
                 .get("traceEvents")
-                .and_then(json::Value::as_array)
+                .and_then(pta_obs::json::Value::as_array)
                 .expect("trace carries a traceEvents array");
             assert!(!events.is_empty(), "timeline for {analysis} has events");
         }

@@ -33,14 +33,15 @@
 //! as a text table (`--profile`) or embeds it in JSON reports and bench
 //! rows.
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod eventlog;
+pub mod json;
 pub mod metrics;
 
 pub use eventlog::{EventLog, Field};
+pub use json::{escape, escape_into};
 pub use metrics::{
     Counter, Gauge, Histogram, MetricKind, Metrics, MetricsScope, LATENCY_BUCKETS_US,
 };
@@ -278,34 +279,6 @@ fn push_us(out: &mut String, ns: u64) {
     if frac != 0 {
         let s = format!(".{frac:03}");
         out.push_str(s.trim_end_matches('0'));
-    }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included). The workspace's one JSON escaper: traces, metrics, event
-/// logs, lint diagnostics, bench reports and the daemon's wire protocol
-/// all use it.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// [`escape`] appending to `out` instead of allocating.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -1,263 +1,10 @@
-//! A minimal JSON reader for the serve wire protocol, plus the escaper it
-//! shares with the rest of the workspace (`pta_obs::escape`).
-//!
-//! The workspace is dependency-free by design (no serde), so the daemon
-//! parses request lines with this hand-rolled recursive-descent parser
-//! and emits responses by direct string construction (field order fixed
-//! by the emitting code, which is what makes responses byte-stable for
-//! the soak oracle). The grammar is full JSON minus `\u` surrogate
-//! pairs; numbers parse as `f64`, exact for every id the protocol
-//! accepts (< 2^53).
-//!
-//! `crates/bench` still carries a sibling parser for validating harness
-//! output; both crates depend on the leaf crate `pta-obs`, which is where
-//! one shared reader belongs, as the escaper already does.
+//! The wire protocol's JSON: the workspace's one reader and escaper,
+//! which live in the leaf crate `pta-obs` (see [`pta_obs::json`]).
+//! Requests parse with [`parse`]; responses are built by direct string
+//! construction with every program-derived name passed through
+//! [`escape`].
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value. Objects use a `BTreeMap` so iteration and error
-/// messages are deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Object field lookup; `None` for non-objects and missing keys.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is a number that is
-    /// one (rejects fractions, negatives, and values above 2^53).
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one complete JSON value; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        let n: f64 = text
-            .parse()
-            .map_err(|_| format!("bad number at offset {start}"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number at offset {start}"));
-        }
-        Ok(Value::Number(n))
-    }
-}
-
-/// The emitting side of the protocol escapes every program-derived name
-/// that reaches the wire with the workspace's one JSON escaper.
-pub use pta_obs::{escape, escape_into};
+pub use pta_obs::json::{escape, escape_into, parse, Value};
 
 #[cfg(test)]
 mod tests {
@@ -268,20 +15,10 @@ mod tests {
         let v = parse(r#"{"id":3,"op":"points_to","var":"x","deadline_ms":250}"#).unwrap();
         assert_eq!(v.get("id").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("op").and_then(Value::as_str), Some("points_to"));
+        assert_eq!(v.get("deadline_ms").and_then(Value::as_u64), Some(250));
         assert!(parse("{\"id\":").is_err());
         assert!(parse("not json").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("{\"id\":1e999}").is_err());
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let hairy = "a\"b\\c\nd\te\u{1}f√";
-        let line = format!("{{\"s\":\"{}\"}}", escape(hairy));
-        let v = parse(&line).unwrap();
-        assert_eq!(v.get("s").and_then(Value::as_str), Some(hairy));
-        let mut appended = String::from("x");
-        escape_into(&mut appended, hairy);
-        assert_eq!(appended, format!("x{}", escape(hairy)));
     }
 }

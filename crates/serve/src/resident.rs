@@ -25,7 +25,7 @@ use pta_core::{Analysis, AnalysisSession, Budget, PointsToResult, Termination};
 use pta_ir::{MethodId, Program, ProgramDelta, VarId};
 use pta_lang::parse_program;
 use pta_obs::Metrics;
-use pta_workload::{dacapo_workload, DACAPO_NAMES};
+use pta_workload::dacapo_workload;
 
 use crate::protocol::EditSpec;
 
@@ -42,21 +42,8 @@ pub enum ProgramSource {
 impl ProgramSource {
     /// Parses a `--workload NAME:SCALE` spec.
     pub fn parse_workload(spec: &str) -> Result<ProgramSource, String> {
-        let (name, scale) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("expected NAME:SCALE, got \"{spec}\""))?;
-        if !DACAPO_NAMES.contains(&name) {
-            return Err(format!(
-                "unknown workload \"{name}\" (want one of {})",
-                DACAPO_NAMES.join(", ")
-            ));
-        }
-        let s: f64 = scale
-            .parse()
-            .map_err(|_| format!("bad workload scale \"{scale}\""))?;
-        if !s.is_finite() || s <= 0.0 || s > 1024.0 {
-            return Err(format!("workload scale {scale} outside (0, 1024]"));
-        }
+        pta_workload::parse_spec(spec)?;
+        let (name, scale) = spec.split_once(':').expect("checked by parse_spec");
         Ok(ProgramSource::Workload {
             name: name.to_owned(),
             scale: scale.to_owned(),
@@ -670,6 +657,8 @@ mod tests {
         assert!(ProgramSource::parse_workload("nosuch:0.1").is_err());
         assert!(ProgramSource::parse_workload("luindex:-1").is_err());
         assert!(ProgramSource::parse_workload("luindex:nan").is_err());
+        assert!(ProgramSource::parse_workload("luindex:1024.5").is_err());
+        assert!(ProgramSource::parse_workload("luindex:1024").is_ok());
         let missing = vec![ProgramSource::File("/nonexistent/x.jir".into())];
         assert!(Resident::build(&missing, &[], &SolveConfig::default()).is_err());
         assert!(Resident::build(&[], &[], &SolveConfig::default()).is_err());

@@ -206,6 +206,48 @@ pub fn dacapo_workload(name: &str, scale: f64) -> Program {
     generate(&dacapo_config(name, scale))
 }
 
+/// Checks that `name` is one of [`DACAPO_NAMES`].
+///
+/// # Errors
+///
+/// Lists the known names when `name` is not one of them.
+pub fn check_name(name: &str) -> Result<&str, String> {
+    if DACAPO_NAMES.contains(&name) {
+        Ok(name)
+    } else {
+        Err(format!(
+            "unknown workload \"{name}\" (want one of {})",
+            DACAPO_NAMES.join(", ")
+        ))
+    }
+}
+
+/// Parses a workload scale: a finite number in `(0, 1024]`.
+///
+/// # Errors
+///
+/// Names the rejected text.
+pub fn parse_scale(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 && s <= 1024.0 => Ok(s),
+        _ => Err(format!(
+            "workload scale \"{text}\" is not a finite number in (0, 1024]"
+        )),
+    }
+}
+
+/// Parses a `NAME:SCALE` workload spec, checking both halves.
+///
+/// # Errors
+///
+/// Says which half is wrong.
+pub fn parse_spec(spec: &str) -> Result<(&str, f64), String> {
+    let (name, scale) = spec
+        .split_once(':')
+        .ok_or_else(|| format!("expected NAME:SCALE, got \"{spec}\""))?;
+    Ok((check_name(name)?, parse_scale(scale)?))
+}
+
 /// Generates the full ten-benchmark suite at `scale`, in Table 1 row order.
 pub fn dacapo_suite(scale: f64) -> Vec<(String, Program)> {
     DACAPO_NAMES

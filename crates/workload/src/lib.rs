@@ -44,7 +44,9 @@ pub mod gen;
 pub mod prelude;
 
 pub use config::WorkloadConfig;
-pub use dacapo::{dacapo_config, dacapo_suite, dacapo_workload, DACAPO_NAMES};
+pub use dacapo::{
+    check_name, dacapo_config, dacapo_suite, dacapo_workload, parse_scale, parse_spec, DACAPO_NAMES,
+};
 pub use edits::{materialize, replay, shrink_steps, Edit, EditStream};
 pub use gen::generate;
 pub use prelude::{build_array_list, build_pair, ArrayListClasses, PairClasses};

@@ -139,6 +139,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use pta_clients::{
@@ -149,8 +150,9 @@ use pta_core::{Analysis, AnalysisSession, Backend, Budget, CancelToken, PointsTo
 use pta_govern::parse_byte_size;
 use pta_ir::Program;
 use pta_lang::{parse_program, print_program};
+use pta_lint::Diagnostic;
 use pta_serve::{FaultInjector, ProgramSource, ServeConfig};
-use pta_workload::{dacapo_config, generate, EditStream, DACAPO_NAMES};
+use pta_workload::{check_name, dacapo_config, dacapo_workload, generate, parse_scale, EditStream};
 
 /// Count heap usage so `--stats` can report `peak_rss_bytes` exactly
 /// (see `pta_govern::memtrack`); delegates to the system allocator.
@@ -162,54 +164,280 @@ const EXIT_USAGE: u8 = 2;
 /// Exit code for a budget-tripped (or cancelled) partial result.
 const EXIT_PARTIAL: u8 = 3;
 
+/// A subcommand's outcome. `Err` carries the exit code of a failure
+/// whose diagnostic is already printed, so `?` ends the subcommand.
+type Exit = Result<ExitCode, ExitCode>;
+
 /// Report a usage problem (unknown flag, bad flag value, invalid flag
 /// combination) as a structured `E030` diagnostic and return the usage
 /// exit code. Every flag error in the driver funnels through here so even
 /// CLI misuse is machine-parseable (`pta lint --explain E030`).
 fn usage_error(message: impl Into<String>) -> ExitCode {
-    eprintln!("{}", pta_lint::Diagnostic::error("E030", message));
+    eprintln!("{}", Diagnostic::error("E030", message));
     ExitCode::from(EXIT_USAGE)
+}
+
+/// [`usage_error`] followed by the subcommand's usage line.
+fn usage_with(message: impl Into<String>, usage: &str) -> ExitCode {
+    let exit = usage_error(message);
+    eprintln!("{usage}");
+    exit
 }
 
 /// Report an I/O problem (unreadable input, unwritable output) as a
 /// structured `E031` diagnostic and return the usage exit code.
 fn io_error(message: impl Into<String>) -> ExitCode {
-    eprintln!("{}", pta_lint::Diagnostic::error("E031", message));
+    eprintln!("{}", Diagnostic::error("E031", message));
     ExitCode::from(EXIT_USAGE)
 }
 
-/// Report a `.jir` frontend error through the same E007/E008 diagnostics
-/// `pta lint` emits, tagged with the offending path, and return the usage
-/// exit code.
-fn parse_error(path: &str, err: &pta_lang::LangError) -> ExitCode {
-    eprintln!("{}", pta_lint::diagnose_lang_error(err).with_context(path));
-    ExitCode::from(EXIT_USAGE)
+/// Reads and parses a `.jir` file. An unreadable file is `E031`; a
+/// malformed one gets the E007/E008 diagnostics `pta lint` emits, tagged
+/// with the path. Returns the program and its source text.
+fn load_program(path: &str) -> Result<(Program, String), ExitCode> {
+    let source =
+        std::fs::read_to_string(path).map_err(|e| io_error(format!("cannot read {path}: {e}")))?;
+    let program = parse_program(&source).map_err(|e| {
+        eprintln!("{}", pta_lint::diagnose_lang_error(&e).with_context(path));
+        ExitCode::from(EXIT_USAGE)
+    })?;
+    Ok((program, source))
 }
+
+/// Prints diagnostics in the `--format` the user chose.
+fn print_diagnostics(diags: &[Diagnostic], json: bool) {
+    if json {
+        print!("{}", pta_lint::render_json(diags));
+    } else {
+        print!("{}", pta_lint::render_text(diags));
+    }
+}
+
+/// A cursor over one subcommand's arguments: the driver's one flag
+/// parser. Every value check reports "FLAG needs WHAT" as an `E030`.
+struct Args<'a> {
+    args: &'a [String],
+    i: usize,
+}
+
+impl Args<'_> {
+    /// Offers every argument to `take`, which reads any value through the
+    /// cursor and returns whether it took the argument, or `Err(code)` to
+    /// end the subcommand at once. An argument nothing takes is an unknown
+    /// flag, reported with the usage line.
+    fn walk(
+        args: &[String],
+        usage: &str,
+        mut take: impl FnMut(&mut Args<'_>) -> Result<bool, ExitCode>,
+    ) -> Result<(), ExitCode> {
+        let mut c = Args { args, i: 0 };
+        while c.i < args.len() {
+            if !take(&mut c)? {
+                return Err(usage_with(format!("unknown flag {}", c.flag()), usage));
+            }
+            c.i += 1;
+        }
+        Ok(())
+    }
+
+    /// The argument under the cursor.
+    fn flag(&self) -> &str {
+        &self.args[self.i]
+    }
+
+    /// Moves onto the flag's value and maps it with `map`; a missing or
+    /// rejected value is the usage error "FLAG needs WHAT".
+    fn read<T>(&mut self, what: &str, map: impl FnOnce(&str) -> Option<T>) -> Result<T, ExitCode> {
+        let flag = self.flag().to_owned();
+        self.i += 1;
+        self.args
+            .get(self.i)
+            .and_then(|v| map(v))
+            .ok_or_else(|| usage_error(format!("{flag} needs {what}")))
+    }
+
+    /// The flag's value parsed as `T` and accepted by `ok`.
+    fn value<T: FromStr>(&mut self, what: &str, ok: impl Fn(&T) -> bool) -> Result<T, ExitCode> {
+        self.read(what, |v| v.parse().ok().filter(|t| ok(t)))
+    }
+
+    /// The flag's value as text.
+    fn text(&mut self, what: &str) -> Result<String, ExitCode> {
+        self.read(what, |v| Some(v.to_owned()))
+    }
+
+    /// The flag's value looked up in `choices`.
+    fn choose<T: Copy>(&mut self, what: &str, choices: &[(&str, T)]) -> Result<T, ExitCode> {
+        self.read(what, |v| {
+            choices.iter().find(|(name, _)| *name == v).map(|&(_, t)| t)
+        })
+    }
+
+    /// `--format text|json`; true for json.
+    fn format(&mut self) -> Result<bool, ExitCode> {
+        self.choose("`text` or `json`", &[("text", false), ("json", true)])
+    }
+
+    /// A budget deadline: positive seconds, at most 1e9 (larger values
+    /// overflow `Duration`).
+    fn seconds(&mut self) -> Result<Duration, ExitCode> {
+        self.value("a positive number of seconds (at most 1e9)", |s: &f64| {
+            *s > 0.0 && s.is_finite() && *s <= 1e9
+        })
+        .map(Duration::from_secs_f64)
+    }
+
+    /// A step budget or watermark: a positive integer.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(&mut self) -> Result<T, ExitCode> {
+        self.value("a positive integer", |n: &T| *n > T::from(0))
+    }
+
+    /// A memory budget: a positive byte size with an optional K/M/G suffix.
+    fn byte_size(&mut self) -> Result<u64, ExitCode> {
+        let flag = self.flag().to_owned();
+        match self.read("a byte size (e.g. 64M)", |v| Some(parse_byte_size(v)))? {
+            Ok(bytes) if bytes > 0 => Ok(bytes),
+            Ok(_) => Err(usage_error(format!("{flag} needs a byte size (e.g. 64M)"))),
+            Err(e) => Err(usage_error(format!("{flag}: {e}"))),
+        }
+    }
+}
+
+/// The subcommand's leading positional argument, which must come first.
+fn leading<'a>(args: &'a [String], what: &str, usage: &str) -> Result<&'a str, ExitCode> {
+    args.first()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .ok_or_else(|| usage_with(format!("expected {what} as the first argument"), usage))
+}
+
+/// Which of the shared analysis flags a subcommand takes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    /// `--analysis` (explain).
+    Policy,
+    /// `--analysis` and `--datalog` (update).
+    Backend,
+    /// Those, `--format`, and the budget flags (analyze, check).
+    All,
+}
+
+/// The flags the solving subcommands share, parsed in one place: which
+/// policies to run, on which back end, under which budget, and the
+/// output format.
+#[derive(Default)]
+struct AnalysisArgs {
+    /// Every `--analysis`, in order; `S-2obj+H` when none is given.
+    analyses: Vec<Analysis>,
+    datalog: bool,
+    json: bool,
+    budget: Budget,
+    degrade: bool,
+    /// SIGINT cancellation for governed runs, made with the first session.
+    cancel: Option<CancelToken>,
+}
+
+impl AnalysisArgs {
+    /// Parses a subcommand's arguments: the shared flags it `takes` here,
+    /// everything else through `own` (see [`Args::walk`]).
+    fn parse(
+        takes: Takes,
+        args: &[String],
+        usage: &str,
+        mut own: impl FnMut(&mut Args<'_>) -> Result<bool, ExitCode>,
+    ) -> Result<AnalysisArgs, ExitCode> {
+        let mut parsed = AnalysisArgs::default();
+        Args::walk(args, usage, |c| Ok(parsed.take(takes, c)? || own(c)?))?;
+        if parsed.degrade && parsed.datalog {
+            return Err(usage_error(
+                "--degrade requires the specialized solver (drop --datalog); \
+                 the Datalog back end stops with a partial result instead",
+            ));
+        }
+        if parsed.analyses.is_empty() {
+            parsed.analyses.push(Analysis::STwoObjH);
+        }
+        Ok(parsed)
+    }
+
+    fn take(&mut self, takes: Takes, c: &mut Args<'_>) -> Result<bool, ExitCode> {
+        let all = takes == Takes::All;
+        match c.flag() {
+            "--analysis" => self
+                .analyses
+                .push(c.value("a known name (try `pta list`)", |_| true)?),
+            "--datalog" if takes != Takes::Policy => self.datalog = true,
+            "--format" if all => self.json = c.format()?,
+            "--timeout" if all => self.budget.deadline = Some(c.seconds()?),
+            "--max-steps" if all => self.budget.max_steps = Some(c.positive()?),
+            "--max-memory" if all => self.budget.max_memory_bytes = Some(c.byte_size()?),
+            "--watermark" if all => self.budget.watermark = Some(c.positive()?),
+            "--degrade" if all => self.degrade = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Takes every `--analysis`, in order (analyze and update repeat it).
+    fn policies(&mut self) -> Vec<Analysis> {
+        std::mem::take(&mut self.analyses)
+    }
+
+    /// The last `--analysis` (check and explain run one policy).
+    fn policy(&self) -> Analysis {
+        *self.analyses.last().expect("parse supplies the default")
+    }
+
+    /// A session solving `program` under `policy` with the parsed back
+    /// end, budget and degrade mode. Governed runs get cooperative ctrl-c:
+    /// SIGINT flips the token and the solver stops at the next batch
+    /// boundary with a tagged partial result. Ungoverned runs keep the
+    /// zero-overhead path (and default SIGINT).
+    fn session(&mut self, program: Program, policy: Analysis) -> AnalysisSession {
+        if (!self.budget.is_unlimited() || self.degrade) && self.cancel.is_none() {
+            self.cancel = Some(CancelToken::linked_to_sigint());
+        }
+        let session = AnalysisSession::open(program)
+            .policy(policy)
+            .backend(if self.datalog {
+                Backend::Datalog
+            } else {
+                Backend::Dense
+            })
+            .budget(self.budget.clone())
+            .degrade(self.degrade);
+        match &self.cancel {
+            Some(token) => session.cancel(token.clone()),
+            None => session,
+        }
+    }
+}
+
+const USAGE: &str = "usage: pta <list|analyze|explain|workload|update|lint|check|serve> ...  \
+(see --help in the README)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("available analyses (paper name — description):");
             for a in Analysis::ALL {
                 println!("  {:>10} — {}", a.name(), describe(a));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("explain") => cmd_explain(&args[1..]),
-        Some("workload") => cmd_workload(&args[1..]),
-        Some("update") => cmd_update(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: pta <list|analyze|explain|workload|update|lint|check|serve> ...  (see --help in the README)"
-            );
-            ExitCode::from(EXIT_USAGE)
-        }
+        Some("analyze") => cmd_analyze(rest),
+        Some("explain") => cmd_explain(rest),
+        Some("workload") => cmd_workload(rest),
+        Some("update") => cmd_update(rest),
+        Some("lint") => cmd_lint(rest),
+        Some("check") => cmd_check(rest),
+        Some("serve") => cmd_serve(rest),
+        Some(other) => Err(usage_with(format!("unknown subcommand {other}"), USAGE)),
+        None => Err(usage_with("missing subcommand", USAGE)),
     }
+    .unwrap_or_else(|code| code)
 }
 
 fn describe(a: Analysis) -> &'static str {
@@ -235,145 +463,42 @@ fn describe(a: Analysis) -> &'static str {
     }
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: pta analyze FILE.jir [--analysis NAME] [--metrics] [--points-to VAR] [--casts] [--devirt] [--datalog] [--timeout SECS] [--max-steps N] [--max-memory BYTES] [--degrade] [--trace FILE] [--profile] [--no-share]");
-        return ExitCode::from(EXIT_USAGE);
-    };
+const ANALYZE_USAGE: &str = "usage: pta analyze FILE.jir [--analysis NAME] [--format text|json] \
+[--metrics] [--stats] [--points-to VAR] [--explain VAR] [--casts] [--devirt] [--exceptions] \
+[--hot] [--datalog] [--timeout SECS] [--max-steps N] [--max-memory BYTES] [--watermark N] \
+[--degrade] [--trace FILE] [--profile] [--no-share]";
 
-    let mut analyses: Vec<Analysis> = Vec::new();
+fn cmd_analyze(args: &[String]) -> Exit {
+    let path = leading(args, "FILE.jir", ANALYZE_USAGE)?;
     let mut metrics = false;
     let mut hot = false;
     let mut casts = false;
     let mut devirt = false;
     let mut exceptions = false;
-    let mut datalog = false;
     let mut stats = false;
-    let mut json = false;
     let mut points_to: Vec<String> = Vec::new();
     let mut explain: Vec<String> = Vec::new();
-    let mut budget = Budget::unlimited();
-    let mut degrade = false;
     let mut trace_path: Option<String> = None;
     let mut profile = false;
     let mut share = true;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    _ => {
-                        return usage_error("--format needs `text` or `json`");
-                    }
-                }
-            }
-            "--analysis" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<Analysis>()) {
-                    Some(Ok(a)) => analyses.push(a),
-                    _ => {
-                        return usage_error("--analysis needs a known name (try `pta list`)");
-                    }
-                }
-            }
-            "--points-to" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => points_to.push(v.clone()),
-                    None => {
-                        return usage_error("--points-to needs a variable name");
-                    }
-                }
-            }
-            "--explain" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => explain.push(v.clone()),
-                    None => {
-                        return usage_error("--explain needs a variable name");
-                    }
-                }
-            }
-            "--timeout" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(secs) if secs > 0.0 && secs.is_finite() && secs <= 1e9 => {
-                        budget = budget.with_deadline(Duration::from_secs_f64(secs));
-                    }
-                    _ => {
-                        return usage_error(
-                            "--timeout needs a positive number of seconds (at most 1e9)",
-                        );
-                    }
-                }
-            }
-            "--max-steps" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => budget = budget.with_max_steps(n),
-                    _ => {
-                        return usage_error("--max-steps needs a positive integer");
-                    }
-                }
-            }
-            "--max-memory" => {
-                i += 1;
-                match args.get(i).map(|s| parse_byte_size(s)) {
-                    Some(Ok(bytes)) if bytes > 0 => budget = budget.with_max_memory(bytes),
-                    Some(Err(e)) => {
-                        return usage_error(format!("--max-memory: {e}"));
-                    }
-                    _ => {
-                        return usage_error("--max-memory needs a byte size (e.g. 64M)");
-                    }
-                }
-            }
-            "--watermark" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) if n > 0 => budget = budget.with_watermark(n),
-                    _ => {
-                        return usage_error("--watermark needs a positive integer");
-                    }
-                }
-            }
-            "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => trace_path = Some(p.clone()),
-                    None => {
-                        return usage_error("--trace needs an output file path");
-                    }
-                }
-            }
+    let mut shared = AnalysisArgs::parse(Takes::All, &args[1..], ANALYZE_USAGE, |c| {
+        match c.flag() {
+            "--points-to" => points_to.push(c.text("a variable name")?),
+            "--explain" => explain.push(c.text("a variable name")?),
+            "--trace" => trace_path = Some(c.text("an output file path")?),
             "--profile" => profile = true,
             "--no-share" => share = false,
-            "--degrade" => degrade = true,
             "--metrics" => metrics = true,
             "--stats" => stats = true,
             "--hot" => hot = true,
             "--casts" => casts = true,
             "--devirt" => devirt = true,
             "--exceptions" => exceptions = true,
-            "--datalog" => datalog = true,
-            other => {
-                return usage_error(format!("unknown flag {other}"));
-            }
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if analyses.is_empty() {
-        analyses.push(Analysis::STwoObjH);
-    }
-    if degrade && datalog {
-        return usage_error(
-            "--degrade requires the specialized solver (drop --datalog); \
-             the Datalog back end stops with a partial result instead",
-        );
-    }
+        Ok(true)
+    })?;
+    let (datalog, json) = (shared.datalog, shared.json);
     // The trace recorder exists before the file is read so session setup
     // (parse, IR construction) lands on the timeline too. A disabled
     // trace (no --trace flag) makes every recording call a no-op.
@@ -384,18 +509,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     };
     let mut ts = trace.scope_named(0, "main");
     let t_parse = ts.now_ns();
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return io_error(format!("cannot read {path}: {e}"));
-        }
-    };
-    let program = match parse_program(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            return parse_error(path, &e);
-        }
-    };
+    let (program, source) = load_program(path)?;
     if ts.is_enabled() {
         let t_end = ts.now_ns();
         ts.complete(
@@ -406,11 +520,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             &[("bytes", source.len() as u64)],
         );
     }
-    // Governed runs get cooperative ctrl-c: SIGINT flips the token and the
-    // solver stops at the next batch boundary with a tagged partial result.
-    // Ungoverned runs keep the zero-overhead path (and default SIGINT).
-    let governed = !budget.is_unlimited() || degrade;
-    let cancel = governed.then(CancelToken::linked_to_sigint);
     if json {
         // The flags below produce free-form text walks (derivations, cast
         // listings, …) with no JSON rendering; refuse rather than silently
@@ -424,9 +533,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             ("--exceptions", exceptions),
         ] {
             if used {
-                return usage_error(format!(
+                return Err(usage_error(format!(
                     "{flag} has no JSON rendering; drop it or use --format text"
-                ));
+                )));
             }
         }
     }
@@ -436,27 +545,19 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     let mut runs: Vec<(Analysis, f64, PointsToResult)> = Vec::new();
     let mut any_partial = false;
     if datalog && !explain.is_empty() {
-        return usage_error("--explain requires the specialized solver (drop --datalog)");
+        return Err(usage_error(
+            "--explain requires the specialized solver (drop --datalog)",
+        ));
     }
-    for analysis in analyses {
+    for analysis in shared.policies() {
         let start = std::time::Instant::now();
-        let mut session = AnalysisSession::open(program.clone())
-            .policy(analysis)
-            .backend(if datalog {
-                Backend::Datalog
-            } else {
-                Backend::Dense
-            })
-            .budget(budget.clone())
-            .degrade(degrade)
+        let mut session = shared
+            .session(program.clone(), analysis)
             .keep_tuples(hot)
             .track_provenance(!explain.is_empty())
             .trace(trace.clone())
             .profile(profile)
             .share(share);
-        if let Some(token) = &cancel {
-            session = session.cancel(token.clone());
-        }
         let t_run = ts.now_ns();
         let result: PointsToResult = session.solve();
         let elapsed = start.elapsed();
@@ -499,7 +600,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             for d in result.demoted_sites() {
                 // Demotions surface as structured W007 diagnostics so text
                 // consumers can grep them like any other toolchain finding.
-                let diag = pta_lint::Diagnostic::warning(
+                let diag = Diagnostic::warning(
                     "W007",
                     format!(
                         "demoted to context-insensitive: context fan-out {} crossed the watermark",
@@ -640,14 +741,14 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     if let Some(tp) = &trace_path {
         ts.flush();
         if let Err(e) = std::fs::write(tp, trace.to_chrome_json()) {
-            return io_error(format!("cannot write trace {tp}: {e}"));
+            return Err(io_error(format!("cannot write trace {tp}: {e}")));
         }
     }
-    if any_partial {
+    Ok(if any_partial {
         ExitCode::from(EXIT_PARTIAL)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 fn print_points_to(program: &Program, result: &PointsToResult, name: &str) {
@@ -713,46 +814,26 @@ const EXPLAIN_USAGE: &str = "usage: pta explain FILE.jir VAR OBJ [--analysis NAM
 ///
 /// Exit codes follow the module table: 0 when at least one chain printed,
 /// 1 when the fact does not hold (or nothing matched), 2 on usage errors.
-fn cmd_explain(args: &[String]) -> ExitCode {
-    let mut pos: Vec<&String> = Vec::new();
-    let mut analysis = Analysis::STwoObjH;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--analysis" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<Analysis>()) {
-                    Some(Ok(a)) => analysis = a,
-                    _ => {
-                        return usage_error("--analysis needs a known name (try `pta list`)");
-                    }
-                }
-            }
-            flag if flag.starts_with("--") => {
-                let exit = usage_error(format!("unknown flag {flag}"));
-                eprintln!("{EXPLAIN_USAGE}");
-                return exit;
-            }
-            _ => pos.push(&args[i]),
+fn cmd_explain(args: &[String]) -> Exit {
+    let mut pos: Vec<String> = Vec::new();
+    let mut shared = AnalysisArgs::parse(Takes::Policy, args, EXPLAIN_USAGE, |c| {
+        if c.flag().starts_with("--") {
+            return Ok(false);
         }
-        i += 1;
-    }
+        pos.push(c.flag().to_owned());
+        Ok(true)
+    })?;
     let [path, var_name, obj_label] = pos.as_slice() else {
-        eprintln!("{EXPLAIN_USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_with(
+            format!(
+                "expected FILE.jir, VAR and OBJ, got {} argument(s)",
+                pos.len()
+            ),
+            EXPLAIN_USAGE,
+        ));
     };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return io_error(format!("cannot read {path}: {e}"));
-        }
-    };
-    let program = match parse_program(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            return parse_error(path, &e);
-        }
-    };
+    let analysis = shared.policy();
+    let (program, _) = load_program(path)?;
 
     // VAR matches by bare name or by the `Method::var` qualified form;
     // OBJ matches its allocation-site label exactly, falling back to
@@ -769,7 +850,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         })
         .collect();
     if vars.is_empty() {
-        return usage_error(format!("no variable named {var_name}"));
+        return Err(usage_error(format!("no variable named {var_name}")));
     }
     let mut heaps: Vec<_> = program
         .heaps()
@@ -782,11 +863,13 @@ fn cmd_explain(args: &[String]) -> ExitCode {
             .collect();
     }
     if heaps.is_empty() {
-        return usage_error(format!("no allocation site labeled {obj_label}"));
+        return Err(usage_error(format!(
+            "no allocation site labeled {obj_label}"
+        )));
     }
 
-    let result = AnalysisSession::open(program.clone())
-        .policy(analysis)
+    let result = shared
+        .session(program.clone(), analysis)
         .track_provenance(true)
         .solve();
     let mut printed = false;
@@ -808,92 +891,68 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
     }
     if printed {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         println!(
             "{var_name} does not point to {obj_label} under {analysis} (no derivation exists)"
         );
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     }
 }
 
 const LINT_USAGE: &str =
     "usage: pta lint FILE.jir [--format text|json] [--deny-warnings] | pta lint --explain CODE";
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut path: Option<&String> = None;
+/// `pta lint --explain CODE`: describes one diagnostic code.
+fn explain_code(code: &str) -> ExitCode {
+    match pta_lint::code_description(code) {
+        Some(desc) => {
+            println!("{code}: {desc}");
+            ExitCode::SUCCESS
+        }
+        None => {
+            let exit = usage_error(format!("unknown diagnostic code {code}"));
+            eprintln!("known codes:");
+            for c in pta_lint::ALL_CODES {
+                eprintln!("  {c}: {}", pta_lint::code_description(c).unwrap());
+            }
+            exit
+        }
+    }
+}
+
+fn cmd_lint(args: &[String]) -> Exit {
+    let mut path: Option<String> = None;
     let mut json = false;
     let mut deny_warnings = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    _ => {
-                        return usage_error("--format needs `text` or `json`");
-                    }
-                }
-            }
+    Args::walk(args, LINT_USAGE, |c| {
+        match c.flag() {
+            "--format" => json = c.format()?,
             "--deny-warnings" => deny_warnings = true,
-            "--explain" => {
-                i += 1;
-                let Some(code) = args.get(i) else {
-                    return usage_error("--explain needs a diagnostic code (e.g. W003)");
-                };
-                return match pta_lint::code_description(code) {
-                    Some(desc) => {
-                        println!("{code}: {desc}");
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        let exit = usage_error(format!("unknown diagnostic code {code}"));
-                        eprintln!("known codes:");
-                        for c in pta_lint::ALL_CODES {
-                            eprintln!("  {c}: {}", pta_lint::code_description(c).unwrap());
-                        }
-                        exit
-                    }
-                };
-            }
-            flag if flag.starts_with("--") => {
-                let exit = usage_error(format!("unknown flag {flag}"));
-                eprintln!("{LINT_USAGE}");
-                return exit;
-            }
-            _ => path = Some(&args[i]),
+            "--explain" => return Err(explain_code(&c.text("a diagnostic code (e.g. W003)")?)),
+            flag if flag.starts_with("--") => return Ok(false),
+            file => path = Some(file.to_owned()),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     let Some(path) = path else {
-        eprintln!("{LINT_USAGE}");
-        return ExitCode::from(2);
+        return Err(usage_with(
+            "expected FILE.jir or --explain CODE",
+            LINT_USAGE,
+        ));
     };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return io_error(format!("cannot read {path}: {e}"));
-        }
-    };
+    let source =
+        std::fs::read_to_string(&path).map_err(|e| io_error(format!("cannot read {path}: {e}")))?;
     let diags = pta_lint::lint_source(&source);
-    if json {
-        print!("{}", pta_lint::render_json(&diags));
-    } else {
-        print!("{}", pta_lint::render_text(&diags));
-    }
-    let has_errors = diags
-        .iter()
-        .any(|d| d.severity == pta_lint::Severity::Error);
-    let has_warnings = diags
-        .iter()
-        .any(|d| d.severity == pta_lint::Severity::Warning);
-    if has_errors || (deny_warnings && has_warnings) {
+    print_diagnostics(&diags, json);
+    let has = |severity| diags.iter().any(|d| d.severity == severity);
+    let has_errors = has(pta_lint::Severity::Error);
+    let has_warnings = has(pta_lint::Severity::Warning);
+    Ok(if has_errors || (deny_warnings && has_warnings) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 const CHECK_USAGE: &str = "usage: pta check FILE.jir [--spec FILE] [--analysis NAME] \
@@ -904,186 +963,59 @@ const CHECK_USAGE: &str = "usage: pta check FILE.jir [--spec FILE] [--analysis N
 /// `pta check`: run the taint/escape/nullness client suite over one
 /// points-to result and render the findings as W02x diagnostics. See the
 /// module docs for flags and exit codes.
-fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("{CHECK_USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    };
+fn cmd_check(args: &[String]) -> Exit {
+    let path = leading(args, "FILE.jir", CHECK_USAGE)?;
     let mut spec_path: Option<String> = None;
-    let mut analysis = Analysis::STwoObjH;
-    let mut json = false;
     let mut client_backend = ClientBackend::CrossValidated;
-    let mut datalog = false;
     let mut deny_findings = false;
-    let mut budget = Budget::unlimited();
-    let mut degrade = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--spec" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => spec_path = Some(p.clone()),
-                    None => {
-                        return usage_error("--spec needs a file path");
-                    }
-                }
-            }
-            "--analysis" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<Analysis>()) {
-                    Some(Ok(a)) => analysis = a,
-                    _ => {
-                        return usage_error("--analysis needs a known name (try `pta list`)");
-                    }
-                }
-            }
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    _ => {
-                        return usage_error("--format needs `text` or `json`");
-                    }
-                }
-            }
+    let mut shared = AnalysisArgs::parse(Takes::All, &args[1..], CHECK_USAGE, |c| {
+        match c.flag() {
+            "--spec" => spec_path = Some(c.text("a file path")?),
             "--client-backend" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("direct") => client_backend = ClientBackend::Direct,
-                    Some("datalog") => client_backend = ClientBackend::Datalog,
-                    Some("both") => client_backend = ClientBackend::CrossValidated,
-                    _ => {
-                        return usage_error("--client-backend needs direct, datalog or both");
-                    }
-                }
-            }
-            "--timeout" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(secs) if secs > 0.0 && secs.is_finite() && secs <= 1e9 => {
-                        budget = budget.with_deadline(Duration::from_secs_f64(secs));
-                    }
-                    _ => {
-                        return usage_error(
-                            "--timeout needs a positive number of seconds (at most 1e9)",
-                        );
-                    }
-                }
-            }
-            "--max-steps" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => budget = budget.with_max_steps(n),
-                    _ => {
-                        return usage_error("--max-steps needs a positive integer");
-                    }
-                }
-            }
-            "--max-memory" => {
-                i += 1;
-                match args.get(i).map(|s| parse_byte_size(s)) {
-                    Some(Ok(bytes)) if bytes > 0 => budget = budget.with_max_memory(bytes),
-                    _ => {
-                        return usage_error("--max-memory needs a byte size (e.g. 64M)");
-                    }
-                }
-            }
-            "--watermark" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) if n > 0 => budget = budget.with_watermark(n),
-                    _ => {
-                        return usage_error("--watermark needs a positive integer");
-                    }
-                }
+                client_backend = c.choose(
+                    "direct, datalog or both",
+                    &[
+                        ("direct", ClientBackend::Direct),
+                        ("datalog", ClientBackend::Datalog),
+                        ("both", ClientBackend::CrossValidated),
+                    ],
+                )?;
             }
             "--deny-findings" => deny_findings = true,
-            "--degrade" => degrade = true,
-            "--datalog" => datalog = true,
-            other => {
-                let exit = usage_error(format!("unknown flag {other}"));
-                eprintln!("{CHECK_USAGE}");
-                return exit;
-            }
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if degrade && datalog {
-        return usage_error(
-            "--degrade requires the specialized solver (drop --datalog); \
-             the Datalog back end stops with a partial result instead",
-        );
-    }
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return io_error(format!("cannot read {path}: {e}"));
-        }
-    };
-    let program = match parse_program(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            return parse_error(path, &e);
-        }
-    };
+        Ok(true)
+    })?;
+    let (analysis, json) = (shared.policy(), shared.json);
+    let (program, _) = load_program(path)?;
     let spec = match &spec_path {
         None => CheckSpec::default(),
         Some(sp) => {
-            let text = match std::fs::read_to_string(sp) {
-                Ok(t) => t,
-                Err(e) => {
-                    return io_error(format!("cannot read spec {sp}: {e}"));
-                }
-            };
+            let text = std::fs::read_to_string(sp)
+                .map_err(|e| io_error(format!("cannot read spec {sp}: {e}")))?;
             match CheckSpec::parse(&text) {
                 Ok(s) => s,
                 Err(diags) => {
                     // Malformed spec lines are E020 diagnostics, rendered
                     // like lint errors (exit 1, not a usage error: the file
                     // parsed as a spec, its contents are wrong).
-                    if json {
-                        print!("{}", pta_lint::render_json(&diags));
-                    } else {
-                        print!("{}", pta_lint::render_text(&diags));
-                    }
-                    return ExitCode::from(1);
+                    print_diagnostics(&diags, json);
+                    return Ok(ExitCode::from(1));
                 }
             }
         }
     };
     let spec_errors = spec.validate(&program);
     if !spec_errors.is_empty() {
-        if json {
-            print!("{}", pta_lint::render_json(&spec_errors));
-        } else {
-            print!("{}", pta_lint::render_text(&spec_errors));
-        }
-        return ExitCode::from(1);
+        print_diagnostics(&spec_errors, json);
+        return Ok(ExitCode::from(1));
     }
 
-    let governed = !budget.is_unlimited() || degrade;
-    let cancel = governed.then(CancelToken::linked_to_sigint);
-    let mut session = AnalysisSession::open(program.clone())
-        .policy(analysis)
-        .backend(if datalog {
-            Backend::Datalog
-        } else {
-            Backend::Dense
-        })
-        .budget(budget)
-        .degrade(degrade);
-    if let Some(token) = &cancel {
-        session = session.cancel(token.clone());
-    }
-    let result = session.solve();
+    let result = shared.session(program.clone(), analysis).solve();
     let report = run_check(&program, &result, &spec, client_backend);
     let diags = report.to_diagnostics(&program);
-    if json {
-        print!("{}", pta_lint::render_json(&diags));
-    } else {
-        print!("{}", pta_lint::render_text(&diags));
+    print_diagnostics(&diags, json);
+    if !json {
         println!(
             "check: {analysis}: {} taint, {} escape, {} nullness finding(s){}",
             report.taint.len(),
@@ -1092,56 +1024,35 @@ fn cmd_check(args: &[String]) -> ExitCode {
             if report.partial { " (partial)" } else { "" },
         );
     }
-    if report.partial {
+    Ok(if report.partial {
         ExitCode::from(EXIT_PARTIAL)
     } else if deny_findings && !report.is_clean() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_workload(args: &[String]) -> ExitCode {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: pta workload NAME [--scale S] [--taint-groups N] [--print]; names: {DACAPO_NAMES:?}"
-        );
-        return ExitCode::from(EXIT_USAGE);
-    };
-    if !DACAPO_NAMES.contains(&name.as_str()) {
-        return usage_error(format!("unknown workload {name}; names: {DACAPO_NAMES:?}"));
-    }
+const WORKLOAD_USAGE: &str = "usage: pta workload NAME [--scale S] [--taint-groups N] [--print]";
+
+fn cmd_workload(args: &[String]) -> Exit {
+    let name = leading(args, "NAME", WORKLOAD_USAGE)?;
+    check_name(name).map_err(usage_error)?;
     let mut scale = 1.0f64;
     let mut taint_groups = 0usize;
     let mut print = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    Args::walk(&args[1..], WORKLOAD_USAGE, |c| {
+        match c.flag() {
             "--scale" => {
-                i += 1;
-                scale = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(s) if s.is_finite() && s > 0.0 && s <= 1024.0 => s,
-                    _ => {
-                        return usage_error("--scale needs a finite number in (0, 1024]");
-                    }
-                };
+                let text = c.text("a finite number in (0, 1024]")?;
+                scale = parse_scale(&text).map_err(|e| usage_error(format!("--scale: {e}")))?;
             }
-            "--taint-groups" => {
-                i += 1;
-                taint_groups = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        return usage_error("--taint-groups needs a count");
-                    }
-                };
-            }
+            "--taint-groups" => taint_groups = c.value("a count", |_| true)?,
             "--print" => print = true,
-            other => {
-                return usage_error(format!("unknown flag {other}"));
-            }
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     let mut cfg = dacapo_config(name, scale);
     cfg.taint_groups = taint_groups;
     let program = generate(&cfg);
@@ -1150,7 +1061,7 @@ fn cmd_workload(args: &[String]) -> ExitCode {
     } else {
         println!("{name} @ {scale}: {}", pta_ir::ProgramStats::of(&program));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 const UPDATE_USAGE: &str = "usage: pta update FILE.jir [--workload NAME:SCALE] [--edits N] \
@@ -1196,117 +1107,60 @@ fn result_fingerprint(program: &Program, r: &PointsToResult) -> String {
 /// with a from-scratch solve after every edit (the CI smoke for the
 /// incremental engine). Exits 0 when every step is byte-identical, 1 on
 /// the first divergence.
-fn cmd_update(args: &[String]) -> ExitCode {
+fn cmd_update(args: &[String]) -> Exit {
     let mut path: Option<String> = None;
     let mut workload: Option<String> = None;
-    let mut analyses: Vec<Analysis> = Vec::new();
     let mut edits = 5usize;
     let mut seed = 1u64;
-    let mut datalog = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                i += 1;
-                match args.get(i) {
-                    Some(spec) => workload = Some(spec.clone()),
-                    None => return usage_error("--workload needs NAME:SCALE"),
-                }
-            }
+    let mut shared = AnalysisArgs::parse(Takes::Backend, args, UPDATE_USAGE, |c| {
+        match c.flag() {
+            "--workload" => workload = Some(c.text("NAME:SCALE")?),
             "--edits" => {
-                i += 1;
-                edits = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if (1..=100_000).contains(&n) => n,
-                    _ => return usage_error("--edits needs a count in [1, 100000]"),
-                };
+                edits = c.value("a count in [1, 100000]", |n| (1..=100_000).contains(n))?;
             }
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => return usage_error("--seed needs a non-negative integer"),
-                };
+            "--seed" => seed = c.value("a non-negative integer", |_| true)?,
+            flag if flag.starts_with("--") => return Ok(false),
+            file if path.is_none() => path = Some(file.to_owned()),
+            extra => {
+                return Err(usage_with(
+                    format!("unexpected argument {extra}"),
+                    UPDATE_USAGE,
+                ))
             }
-            "--analysis" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<Analysis>()) {
-                    Some(Ok(a)) => analyses.push(a),
-                    _ => return usage_error("--analysis needs a known name (try `pta list`)"),
-                }
-            }
-            "--datalog" => datalog = true,
-            other if !other.starts_with("--") && path.is_none() => path = Some(other.to_owned()),
-            other => return usage_error(format!("unknown flag {other} ({UPDATE_USAGE})")),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     let base: Program = match (&path, &workload) {
-        (Some(p), None) => {
-            let source = match std::fs::read_to_string(p) {
-                Ok(s) => s,
-                Err(e) => return io_error(format!("cannot read {p}: {e}")),
-            };
-            match parse_program(&source) {
-                Ok(prog) => prog,
-                Err(e) => return parse_error(p, &e),
-            }
-        }
+        (Some(p), None) => load_program(p)?.0,
         (None, Some(spec)) => {
-            let Some((name, scale)) = spec.split_once(':') else {
-                return usage_error("--workload needs NAME:SCALE");
-            };
-            if !DACAPO_NAMES.contains(&name) {
-                return usage_error(format!("unknown workload {name}; names: {DACAPO_NAMES:?}"));
-            }
-            match scale.parse::<f64>() {
-                Ok(s) if s.is_finite() && s > 0.0 && s <= 1024.0 => {
-                    generate(&dacapo_config(name, s))
-                }
-                _ => return usage_error("--workload scale must be a finite number in (0, 1024]"),
-            }
+            let (name, scale) = pta_workload::parse_spec(spec)
+                .map_err(|e| usage_error(format!("--workload: {e}")))?;
+            dacapo_workload(name, scale)
         }
         _ => {
-            eprintln!("{UPDATE_USAGE}");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage_with(
+                "expected exactly one of FILE.jir and --workload NAME:SCALE",
+                UPDATE_USAGE,
+            ))
         }
     };
-    if analyses.is_empty() {
-        analyses.push(Analysis::STwoObjH);
-    }
-    let backend = if datalog {
-        Backend::Datalog
-    } else {
-        Backend::Dense
-    };
     let mut failed = false;
-    for &analysis in &analyses {
+    for analysis in shared.policies() {
         let mut stream = EditStream::new(base.clone(), seed);
-        let mut session = AnalysisSession::open(base.clone())
-            .policy(analysis)
-            .backend(backend)
-            .incremental(true);
+        let mut session = shared.session(base.clone(), analysis).incremental(true);
         session.solve();
         let mut incremental = 0usize;
         let mut diverged: Option<usize> = None;
         for step in 0..edits {
             let delta = stream.next_delta();
-            let maintained = match session.apply(&delta) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{}", pta_lint::Diagnostic::error("E031", e.to_string()));
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            };
+            let maintained = session.apply(&delta).map_err(|e| io_error(e.to_string()))?;
             if session.last_apply_was_incremental() {
                 incremental += 1;
             }
-            let scratch_fp = {
-                let mut scratch = AnalysisSession::open(stream.program().clone())
-                    .policy(analysis)
-                    .backend(backend);
-                result_fingerprint(stream.program(), &scratch.solve())
-            };
-            if result_fingerprint(stream.program(), &maintained) != scratch_fp {
+            let scratch = shared.session(stream.program().clone(), analysis).solve();
+            if result_fingerprint(stream.program(), &maintained)
+                != result_fingerprint(stream.program(), &scratch)
+            {
                 diverged = Some(step + 1);
                 break;
             }
@@ -1325,11 +1179,11 @@ fn cmd_update(args: &[String]) -> ExitCode {
             ),
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 const SERVE_USAGE: &str = "usage: pta serve [FILE.jir ...] [--workload NAME:SCALE] \
@@ -1343,185 +1197,73 @@ const SERVE_USAGE: &str = "usage: pta serve [FILE.jir ...] [--workload NAME:SCAL
 /// to `pta_serve::run`, which owns the request lifecycle. Exit codes: 0 on
 /// a clean drain, 2 on startup/usage errors, 3 when shutdown had to
 /// force-cancel in-flight work.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String]) -> Exit {
     let mut cfg = ServeConfig::default();
     let mut fault_spec: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    Args::walk(args, SERVE_USAGE, |c| {
+        match c.flag() {
             "--workload" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--workload needs NAME:SCALE (e.g. antlr:0.5)");
-                };
-                match ProgramSource::parse_workload(spec) {
-                    Ok(src) => cfg.sources.push(src),
-                    Err(e) => return usage_error(format!("--workload: {e}")),
-                }
+                let spec = c.text("NAME:SCALE (e.g. antlr:0.5)")?;
+                let source = ProgramSource::parse_workload(&spec)
+                    .map_err(|e| usage_error(format!("--workload: {e}")))?;
+                cfg.sources.push(source);
             }
             "--policy" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<Analysis>()) {
-                    Some(Ok(a)) => cfg.policies.push(a.name().to_string()),
-                    _ => {
-                        return usage_error("--policy needs a known analysis name (try `pta list`)")
-                    }
-                }
+                let policy: Analysis =
+                    c.value("a known analysis name (try `pta list`)", |_| true)?;
+                cfg.policies.push(policy.name().to_string());
             }
             "--workers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 && n <= 1024 => cfg.workers = n,
-                    _ => return usage_error("--workers needs a count in [1, 1024]"),
-                }
+                cfg.workers = c.value("a count in [1, 1024]", |n| (1..=1024).contains(n))?
             }
-            "--queue" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => cfg.queue_capacity = n,
-                    _ => return usage_error("--queue needs a positive capacity"),
-                }
-            }
+            "--queue" => cfg.queue_capacity = c.value("a positive capacity", |&n| n > 0)?,
             "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => cfg.default_deadline_ms = Some(n),
-                    None => return usage_error("--deadline-ms needs a millisecond count"),
-                }
+                cfg.default_deadline_ms = Some(c.value("a millisecond count", |_| true)?);
             }
-            "--drain-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => cfg.drain_ms = n,
-                    None => return usage_error("--drain-ms needs a millisecond count"),
-                }
-            }
-            "--solve-timeout" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(secs) if secs > 0.0 && secs.is_finite() && secs <= 1e9 => {
-                        cfg.solve.budget = cfg
-                            .solve
-                            .budget
-                            .clone()
-                            .with_deadline(Duration::from_secs_f64(secs));
-                    }
-                    _ => {
-                        return usage_error(
-                            "--solve-timeout needs a positive number of seconds (at most 1e9)",
-                        )
-                    }
-                }
-            }
-            "--solve-max-steps" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => {
-                        cfg.solve.budget = cfg.solve.budget.clone().with_max_steps(n);
-                    }
-                    _ => return usage_error("--solve-max-steps needs a positive integer"),
-                }
-            }
-            "--solve-max-memory" => {
-                i += 1;
-                match args.get(i).map(|s| parse_byte_size(s)) {
-                    Some(Ok(bytes)) if bytes > 0 => {
-                        cfg.solve.budget = cfg.solve.budget.clone().with_max_memory(bytes);
-                    }
-                    Some(Err(e)) => return usage_error(format!("--solve-max-memory: {e}")),
-                    _ => return usage_error("--solve-max-memory needs a byte size (e.g. 64M)"),
-                }
-            }
-            "--port" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u16>().ok()) {
-                    Some(n) => cfg.port = Some(n),
-                    None => return usage_error("--port needs a TCP port (0 = OS-assigned)"),
-                }
-            }
-            "--port-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cfg.port_file = Some(p.clone()),
-                    None => return usage_error("--port-file needs an output file path"),
-                }
-            }
+            "--drain-ms" => cfg.drain_ms = c.value("a millisecond count", |_| true)?,
+            "--solve-timeout" => cfg.solve.budget.deadline = Some(c.seconds()?),
+            "--solve-max-steps" => cfg.solve.budget.max_steps = Some(c.positive()?),
+            "--solve-max-memory" => cfg.solve.budget.max_memory_bytes = Some(c.byte_size()?),
+            "--port" => cfg.port = Some(c.value("a TCP port (0 = OS-assigned)", |_| true)?),
+            "--port-file" => cfg.port_file = Some(c.text("an output file path")?),
             "--inject-faults" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => fault_spec = Some(s.clone()),
-                    None => {
-                        return usage_error(
-                            "--inject-faults needs RATE,KINDS (e.g. 0.05,delay+cancel)",
-                        )
-                    }
-                }
+                fault_spec = Some(c.text("RATE,KINDS (e.g. 0.05,delay+cancel)")?);
             }
-            "--fault-seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => fault_seed = n,
-                    None => return usage_error("--fault-seed needs an integer seed"),
-                }
-            }
-            "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cfg.trace_path = Some(p.clone()),
-                    None => return usage_error("--trace needs an output file path"),
-                }
-            }
+            "--fault-seed" => fault_seed = c.value("an integer seed", |_| true)?,
+            "--trace" => cfg.trace_path = Some(c.text("an output file path")?),
             "--metrics-addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if a.contains(':') => cfg.metrics_addr = Some(a.clone()),
-                    _ => {
-                        return usage_error(
-                            "--metrics-addr needs HOST:PORT (e.g. 127.0.0.1:9464; port 0 = OS-assigned)",
-                        )
-                    }
-                }
+                cfg.metrics_addr = Some(c.value(
+                    "HOST:PORT (e.g. 127.0.0.1:9464; port 0 = OS-assigned)",
+                    |a: &String| a.contains(':'),
+                )?);
             }
-            "--metrics-port-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cfg.metrics_port_file = Some(p.clone()),
-                    None => return usage_error("--metrics-port-file needs an output file path"),
-                }
-            }
-            "--events" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cfg.events_path = Some(p.clone()),
-                    None => return usage_error("--events needs an output file path"),
-                }
-            }
+            "--metrics-port-file" => cfg.metrics_port_file = Some(c.text("an output file path")?),
+            "--events" => cfg.events_path = Some(c.text("an output file path")?),
             "--no-stdin" => cfg.use_stdin = false,
             "--no-share" => cfg.solve.share = false,
-            flag if flag.starts_with("--") => {
-                let exit = usage_error(format!("unknown flag {flag}"));
-                eprintln!("{SERVE_USAGE}");
-                return exit;
-            }
+            flag if flag.starts_with("--") => return Ok(false),
             file => cfg.sources.push(ProgramSource::File(file.to_string())),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     if cfg.sources.is_empty() {
-        eprintln!("{SERVE_USAGE}");
-        return usage_error("serve needs at least one program (a FILE.jir or --workload)");
+        return Err(usage_with(
+            "serve needs at least one program (a FILE.jir or --workload)",
+            SERVE_USAGE,
+        ));
     }
     if !cfg.use_stdin && cfg.port.is_none() {
-        return usage_error("--no-stdin needs --port, or the daemon would be unreachable");
+        return Err(usage_error(
+            "--no-stdin needs --port, or the daemon would be unreachable",
+        ));
     }
     if let Some(spec) = &fault_spec {
-        match FaultInjector::parse(spec, fault_seed) {
-            Ok(inj) => cfg.faults = Some(inj),
-            Err(e) => return usage_error(format!("--inject-faults: {e}")),
-        }
+        let injector = FaultInjector::parse(spec, fault_seed)
+            .map_err(|e| usage_error(format!("--inject-faults: {e}")))?;
+        cfg.faults = Some(injector);
     }
-    match pta_serve::run(cfg) {
+    Ok(match pta_serve::run(cfg) {
         // Startup errors are pre-flight: unreadable inputs are E031, bad
         // specs (unknown policy, duplicate program names, parse failures)
         // are E030. Both exit 2 like every other pre-flight error.
@@ -1530,5 +1272,5 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
         Err(msg) => usage_error(msg),
         Ok(code) => ExitCode::from(u8::try_from(code).unwrap_or(EXIT_USAGE)),
-    }
+    })
 }

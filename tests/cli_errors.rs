@@ -25,12 +25,107 @@ fn unknown_flags_are_e030_usage_errors() {
         &["check", "x.jir", "--frobnicate"],
         &["workload", "antlr", "--frobnicate"],
         &["serve", "--frobnicate"],
+        &["explain", "x.jir", "v", "o", "--frobnicate"],
+        &["update", "x.jir", "--frobnicate"],
+        &["lint", "x.jir", "--frobnicate"],
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = stderr(&out);
         assert!(err.contains("error[E030]"), "{args:?}: {err}");
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
+    }
+}
+
+#[test]
+fn missing_and_extra_arguments_are_e030_followed_by_the_usage_line() {
+    for (args, detail, usage) in [
+        (&[] as &[&str], "missing subcommand", "usage: pta <"),
+        (
+            &["frobnicate"],
+            "unknown subcommand frobnicate",
+            "usage: pta <",
+        ),
+        (&["analyze"], "expected FILE.jir", "usage: pta analyze"),
+        (
+            &["analyze", "--stats"],
+            "expected FILE.jir",
+            "usage: pta analyze",
+        ),
+        (&["check"], "expected FILE.jir", "usage: pta check"),
+        (
+            &["lint"],
+            "expected FILE.jir or --explain CODE",
+            "usage: pta lint",
+        ),
+        (
+            &["explain", "a", "b"],
+            "got 2 argument(s)",
+            "usage: pta explain",
+        ),
+        (&["update"], "exactly one of", "usage: pta update"),
+        (
+            &["update", "a.jir", "--workload", "antlr:1"],
+            "exactly one of",
+            "usage: pta update",
+        ),
+        (
+            &["update", "a.jir", "b.jir"],
+            "unexpected argument b.jir",
+            "usage: pta update",
+        ),
+        (&["workload"], "expected NAME", "usage: pta workload"),
+        (&["serve"], "at least one program", "usage: pta serve"),
+    ] {
+        let out = pta(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        let diag = err
+            .find("error[E030]")
+            .unwrap_or_else(|| panic!("{args:?}: {err}"));
+        assert!(err[diag..].contains(detail), "{args:?}: {err}");
+        let line = err.find(usage).unwrap_or_else(|| panic!("{args:?}: {err}"));
+        assert!(
+            diag < line,
+            "{args:?}: usage line before the diagnostic: {err}"
+        );
+    }
+}
+
+#[test]
+fn bad_flag_values_say_the_same_on_every_subcommand() {
+    let detail = "invalid byte size `12Q`";
+    for args in [
+        &["analyze", "x.jir", "--max-memory", "12Q"] as &[&str],
+        &["check", "x.jir", "--max-memory", "12Q"],
+        &[
+            "serve",
+            "--workload",
+            "antlr:0.1",
+            "--solve-max-memory",
+            "12Q",
+        ],
+    ] {
+        let out = pta(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("error[E030]"), "{args:?}: {err}");
+        assert!(err.contains(detail), "{args:?}: {err}");
+    }
+    // One NAME:SCALE check behind every --workload and --scale.
+    for args in [
+        &["workload", "antlr", "--scale", "2000"] as &[&str],
+        &["update", "--workload", "antlr:2000"],
+        &["serve", "--workload", "antlr:2000"],
+    ] {
+        let out = pta(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("error[E030]"), "{args:?}: {err}");
+        assert!(
+            err.contains("\"2000\" is not a finite number in (0, 1024]"),
+            "{args:?}: {err}"
+        );
     }
 }
 

@@ -138,6 +138,11 @@ fn hostile_protocol_input_answers_errors_and_keeps_serving() {
         input.push_str("}{\n");
     }
     input.push_str("{\"id\":34,\"op\":\"points_to\",\"var\":\"r\"}\n");
+    // Nesting far past the reader's depth limit, well under the line cap:
+    // one parse error, not a stack overflow in the reader thread.
+    input.push_str(&"[".repeat(20_000));
+    input.push('\n');
+    input.push_str("{\"id\":35,\"op\":\"stats\"}\n");
     let out = serve_stdio(&[WORKLOAD, &["--queue", "2"]].concat(), &input);
     assert_eq!(out.status.code(), Some(0), "hostile input must not crash");
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -151,10 +156,15 @@ fn hostile_protocol_input_answers_errors_and_keeps_serving() {
     assert!(stdout.contains("\"error\":\"parse\""), "{stdout}");
     // Valid queries interleaved with (and after) the garbage still work:
     // malformed lines consumed no queue slots.
-    for id in [33, 34] {
+    for id in [33, 34, 35] {
         let line = line_for(&stdout, id).unwrap_or_else(|| panic!("no response {id}: {stdout}"));
         assert!(line.contains("\"ok\":true"), "id {id}: {line}");
     }
+    let deep = stdout
+        .lines()
+        .filter(|l| l.contains("\"error\":\"parse\"") && l.contains("nesting deeper"))
+        .count();
+    assert_eq!(deep, 1, "{stdout}");
 }
 
 #[test]

@@ -2,15 +2,15 @@
 //! run-to-run determinism of the recorded timeline, and the provenance
 //! `explain` chain on the paper's §1 motivating example.
 //!
-//! The trace JSON is validated with the bench harness's independent JSON
-//! reader (`pta_bench::json`), the same round-trip trick `table1 --check`
-//! uses to catch a malformed emitter.
+//! The trace JSON is validated with the workspace's JSON reader
+//! (`pta_obs::json`), which shares no code with the trace writer: the same
+//! round-trip trick `table1 --check` uses to catch a malformed emitter.
 
 use hybrid_pta::core::{PointsToResult, Trace};
 use hybrid_pta::ir::{HeapId, Program, VarId};
 use hybrid_pta::lang::parse_program;
 use hybrid_pta::{Analysis, AnalysisSession};
-use pta_bench::json::{self, Value};
+use pta_obs::json::{self, Value};
 
 /// The §1 motivating example: two call sites of `C.foo` whose receivers
 /// point to distinct `C` allocations.
