@@ -103,7 +103,7 @@ fn main() -> ExitCode {
             "usage: table1 [--scale S] [--workloads A,B] [--analyses A,B] \
              [--reps N] [--jobs N] [--cell-timeout SECS] [--max-memory BYTES] \
              [--json PATH] [--trace-dir DIR] [--profile] [--taint-groups N] \
-             [--share on,off] | table1 --check FILE [--expect-cells N]"
+             | table1 --check FILE [--expect-cells N]"
         );
         return ExitCode::FAILURE;
     }

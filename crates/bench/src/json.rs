@@ -135,17 +135,10 @@ pub fn validate_rows(doc: &Value) -> Result<RowsSummary, String> {
             validate_clients(clients).map_err(|e| format!("row {i}: {e}"))?;
         }
         // Optional memory column (cells measured under the counting
-        // allocator) and sharing marker (`--share off` rows).
+        // allocator).
         if let Some(peak) = row.get("peak_rss_bytes") {
             if peak.as_number().is_none_or(|n| n < 0.0 || n.fract() != 0.0) {
                 return Err(format!("row {i}: field \"peak_rss_bytes\" is malformed"));
-            }
-        }
-        if let Some(ns) = row.get("no_share") {
-            if !matches!(ns, Value::Bool(true)) {
-                return Err(format!(
-                    "row {i}: field \"no_share\" is malformed (only `true` is ever emitted)"
-                ));
             }
         }
     }
@@ -302,7 +295,6 @@ mod tests {
             &pta_obs::Trace::disabled(),
             true,
             None,
-            true,
         );
         let dump = crate::rows_to_json(&[plain, profiled]);
         assert_eq!(

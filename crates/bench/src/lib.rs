@@ -170,10 +170,6 @@ pub struct ExperimentRow {
     /// `--jobs > 1` the counter is process-wide, so concurrent cells
     /// inflate each other; memory experiments run `--jobs 1`.
     pub peak_rss_bytes: Option<u64>,
-    /// `true` for cells solved with hash-consed set sharing disabled
-    /// (`--share on,off` axis). Emitted as an optional `"no_share":true`
-    /// so default rows are unchanged and the schema stays at v2.
-    pub no_share: bool,
 }
 
 impl ExperimentRow {
@@ -188,7 +184,6 @@ impl ExperimentRow {
         profile: Option<pta_obs::Profile>,
         clients: Option<ClientMetrics>,
         peak_rss_bytes: Option<u64>,
-        no_share: bool,
     ) -> Self {
         ExperimentRow {
             workload: workload.to_owned(),
@@ -211,7 +206,6 @@ impl ExperimentRow {
             profile,
             clients,
             peak_rss_bytes,
-            no_share,
         }
     }
 }
@@ -270,9 +264,6 @@ impl ExperimentRow {
         if let Some(peak) = self.peak_rss_bytes {
             out.push_str(&format!(",\"peak_rss_bytes\":{peak}"));
         }
-        if self.no_share {
-            out.push_str(",\"no_share\":true");
-        }
         out.push('}');
         out
     }
@@ -326,12 +317,6 @@ pub struct MatrixOptions {
     /// measured solves) and embeds the finding counts under `"clients"`.
     /// `0` (the default) leaves workloads and JSON rows unchanged.
     pub taint_groups: usize,
-    /// Hash-consed set sharing values to run each cell at (`--share
-    /// on,off` / `PTA_SHARE`; default `[true]`). Each value gets its own
-    /// row; results are identical across values, only
-    /// memory (and `time_secs`) differ. `false` rows carry
-    /// `"no_share":true`.
-    pub share: Vec<bool>,
 }
 
 impl Default for MatrixOptions {
@@ -348,7 +333,6 @@ impl Default for MatrixOptions {
             trace_dir: None,
             profile: false,
             taint_groups: 0,
-            share: vec![true],
         }
     }
 }
@@ -411,9 +395,6 @@ impl MatrixOptions {
                 "0" | "false" | "no" | "" => false,
                 _ => panic!("bad PTA_PROFILE: {s:?} (expected 1 or 0)"),
             };
-        }
-        if let Ok(s) = std::env::var("PTA_SHARE") {
-            opts.share = parse_share_list(&s).unwrap_or_else(|| panic!("bad PTA_SHARE: {s:?}"));
         }
         opts
     }
@@ -488,11 +469,6 @@ impl MatrixOptions {
                         .parse()
                         .map_err(|_| format!("bad --taint-groups: {v:?}"))?;
                 }
-                "--share" => {
-                    let v = value(&mut i, "--share")?;
-                    self.share = parse_share_list(&v)
-                        .ok_or_else(|| format!("bad --share: {v:?} (expected e.g. on,off)"))?;
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
             i += 1;
@@ -531,20 +507,6 @@ fn parse_cell_timeout(s: &str) -> Option<f64> {
         .parse::<f64>()
         .ok()
         .filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// Parses a comma-separated sharing-axis list (`"on,off"`; `true`/`1`
-/// and `false`/`0` also accepted). An empty list is not.
-fn parse_share_list(s: &str) -> Option<Vec<bool>> {
-    let values: Option<Vec<bool>> = s
-        .split(',')
-        .map(|t| match t.trim() {
-            "on" | "true" | "1" => Some(true),
-            "off" | "false" | "0" => Some(false),
-            _ => None,
-        })
-        .collect();
-    values.filter(|v| !v.is_empty())
 }
 
 /// Runs one `(program, analysis)` cell, timing the solver only (workload
@@ -586,7 +548,6 @@ pub fn run_cell_governed(
         &pta_obs::Trace::disabled(),
         false,
         None,
-        true,
     )
 }
 
@@ -599,10 +560,6 @@ pub fn run_cell_governed(
 /// nullness) runs against the final repetition's result — after the
 /// clock stops, like the precision metrics — and its finding counts land
 /// in the row's `clients` column.
-///
-/// `share` toggles hash-consed set sharing for the cell's solves
-/// (results are identical either way; `false` rows carry
-/// `"no_share":true` so the memory comparison is self-describing).
 #[allow(clippy::too_many_arguments)] // mirrors run_cell_governed + the instruments
 pub fn run_cell_observed(
     workload: &str,
@@ -615,7 +572,6 @@ pub fn run_cell_observed(
     trace: &pta_obs::Trace,
     profile: bool,
     check_spec: Option<&CheckSpec>,
-    share: bool,
 ) -> ExperimentRow {
     let solve = || {
         let start = Instant::now();
@@ -630,8 +586,7 @@ pub fn run_cell_observed(
             .policy(analysis)
             .budget(budget)
             .trace(trace.clone())
-            .profile(profile)
-            .share(share);
+            .profile(profile);
         if let Some(token) = cancel {
             session = session.cancel(token.clone());
         }
@@ -688,7 +643,6 @@ pub fn run_cell_observed(
         row_profile,
         clients,
         (peak > 0).then_some(peak),
-        !share,
     )
 }
 
@@ -704,7 +658,6 @@ fn run_matrix_cell(
     workload: &str,
     program: &Program,
     analysis: Analysis,
-    share: bool,
     cancel: Option<&CancelToken>,
 ) -> ExperimentRow {
     let trace = if opts.trace_dir.is_some() {
@@ -725,7 +678,6 @@ fn run_matrix_cell(
         &trace,
         opts.profile,
         check_spec.as_ref(),
-        share,
     );
     if let Some(dir) = &opts.trace_dir {
         let path = format!("{dir}/{workload}-{}.trace.json", analysis.name());
@@ -762,16 +714,8 @@ fn log_cell(row: &ExperimentRow) {
 /// first — identical to the sequential order, so `table1`, `figure3` and
 /// `summary` render the same layout either way.
 pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
-    let share = if opts.share.is_empty() {
-        vec![true]
-    } else {
-        opts.share.clone()
-    };
-    let cells: Vec<(usize, usize, usize)> = (0..opts.workloads.len())
-        .flat_map(|w| {
-            let share = &share;
-            (0..opts.analyses.len()).flat_map(move |a| (0..share.len()).map(move |s| (w, a, s)))
-        })
+    let cells: Vec<(usize, usize)> = (0..opts.workloads.len())
+        .flat_map(|w| (0..opts.analyses.len()).map(move |a| (w, a)))
         .collect();
     // One SIGINT-linked token shared by every cell: with a per-cell
     // deadline configured, ctrl-c drains the matrix into timeout rows
@@ -790,11 +734,9 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
             let program = opts.generate_workload(name);
             eprintln!("[pta-bench] {name}: {}", ProgramStats::of(&program));
             for &analysis in &opts.analyses {
-                for &s in &share {
-                    let row = run_matrix_cell(opts, name, &program, analysis, s, cancel.as_ref());
-                    log_cell(&row);
-                    rows.push(row);
-                }
+                let row = run_matrix_cell(opts, name, &program, analysis, cancel.as_ref());
+                log_cell(&row);
+                rows.push(row);
             }
         }
         return rows;
@@ -816,7 +758,7 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(w, a, s)) = cells.get(i) else {
+                let Some(&(w, a)) = cells.get(i) else {
                     break;
                 };
                 let row = run_matrix_cell(
@@ -824,7 +766,6 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
                     &opts.workloads[w],
                     &programs[w],
                     opts.analyses[a],
-                    share[s],
                     cancel.as_ref(),
                 );
                 log_cell(&row);
@@ -893,7 +834,6 @@ mod tests {
             trace_dir: None,
             profile: false,
             taint_groups: 2,
-            share: vec![true],
         };
         let rows = run_matrix(&opts);
         let pure = rows[0].clients.expect("clients column populated");
@@ -942,7 +882,6 @@ mod tests {
             trace_dir: None,
             profile: false,
             taint_groups: 0,
-            share: vec![true],
         };
         let rows = run_matrix(&opts);
         assert_eq!(rows.len(), 2);
@@ -968,7 +907,6 @@ mod tests {
             trace_dir: None,
             profile: false,
             taint_groups: 0,
-            share: vec![true],
         };
         let sequential = run_matrix(&opts);
         opts.jobs = 4;
@@ -1107,7 +1045,6 @@ mod tests {
             &pta_obs::Trace::disabled(),
             true,
             None,
-            true,
         );
         let p = row
             .profile
@@ -1138,7 +1075,6 @@ mod tests {
             trace_dir: Some(dir.to_string_lossy().into_owned()),
             profile: false,
             taint_groups: 0,
-            share: vec![true],
         };
         let rows = run_matrix(&opts);
         assert_eq!(rows.len(), 2);

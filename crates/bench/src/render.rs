@@ -382,7 +382,6 @@ mod tests {
             profile: None,
             clients: None,
             peak_rss_bytes: None,
-            no_share: false,
         }
     }
 
@@ -470,7 +469,6 @@ mod edge_case_tests {
             profile: None,
             clients: None,
             peak_rss_bytes: None,
-            no_share: false,
         }
     }
 

@@ -464,18 +464,18 @@ impl<P: ContextPolicy> Solver<P> {
         keys.sort_unstable();
         for &k in &keys {
             let entry = &mut self.entries[k as usize];
-            let mut set = std::mem::take(&mut entry.set);
+            let set = std::mem::take(&mut entry.set);
             entry.delta.clear();
             entry.queued = false;
-            set.clear_in(&mut self.store);
+            self.bitmap_bytes -= set.bitmap_bytes();
         }
         for &fe in &cone.flds {
-            let mut set = std::mem::take(&mut self.fentries[fe as usize].set);
-            set.clear_in(&mut self.store);
+            let set = std::mem::take(&mut self.fentries[fe as usize].set);
+            self.bitmap_bytes -= set.bitmap_bytes();
         }
         for &s in &cone.statics {
-            let mut set = std::mem::take(&mut self.statics[s as usize].set);
-            set.clear_in(&mut self.store);
+            let set = std::mem::take(&mut self.statics[s as usize].set);
+            self.bitmap_bytes -= set.bitmap_bytes();
         }
         // Witness hygiene: nothing may reference a suspect key. Surviving
         // lists are sorted + deduped, which also compacts duplicates left

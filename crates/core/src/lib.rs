@@ -65,7 +65,6 @@ pub mod datalog_impl;
 pub mod fault;
 pub mod policy;
 pub mod pts;
-pub mod pts_store;
 pub mod results;
 pub mod session;
 pub mod solver;

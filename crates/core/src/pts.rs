@@ -15,15 +15,7 @@
 //!   to a bit vector indexed by object ID; membership becomes a single bit
 //!   test and iteration a word-wise scan (object IDs are dense, so the
 //!   universe — and therefore the scan — stays proportional to the number
-//!   of distinct objects the analysis ever created);
-//! - **shared**: at [`crate::pts_store::SHARE_MIN`] elements a bitmap is
-//!   hash-consed into the solver's [`crate::pts_store::PtsStore`]: the set
-//!   holds an `Arc` to one immutable canonical word array (shared with
-//!   every other set of identical content) plus a small sorted
-//!   copy-on-write overlay of elements inserted since. Overlay inserts
-//!   keep the hot path allocation-free; a full overlay re-interns
-//!   base ∪ overlay. Reads never consult the store — only
-//!   [`PtsSet::insert_in`] needs it.
+//!   of distinct objects the analysis ever created).
 //!
 //! All representations iterate in ascending object-ID order, which the
 //! solver relies on when deduplicating projections.
@@ -41,11 +33,7 @@ pub const SMALL_MAX: usize = 32;
 /// sets allocation-free.
 pub const INLINE_MAX: usize = 6;
 
-use std::sync::Arc;
-
-use crate::pts_store::{PtsStore, SharedRep, OVERLAY_MAX, SHARE_MIN};
-
-/// A set of dense `u32` object IDs with a small-vector/bitmap/shared
+/// A set of dense `u32` object IDs with an inline/small-vector/bitmap
 /// hybrid representation. See the module docs for the design rationale.
 #[derive(Debug, Clone, Default)]
 pub struct PtsSet {
@@ -60,14 +48,6 @@ enum Repr {
     Small(Vec<u32>),
     /// Bit `v` of `words[v / 64]` set iff `v` is a member.
     Bitmap { words: Vec<u64>, len: u32 },
-    /// A hash-consed immutable base (owned by a [`PtsStore`], shared with
-    /// every set of identical content) plus a sorted copy-on-write
-    /// overlay of elements not in the base. Cloning is O(1) on the base;
-    /// mutation never affects other holders.
-    Shared {
-        base: Arc<SharedRep>,
-        overlay: Vec<u32>,
-    },
 }
 
 impl Default for Repr {
@@ -93,7 +73,6 @@ impl PtsSet {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Small(v) => v.len(),
             Repr::Bitmap { len, .. } => *len as usize,
-            Repr::Shared { base, overlay } => base.len as usize + overlay.len(),
         }
     }
 
@@ -103,28 +82,27 @@ impl PtsSet {
         self.len() == 0
     }
 
-    /// `true` while the set uses the (private) bitmap representation.
+    /// `true` once the set has left the sorted small stages for the
+    /// bitmap — the transition the solver's `set_promotions` profile
+    /// counter records.
     #[must_use]
     pub fn is_bitmap(&self) -> bool {
         matches!(self.repr, Repr::Bitmap { .. })
     }
 
-    /// `true` once the set holds a hash-consed shared base.
+    /// Heap bytes held by the bitmap's word array (0 in the sorted
+    /// stages). The solver sums these into the deterministic memory
+    /// model behind `--max-memory`.
     #[must_use]
-    pub fn is_shared(&self) -> bool {
-        matches!(self.repr, Repr::Shared { .. })
+    pub fn bitmap_bytes(&self) -> u64 {
+        match &self.repr {
+            Repr::Bitmap { words, .. } => words.len() as u64 * 8,
+            Repr::Inline { .. } | Repr::Small(_) => 0,
+        }
     }
 
-    /// `true` once the set has left the sorted small stages (bitmap or
-    /// shared) — the transition the solver's `set_promotions` profile
-    /// counter records.
-    #[must_use]
-    pub fn is_promoted(&self) -> bool {
-        matches!(self.repr, Repr::Bitmap { .. } | Repr::Shared { .. })
-    }
-
-    /// Membership test: binary search (small), bit test (bitmap), or
-    /// base bit test plus overlay binary search (shared).
+    /// Membership test: linear scan (inline), binary search (small) or
+    /// bit test (bitmap).
     #[must_use]
     pub fn contains(&self, v: u32) -> bool {
         match &self.repr {
@@ -134,7 +112,6 @@ impl PtsSet {
                 let w = (v >> 6) as usize;
                 w < words.len() && words[w] & (1u64 << (v & 63)) != 0
             }
-            Repr::Shared { base, overlay } => base.contains(v) || overlay.binary_search(&v).is_ok(),
         }
     }
 
@@ -199,109 +176,6 @@ impl PtsSet {
                     true
                 }
             }
-            Repr::Shared { base, overlay } => {
-                if base.contains(v) {
-                    return false;
-                }
-                match overlay.binary_search(&v) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        overlay.insert(pos, v);
-                        if overlay.len() >= OVERLAY_MAX {
-                            // No store at hand to re-intern: materialize a
-                            // private bitmap. Content (the only thing the
-                            // solver observes) is unaffected.
-                            let len = base.len + overlay.len() as u32;
-                            let words = merge_words(base, overlay);
-                            self.repr = Repr::Bitmap { words, len };
-                        }
-                        true
-                    }
-                }
-            }
-        }
-    }
-
-    /// Inserts `v` with access to the solver's intern store; returns
-    /// `true` if it was not already present. Behaves exactly like
-    /// [`PtsSet::insert`] on content, and additionally promotes the set
-    /// into the `Shared` stage at the [`SHARE_MIN`] boundary (when the
-    /// store is enabled), flushes full copy-on-write overlays back
-    /// through the store, and maintains the store's deterministic
-    /// bitmap-byte model for `--max-memory` budgets.
-    pub fn insert_in(&mut self, store: &mut PtsStore, v: u32) -> bool {
-        match &mut self.repr {
-            Repr::Inline { .. } | Repr::Small(_) => {
-                let added = self.insert(v);
-                // A successful insert may just have promoted small →
-                // bitmap; account for the fresh word array.
-                if added {
-                    if let Repr::Bitmap { words, .. } = &self.repr {
-                        if self.len() == SMALL_MAX + 1 {
-                            store.track_bitmap_bytes(words.len() as u64 * 8);
-                        }
-                    }
-                }
-                added
-            }
-            Repr::Bitmap { words, len } => {
-                let w = (v >> 6) as usize;
-                if w >= words.len() {
-                    store.track_bitmap_bytes((w + 1 - words.len()) as u64 * 8);
-                    words.resize(w + 1, 0);
-                }
-                let bit = 1u64 << (v & 63);
-                if words[w] & bit != 0 {
-                    return false;
-                }
-                words[w] |= bit;
-                *len += 1;
-                if store.is_enabled() && *len as usize >= SHARE_MIN {
-                    let taken = std::mem::take(words);
-                    store.untrack_bitmap_bytes(taken.len() as u64 * 8);
-                    let base = store.intern(taken, *len);
-                    self.repr = Repr::Shared {
-                        base,
-                        overlay: Vec::new(),
-                    };
-                }
-                true
-            }
-            Repr::Shared { base, overlay } => {
-                if base.contains(v) {
-                    return false;
-                }
-                match overlay.binary_search(&v) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        overlay.insert(pos, v);
-                        if overlay.len() >= OVERLAY_MAX {
-                            let len = base.len + overlay.len() as u32;
-                            let words = merge_words(base, overlay);
-                            let old = std::mem::replace(base, store.intern(words, len));
-                            // Evict the superseded base if this set was
-                            // its last holder.
-                            store.release(&old);
-                            overlay.clear();
-                        }
-                        true
-                    }
-                }
-            }
-        }
-    }
-
-    /// Empties the set, returning any store-owned resources: a `Shared`
-    /// base is released back to `store` (evicting it if this set was the
-    /// last holder) and bitmap bytes leave the store's deterministic
-    /// memory model. The retraction path of the incremental solver clears
-    /// whole keys through this — element-wise removal is never needed
-    /// because invalidation is key-granular.
-    pub fn clear_in(&mut self, store: &mut PtsStore) {
-        match std::mem::take(&mut self.repr) {
-            Repr::Bitmap { words, .. } => store.untrack_bitmap_bytes(words.len() as u64 * 8),
-            Repr::Shared { base, .. } => store.release(&base),
-            Repr::Inline { .. } | Repr::Small(_) => {}
         }
     }
 
@@ -315,14 +189,6 @@ impl PtsSet {
                 word_idx: 0,
                 cur: words.first().copied().unwrap_or(0),
             },
-            Repr::Shared { base, overlay } => Iter::Shared {
-                words: &base.words,
-                word_idx: 0,
-                cur: base.words.first().copied().unwrap_or(0),
-                overlay: overlay.iter(),
-                bit_peek: None,
-                ov_peek: None,
-            },
         }
     }
 
@@ -334,26 +200,6 @@ impl PtsSet {
             Repr::Bitmap { words, len } => {
                 out.reserve(*len as usize);
                 extend_from_words(words, out);
-            }
-            Repr::Shared { base, overlay } => {
-                out.reserve(base.len as usize + overlay.len());
-                // Merge the base's word scan with the sorted overlay
-                // (disjoint by construction, so no equality case).
-                let mut oi = 0;
-                for (wi, &w) in base.words.iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        let bit = w.trailing_zeros();
-                        let v = (wi as u32) << 6 | bit;
-                        while oi < overlay.len() && overlay[oi] < v {
-                            out.push(overlay[oi]);
-                            oi += 1;
-                        }
-                        out.push(v);
-                        w &= w - 1;
-                    }
-                }
-                out.extend_from_slice(&overlay[oi..]);
             }
         }
     }
@@ -371,19 +217,6 @@ fn extend_from_words(words: &[u64], out: &mut Vec<u32>) {
     }
 }
 
-/// Base words ∪ overlay bits, sized for the larger of the two.
-fn merge_words(base: &SharedRep, overlay: &[u32]) -> Vec<u64> {
-    let need = overlay.last().map_or(base.words.len(), |&m| {
-        ((m >> 6) as usize + 1).max(base.words.len())
-    });
-    let mut words = vec![0u64; need];
-    words[..base.words.len()].copy_from_slice(&base.words);
-    for &e in overlay {
-        words[(e >> 6) as usize] |= 1u64 << (e & 63);
-    }
-    words
-}
-
 /// Ascending iterator over a [`PtsSet`].
 pub enum Iter<'a> {
     /// Small representation: slice iterator.
@@ -396,22 +229,6 @@ pub enum Iter<'a> {
         word_idx: usize,
         /// Remaining bits of the current word.
         cur: u64,
-    },
-    /// Shared representation: merge of the base's word scan with the
-    /// sorted overlay (disjoint, so the min is always unambiguous).
-    Shared {
-        /// The interned base's bitmap words.
-        words: &'a [u64],
-        /// Index of the word `cur` was loaded from.
-        word_idx: usize,
-        /// Remaining bits of the current word.
-        cur: u64,
-        /// Remaining overlay elements.
-        overlay: std::slice::Iter<'a, u32>,
-        /// Next base element, if already pulled.
-        bit_peek: Option<u32>,
-        /// Next overlay element, if already pulled.
-        ov_peek: Option<u32>,
     },
 }
 
@@ -437,52 +254,6 @@ impl Iterator for Iter<'_> {
                 }
                 *cur = words[*word_idx];
             },
-            Iter::Shared {
-                words,
-                word_idx,
-                cur,
-                overlay,
-                bit_peek,
-                ov_peek,
-            } => {
-                if bit_peek.is_none() {
-                    *bit_peek = loop {
-                        if *cur != 0 {
-                            let bit = cur.trailing_zeros();
-                            *cur &= *cur - 1;
-                            break Some((*word_idx as u32) << 6 | bit);
-                        }
-                        *word_idx += 1;
-                        if *word_idx >= words.len() {
-                            break None;
-                        }
-                        *cur = words[*word_idx];
-                    };
-                }
-                if ov_peek.is_none() {
-                    *ov_peek = overlay.next().copied();
-                }
-                match (*bit_peek, *ov_peek) {
-                    (Some(b), Some(o)) => {
-                        if b < o {
-                            *bit_peek = None;
-                            Some(b)
-                        } else {
-                            *ov_peek = None;
-                            Some(o)
-                        }
-                    }
-                    (Some(b), None) => {
-                        *bit_peek = None;
-                        Some(b)
-                    }
-                    (None, Some(o)) => {
-                        *ov_peek = None;
-                        Some(o)
-                    }
-                    (None, None) => None,
-                }
-            }
         }
     }
 }
@@ -549,6 +320,25 @@ mod tests {
             assert!(s.contains(v * 3));
         }
         assert!(s.contains(1));
+    }
+
+    /// `bitmap_bytes` is 0 in the sorted stages and the word array's size
+    /// from promotion on; the solver's memory model sums it.
+    #[test]
+    fn bitmap_bytes_track_the_word_array() {
+        let mut s = PtsSet::new();
+        for v in 0..SMALL_MAX as u32 {
+            s.insert(v);
+        }
+        assert_eq!(s.bitmap_bytes(), 0);
+        // Promotion sizes the array for the largest member: one word.
+        s.insert(SMALL_MAX as u32);
+        assert_eq!(s.bitmap_bytes(), 8);
+        // Growth to word 15, then a member of a word already there.
+        s.insert(1000);
+        assert_eq!(s.bitmap_bytes(), 16 * 8);
+        s.insert(999);
+        assert_eq!(s.bitmap_bytes(), 16 * 8);
     }
 
     #[test]
@@ -636,237 +426,5 @@ mod tests {
             let want: Vec<u32> = model.iter().copied().collect();
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn shared_promotion_exactly_at_share_min() {
-        let mut store = PtsStore::new();
-        let mut s = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 - 1 {
-            assert!(s.insert_in(&mut store, v * 3));
-        }
-        assert!(s.is_bitmap(), "should be a private bitmap below SHARE_MIN");
-        assert!(!s.is_shared(), "promoted to Shared too early");
-        // Duplicate insert must not promote.
-        assert!(!s.insert_in(&mut store, 0));
-        assert!(!s.is_shared());
-        // The SHARE_MIN-th distinct element interns the set.
-        assert!(s.insert_in(&mut store, 1));
-        assert!(s.is_shared(), "not interned at the SHARE_MIN boundary");
-        assert!(s.is_promoted());
-        assert_eq!(s.len(), SHARE_MIN);
-        assert_eq!(store.sets_interned(), 1);
-        assert_eq!(store.sets_shared(), 0);
-        for v in 0..SHARE_MIN as u32 - 1 {
-            assert!(s.contains(v * 3));
-        }
-        assert!(s.contains(1));
-        // A disabled store never promotes past the bitmap stage.
-        let mut off = PtsStore::disabled();
-        let mut u = PtsSet::new();
-        for v in 0..2 * SHARE_MIN as u32 {
-            u.insert_in(&mut off, v);
-        }
-        assert!(u.is_bitmap() && !u.is_shared());
-        assert_eq!(off.sets_interned(), 0);
-    }
-
-    #[test]
-    fn identical_contents_share_one_representation() {
-        let mut store = PtsStore::new();
-        let mut a = PtsSet::new();
-        let mut b = PtsSet::new();
-        // Same insert sequence — the copy-chain pattern the store exists
-        // for. The second promotion must hit the first's representation.
-        for v in 0..SHARE_MIN as u32 {
-            a.insert_in(&mut store, v * 5);
-        }
-        for v in 0..SHARE_MIN as u32 {
-            b.insert_in(&mut store, v * 5);
-        }
-        assert!(a.is_shared() && b.is_shared());
-        assert_eq!(store.sets_interned(), 1, "second set re-interned");
-        assert_eq!(store.sets_shared(), 1);
-        assert!(store.bytes_saved() > 0);
-        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn overlay_flush_reinterns_at_overlay_max() {
-        let mut store = PtsStore::new();
-        let mut s = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 {
-            s.insert_in(&mut store, v);
-        }
-        assert!(s.is_shared());
-        let interned_before = store.sets_interned();
-        // OVERLAY_MAX - 1 overlay inserts stay buffered...
-        for i in 0..OVERLAY_MAX as u32 - 1 {
-            assert!(s.insert_in(&mut store, 1000 + i));
-        }
-        assert_eq!(store.sets_interned(), interned_before);
-        // ...and the OVERLAY_MAX-th flushes base ∪ overlay back into the
-        // store as a fresh representation.
-        assert!(s.insert_in(&mut store, 2000));
-        assert_eq!(store.sets_interned(), interned_before + 1);
-        assert!(s.is_shared(), "flush must stay in the Shared stage");
-        assert_eq!(s.len(), SHARE_MIN + OVERLAY_MAX);
-        for v in 0..SHARE_MIN as u32 {
-            assert!(s.contains(v));
-        }
-        for i in 0..OVERLAY_MAX as u32 - 1 {
-            assert!(s.contains(1000 + i));
-        }
-        assert!(s.contains(2000));
-    }
-
-    #[test]
-    fn cow_clone_mutation_is_isolated() {
-        let mut store = PtsStore::new();
-        let mut a = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 + 3 {
-            a.insert_in(&mut store, v * 2);
-        }
-        assert!(a.is_shared());
-        let snapshot: Vec<u32> = a.iter().collect();
-        // O(1) clone: both sets point at the same interned base.
-        let mut b = a.clone();
-        // Mutating the clone (through both insert paths, past a flush)
-        // must never leak into the original.
-        for i in 0..2 * OVERLAY_MAX as u32 {
-            b.insert_in(&mut store, 100_001 + 2 * i);
-        }
-        b.insert(999_999);
-        assert_eq!(a.iter().collect::<Vec<_>>(), snapshot, "COW leaked");
-        assert!(!a.contains(999_999));
-        assert!(b.contains(999_999) && b.contains(100_001));
-    }
-
-    #[test]
-    fn plain_insert_demotes_shared_to_private_bitmap() {
-        let mut store = PtsStore::new();
-        let mut s = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 {
-            s.insert_in(&mut store, v);
-        }
-        assert!(s.is_shared());
-        let mut want: BTreeSet<u32> = (0..SHARE_MIN as u32).collect();
-        // Plain inserts (no store at hand) buffer in the overlay, then
-        // demote to a private bitmap on overflow — never a re-intern.
-        let interned_before = store.sets_interned();
-        for i in 0..OVERLAY_MAX as u32 {
-            assert!(s.insert(500 + i));
-            want.insert(500 + i);
-        }
-        assert!(s.is_bitmap(), "overflowed overlay should demote");
-        assert!(!s.is_shared());
-        assert!(s.is_promoted());
-        assert_eq!(store.sets_interned(), interned_before);
-        let got: Vec<u32> = s.iter().collect();
-        assert_eq!(got, want.iter().copied().collect::<Vec<_>>());
-    }
-
-    /// The `BTreeSet` fuzz loop again, driven through `insert_in` far
-    /// past `SHARE_MIN` so every stage transition (inline → small →
-    /// bitmap → shared, overlay flushes, clone-COW) is exercised.
-    #[test]
-    fn fuzz_shared_stage_against_btreeset_model() {
-        use pta_ir::rng::Rng;
-        for seed in 0..6u64 {
-            let mut rng = Rng::seed_from_u64(0x544A_0000 + seed);
-            let mut store = PtsStore::new();
-            let mut set = PtsSet::new();
-            let mut model: BTreeSet<u32> = BTreeSet::new();
-            let universe = match seed % 3 {
-                0 => 512u32,
-                1 => 1 << 13,
-                _ => 1 << 22,
-            };
-            for step in 0..4_000 {
-                let v = rng.gen_range(0..universe);
-                assert_eq!(
-                    set.insert_in(&mut store, v),
-                    model.insert(v),
-                    "insert_in({v}) verdict"
-                );
-                if model.len() >= SHARE_MIN {
-                    assert!(set.is_shared(), "should be shared past SHARE_MIN");
-                }
-                // Periodically COW-clone and check the clone reads back
-                // the same contents through the merged iterator.
-                if step % 1_000 == 999 {
-                    let c = set.clone();
-                    assert_eq!(c.len(), model.len());
-                    let got: Vec<u32> = c.iter().collect();
-                    let want: Vec<u32> = model.iter().copied().collect();
-                    assert_eq!(got, want);
-                }
-            }
-            assert_eq!(set.len(), model.len());
-            for _ in 0..500 {
-                let v = rng.gen_range(0..universe);
-                assert_eq!(set.contains(v), model.contains(&v), "contains({v})");
-            }
-            let got: Vec<u32> = set.iter().collect();
-            let want: Vec<u32> = model.iter().copied().collect();
-            assert_eq!(got, want);
-            let mut out = Vec::new();
-            set.extend_into(&mut out);
-            assert_eq!(out, want, "extend_into disagrees with the model");
-        }
-    }
-
-    /// The retraction path of the incremental solver empties whole keys
-    /// through `clear_in`; shared representations must leave the store
-    /// when their last holder is cleared, or every `apply()` with
-    /// retractions would leak superseded representations into the index
-    /// forever.
-    #[test]
-    fn retraction_clear_evicts_last_holder_shared_representations() {
-        let mut store = PtsStore::new();
-        let mut a = PtsSet::new();
-        let mut b = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 {
-            a.insert_in(&mut store, v * 2);
-        }
-        for v in 0..SHARE_MIN as u32 {
-            b.insert_in(&mut store, v * 2);
-        }
-        assert!(a.is_shared() && b.is_shared());
-        let saved = store.bytes_saved();
-        assert!(saved > 0, "copy chain should have produced an intern hit");
-        let live = store.heap_bytes();
-        assert!(live > 0);
-
-        // First clear: the sibling still holds the representation, so it
-        // stays in the store.
-        a.clear_in(&mut store);
-        assert!(a.is_empty());
-        assert_eq!(store.heap_bytes(), live, "rep still live through b");
-
-        // Last clear: the representation leaves the index and the
-        // deterministic memory model.
-        b.clear_in(&mut store);
-        assert!(b.is_empty());
-        assert_eq!(store.heap_bytes(), 0, "last holder cleared: rep leaked");
-
-        // `bytes_saved` is a cumulative event counter — eviction must
-        // never wind it back (monotonicity guard).
-        assert_eq!(store.bytes_saved(), saved);
-
-        // Same contents again: no stale index entry to hit, so this is a
-        // fresh intern, not a share.
-        let hits = store.sets_shared();
-        let mut c = PtsSet::new();
-        for v in 0..SHARE_MIN as u32 {
-            c.insert_in(&mut store, v * 2);
-        }
-        assert!(c.is_shared());
-        assert_eq!(
-            store.sets_shared(),
-            hits,
-            "hit against an evicted representation"
-        );
-        assert!(store.heap_bytes() > 0);
     }
 }

@@ -151,17 +151,12 @@ pub struct SolverStats {
     /// Always 0, for the same reason as `par_rounds` (it counted the
     /// removed parallel solver's cross-shard messages).
     pub par_msgs: u64,
-    /// Distinct large-set representations interned by the hash-consing
-    /// store (0 under `--no-share`).
-    pub sets_interned: u64,
-    /// Intern probes that unified with an existing representation — each
-    /// one is a set now sharing storage instead of duplicating it.
+    /// Always 0, for the same reason as `par_rounds` (it counted the
+    /// removed hash-consed set store's intern hits).
     pub sets_shared: u64,
-    /// Bytes of duplicate set representations avoided by unification.
+    /// Always 0, for the same reason as `par_rounds` (it counted the
+    /// bytes the removed hash-consed set store deduplicated).
     pub bytes_saved: u64,
-    /// Superseded shared representations evicted from the hash-consing
-    /// store after an overlay flush replaced them (0 under `--no-share`).
-    pub sets_evicted: u64,
     /// Fixpoint rounds executed by the Datalog engine (0 for dense runs).
     pub engine_rounds: u64,
     /// Strata executed by the Datalog engine (0 for dense runs).
@@ -214,10 +209,8 @@ impl SolverStats {
             ("demoted_methods", self.demoted_methods),
             ("par_rounds", self.par_rounds),
             ("par_msgs", self.par_msgs),
-            ("sets_interned", self.sets_interned),
             ("sets_shared", self.sets_shared),
             ("bytes_saved", self.bytes_saved),
-            ("sets_evicted", self.sets_evicted),
             ("engine_rounds", self.engine_rounds),
             ("engine_strata", self.engine_strata),
             ("engine_rows", self.engine_rows),

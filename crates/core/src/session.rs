@@ -217,12 +217,16 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         self
     }
 
-    /// Toggles hash-consing of large points-to sets (`--no-share` passes
-    /// `false`). On by default; results are byte-identical either way.
+    /// Does nothing. This once toggled a hash-consed stage for large
+    /// points-to sets, which was removed because it made solves slower
+    /// to save a few percent of peak heap. It remains so that code
+    /// written against it (`benchmark/` calls it) keeps compiling.
+    #[deprecated(
+        since = "0.16.0",
+        note = "points-to sets are never hash-consed; this is a no-op"
+    )]
     #[must_use]
-    pub fn share(mut self, share: bool) -> Self {
-        self.config.share = share;
-        self.retained = None;
+    pub fn share(self, _share: bool) -> Self {
         self
     }
 

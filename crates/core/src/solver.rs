@@ -60,11 +60,11 @@ use crate::context::{CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner};
 use crate::fault::FaultPlan;
 use crate::policy::ContextPolicy;
 use crate::pts::PtsSet;
-use crate::pts_store::PtsStore;
 use crate::results::{CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, SolverStats};
 
-/// Solver configuration.
-#[derive(Debug, Clone)]
+/// Solver configuration. The default is an unlimited, uninstrumented,
+/// non-retaining solve.
+#[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
     /// Retain the full context-sensitive tuple set in the result (memory
     /// proportional to the sensitive var-points-to metric). Off by default.
@@ -95,11 +95,6 @@ pub struct SolverConfig {
     /// tuples, cumulative ns; hottest variables) into the result. Off by
     /// default; enabling it adds two clock reads per rule batch.
     pub profile: bool,
-    /// Hash-cons large points-to sets in a solver-owned
-    /// [`crate::pts_store::PtsStore`]. **On by default**; `--no-share`
-    /// turns it off for differential debugging. Results are byte-identical
-    /// either way — only memory (and the `sets_*` stats) change.
-    pub share: bool,
     /// Keep the solver state alive after the fixpoint so a later
     /// [`ProgramDelta`](pta_ir::ProgramDelta) can be applied incrementally
     /// (see [`crate::AnalysisSession::apply`]). Off by default: retention
@@ -107,23 +102,6 @@ pub struct SolverConfig {
     /// them, and maintains derivation-support counts on the
     /// inter-procedural edge set.
     pub retain: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            keep_tuples: false,
-            track_provenance: false,
-            budget: Budget::default(),
-            degrade: false,
-            cancel: None,
-            fault: None,
-            trace: pta_obs::Trace::default(),
-            profile: false,
-            share: true,
-            retain: false,
-        }
-    }
 }
 
 /// Stable rule order for solver profiles and per-rule trace spans: the
@@ -642,9 +620,10 @@ pub(crate) struct Solver<P: ContextPolicy> {
     buf2: Vec<u32>,
     ipa_buf: Vec<u32>,
 
-    /// Intern store for the `Shared` points-to stage (disabled under
-    /// `--no-share`; insert paths are uniform either way).
-    store: PtsStore,
+    /// Bytes held by the bitmap word arrays of every var, field and
+    /// static points-to set: the deterministic set-memory term of
+    /// [`Solver::mem_estimate`].
+    bitmap_bytes: u64,
 
     stats: SolverStats,
 
@@ -713,7 +692,6 @@ impl<P: ContextPolicy> Solver<P> {
         let n_fields = program.field_count();
         let prof = (config.profile || config.trace.is_enabled()).then(Box::<RuleProf>::default);
         let ts = config.trace.scope(0);
-        let share = config.share;
         let index = StaticIndex::build(&program);
         Solver {
             prof,
@@ -760,11 +738,7 @@ impl<P: ContextPolicy> Solver<P> {
             buf: Vec::new(),
             buf2: Vec::new(),
             ipa_buf: Vec::new(),
-            store: if share {
-                PtsStore::new()
-            } else {
-                PtsStore::disabled()
-            },
+            bitmap_bytes: 0,
             stats: SolverStats::default(),
         }
     }
@@ -1078,7 +1052,7 @@ impl<P: ContextPolicy> Solver<P> {
             + self.ctxs.mem_bytes()
             + self.hctxs.mem_bytes()
             + (self.stats.vpt_inserted + self.stats.fld_inserted) * 4
-            + self.store.heap_bytes()
+            + self.bitmap_bytes
     }
 
     // ----- dense ID management ---------------------------------------------
@@ -1146,11 +1120,11 @@ impl<P: ContextPolicy> Solver<P> {
         }
         let profiling = self.prof.is_some();
         let entry = &mut self.entries[key as usize];
-        let store = &mut self.store;
-        let was_promoted = profiling && entry.set.is_promoted();
+        let was_bitmap = profiling && entry.set.is_bitmap();
+        let bytes_before = entry.set.bitmap_bytes();
         let mut newly = 0u64;
         for &obj in objs {
-            if entry.set.insert_in(store, obj) {
+            if entry.set.insert(obj) {
                 entry.delta.push(obj);
                 self.stats.vpt_inserted += 1;
                 newly += 1;
@@ -1161,8 +1135,9 @@ impl<P: ContextPolicy> Solver<P> {
                 self.stats.vpt_dup += 1;
             }
         }
+        self.bitmap_bytes += entry.set.bitmap_bytes() - bytes_before;
         if profiling {
-            let promoted = !was_promoted && entry.set.is_promoted();
+            let promoted = !was_bitmap && entry.set.is_bitmap();
             let p = self.prof.as_deref_mut().expect("profiling implies prof");
             p.derived[Self::rule_of(reason)] += newly;
             p.set_promotions += u64::from(promoted);
@@ -1195,12 +1170,13 @@ impl<P: ContextPolicy> Solver<P> {
         fresh.clear();
         {
             let entry = &mut self.fentries[fe as usize];
-            let store = &mut self.store;
+            let bytes_before = entry.set.bitmap_bytes();
             for &v in vals {
-                if entry.set.insert_in(store, v) {
+                if entry.set.insert(v) {
                     fresh.push(v);
                 }
             }
+            self.bitmap_bytes += entry.set.bitmap_bytes() - bytes_before;
         }
         if !fresh.is_empty() {
             self.stats.fld_inserted += fresh.len() as u64;
@@ -1240,12 +1216,13 @@ impl<P: ContextPolicy> Solver<P> {
         fresh.clear();
         {
             let entry = &mut self.statics[field as usize];
-            let store = &mut self.store;
+            let bytes_before = entry.set.bitmap_bytes();
             for &v in vals {
-                if entry.set.insert_in(store, v) {
+                if entry.set.insert(v) {
                     fresh.push(v);
                 }
             }
+            self.bitmap_bytes += entry.set.bitmap_bytes() - bytes_before;
         }
         if !fresh.is_empty() {
             self.prof_derive(R_SSTORE, fresh.len() as u64);
@@ -1686,10 +1663,6 @@ impl<P: ContextPolicy> Solver<P> {
         self.stats.objects = self.objs.len() as u64;
         self.stats.steps = self.steps;
         self.stats.demoted_methods = self.demoted_sites.len() as u64;
-        self.stats.sets_interned = self.store.sets_interned();
-        self.stats.sets_shared = self.store.sets_shared();
-        self.stats.bytes_saved = self.store.bytes_saved();
-        self.stats.sets_evicted = self.store.sets_evicted();
         self.demoted_sites.sort_unstable_by_key(|d| d.method);
 
         // Resolves a dense (key, object) pair to the public tuple form.

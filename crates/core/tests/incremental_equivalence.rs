@@ -445,14 +445,12 @@ fn fallbacks_on_exception_traffic_are_exact() {
     );
 }
 
-/// Shared-set hygiene across `apply`: retraction clears dead keys through
-/// `PtsSet::clear_in`, which releases last-holder representations back to
-/// the store instead of leaking them, and the cumulative `bytes_saved`
-/// counter never moves backwards across applies.
+/// Retraction over large sets: a copy chain of a 150-object points-to
+/// set (well past the small → bitmap promotion) loses its copies one
+/// `apply` at a time. Each apply clears whole bitmap-stage keys and must
+/// stay exact against a scratch solve.
 #[test]
-fn retraction_path_keeps_shared_store_counters_monotone() {
-    // A copy chain over a >SHARE_MIN points-to set, so the shared
-    // representation stage actually engages.
+fn retracting_copies_of_a_bitmap_set_matches_scratch() {
     let mut b = ProgramBuilder::new();
     let object = b.class("Object", None);
     let thing = b.class("Thing", Some(object));
@@ -472,15 +470,9 @@ fn retraction_path_keeps_shared_store_counters_monotone() {
         .policy(Analysis::Insens)
         .incremental(true);
     let r0 = session.solve();
-    assert!(
-        r0.solver_stats().sets_shared > 0,
-        "copy chain must produce intern hits"
-    );
-    let mut saved = r0.solver_stats().bytes_saved;
-    assert!(saved > 0);
+    assert_eq!(r0.points_to(d).len(), 150);
 
-    // Retract the copies one at a time; each apply clears the dead key
-    // (releasing its shared base) and must stay exact.
+    // Retract the copies one at a time; each apply clears the dead key.
     let mut program = base.clone();
     for _ in 0..2 {
         let last = program.instrs(main).len() - 1;
@@ -497,9 +489,6 @@ fn retraction_path_keeps_shared_store_counters_monotone() {
             fingerprint(&next, &r),
             scratch(&next, Analysis::Insens, Backend::Dense)
         );
-        let now = r.solver_stats().bytes_saved;
-        assert!(now >= saved, "bytes_saved went backwards: {now} < {saved}");
-        saved = now;
         program = next;
     }
 }

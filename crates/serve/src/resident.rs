@@ -83,8 +83,6 @@ pub struct SolveConfig {
     /// Startup budget per (program, policy) solve; a trip engages the
     /// context-insensitive fallback.
     pub budget: Budget,
-    /// Hash-consed shared points-to sets (the batch default).
-    pub share: bool,
     /// The daemon's metrics registry, attached to every resident
     /// session so solver/apply counters land in one place. Disabled by
     /// default (records nothing, allocates nothing).
@@ -95,7 +93,6 @@ impl Default for SolveConfig {
     fn default() -> Self {
         SolveConfig {
             budget: Budget::unlimited(),
-            share: true,
             metrics: Metrics::disabled(),
         }
     }
@@ -421,7 +418,6 @@ fn resolve_primary(
         // magnitude), and tag every response partial.
         let fallback = AnalysisSession::from_arc(Arc::clone(program))
             .policy(Analysis::Insens)
-            .share(solve.share)
             .metrics(solve.metrics.clone())
             .solve();
         (fallback, true)
@@ -440,7 +436,6 @@ fn solve_entry(program: &Arc<Program>, policy: Analysis, solve: &SolveConfig) ->
     let mut session = AnalysisSession::from_arc(Arc::clone(program))
         .policy(policy)
         .budget(solve.budget.clone())
-        .share(solve.share)
         .incremental(true)
         .metrics(solve.metrics.clone());
     let primary = session.solve();

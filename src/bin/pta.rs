@@ -37,9 +37,6 @@
 //!                          profile (fires, derived tuples, cumulative ms)
 //!                          and the hottest variables by set size; rides
 //!                          under "profile" with --format json
-//!     --no-share           disable hash-consing of large points-to sets
-//!                          (differential debugging; results are identical,
-//!                          only memory and the sets_* counters change)
 //! pta explain FILE.jir VAR OBJ [--analysis NAME]
 //!                                        run one analysis with provenance
 //!                                        tracking and print the derivation
@@ -92,7 +89,6 @@
 //!     --inject-faults R,K  fault injection: rate R in [0,1] and `+`-joined
 //!                          kinds from delay|cancel|exhaust|garble
 //!     --fault-seed N       injection decision seed (default 0)
-//!     --no-share           disable hash-consed sets in startup solves
 //!     --trace FILE         Chrome trace of the request lifecycle
 //!     --metrics-addr H:P   serve Prometheus text at http://H:P/metrics
 //!                          (port 0 = OS-assigned); the `metrics` op
@@ -466,7 +462,7 @@ fn describe(a: Analysis) -> &'static str {
 const ANALYZE_USAGE: &str = "usage: pta analyze FILE.jir [--analysis NAME] [--format text|json] \
 [--metrics] [--stats] [--points-to VAR] [--explain VAR] [--casts] [--devirt] [--exceptions] \
 [--hot] [--datalog] [--timeout SECS] [--max-steps N] [--max-memory BYTES] [--watermark N] \
-[--degrade] [--trace FILE] [--profile] [--no-share]";
+[--degrade] [--trace FILE] [--profile]";
 
 fn cmd_analyze(args: &[String]) -> Exit {
     let path = leading(args, "FILE.jir", ANALYZE_USAGE)?;
@@ -480,14 +476,12 @@ fn cmd_analyze(args: &[String]) -> Exit {
     let mut explain: Vec<String> = Vec::new();
     let mut trace_path: Option<String> = None;
     let mut profile = false;
-    let mut share = true;
     let mut shared = AnalysisArgs::parse(Takes::All, &args[1..], ANALYZE_USAGE, |c| {
         match c.flag() {
             "--points-to" => points_to.push(c.text("a variable name")?),
             "--explain" => explain.push(c.text("a variable name")?),
             "--trace" => trace_path = Some(c.text("an output file path")?),
             "--profile" => profile = true,
-            "--no-share" => share = false,
             "--metrics" => metrics = true,
             "--stats" => stats = true,
             "--hot" => hot = true,
@@ -556,8 +550,7 @@ fn cmd_analyze(args: &[String]) -> Exit {
             .keep_tuples(hot)
             .track_provenance(!explain.is_empty())
             .trace(trace.clone())
-            .profile(profile)
-            .share(share);
+            .profile(profile);
         let t_run = ts.now_ns();
         let result: PointsToResult = session.solve();
         let elapsed = start.elapsed();
@@ -1190,7 +1183,7 @@ const SERVE_USAGE: &str = "usage: pta serve [FILE.jir ...] [--workload NAME:SCAL
 [--policy NAME] [--workers N] [--queue N] [--deadline-ms N] [--drain-ms N] \
 [--solve-timeout SECS] [--solve-max-steps N] [--solve-max-memory BYTES] [--port N] \
 [--port-file PATH] [--no-stdin] [--inject-faults RATE,KINDS] [--fault-seed N] \
-[--no-share] [--trace FILE] [--metrics-addr HOST:PORT] [--metrics-port-file PATH] \
+[--trace FILE] [--metrics-addr HOST:PORT] [--metrics-port-file PATH] \
 [--events FILE]";
 
 /// `pta serve`: parse the daemon flags into a [`ServeConfig`] and hand off
@@ -1241,7 +1234,6 @@ fn cmd_serve(args: &[String]) -> Exit {
             "--metrics-port-file" => cfg.metrics_port_file = Some(c.text("an output file path")?),
             "--events" => cfg.events_path = Some(c.text("an output file path")?),
             "--no-stdin" => cfg.use_stdin = false,
-            "--no-share" => cfg.solve.share = false,
             flag if flag.starts_with("--") => return Ok(false),
             file => cfg.sources.push(ProgramSource::File(file.to_string())),
         }

@@ -18,6 +18,7 @@
 
 use pta_clients::ExperimentMetrics;
 use pta_core::PointsToResult;
+use pta_obs::escape;
 
 /// Version of the per-run JSON object emitted by [`AnalysisReport::to_json`].
 ///
@@ -26,22 +27,6 @@ use pta_core::PointsToResult;
 /// sharded parallel solver (it only ever appeared on multi-threaded runs,
 /// so every v2 payload written since is a valid v2 payload).
 pub const SCHEMA_VERSION: u32 = 2;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Everything one `pta analyze` run wants to report. `time_secs` is passed
 /// in (not measured here) so tests can pin it and compare golden output.
@@ -83,8 +68,8 @@ impl AnalysisReport<'_> {
              \"threads\":{},\"time_secs\":{},\
              \"reachable_methods\":{},\"call_graph_edges\":{},\"termination\":\"{}\"",
             SCHEMA_VERSION,
-            esc(self.analysis),
-            esc(self.backend),
+            escape(self.analysis),
+            escape(self.backend),
             self.threads,
             if self.time_secs.is_finite() {
                 format!("{}", self.time_secs)
@@ -100,7 +85,7 @@ impl AnalysisReport<'_> {
                 .demoted
                 .iter()
                 .map(|(name, fanout)| {
-                    format!("{{\"method\":\"{}\",\"fanout\":{fanout}}}", esc(name))
+                    format!("{{\"method\":\"{}\",\"fanout\":{fanout}}}", escape(name))
                 })
                 .collect();
             out.push_str(&format!(",\"demoted_sites\":[{}]", sites.join(",")));

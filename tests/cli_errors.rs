@@ -28,12 +28,16 @@ fn unknown_flags_are_e030_usage_errors() {
         &["explain", "x.jir", "v", "o", "--frobnicate"],
         &["update", "x.jir", "--frobnicate"],
         &["lint", "x.jir", "--frobnicate"],
+        // Removed flags are unknown like any other.
+        &["analyze", "x.jir", "--no-share"],
+        &["serve", "--no-share"],
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = stderr(&out);
         assert!(err.contains("error[E030]"), "{args:?}: {err}");
-        assert!(err.contains("unknown flag --frobnicate"), "{err}");
+        let flag = args.last().unwrap();
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
     }
 }
 
