@@ -51,16 +51,6 @@ grep -q '"name":"alloc","cat":"rule"' /tmp/ci-obs.trace.json
 grep -q 'allocation site' /tmp/ci-obs-explain.out
 echo "    observability smoke OK: trace has solve/rule spans; explain printed a chain"
 
-# Gating: incremental-equivalence smoke. Replay a deterministic 5-edit
-# stream over the motivating example through a retained AnalysisSession
-# and byte-compare every incremental fixpoint against a from-scratch
-# solve (`pta update` exits non-zero on any divergence or fallback).
-echo "==> tier-1: incremental-equivalence smoke (pta update, 5 edits)"
-./target/release/pta update examples/programs/motivating.jir --edits 5 \
-  > /tmp/ci-incr.out
-grep -q 'identical to scratch' /tmp/ci-incr.out
-echo "    incremental smoke OK: 5 applies byte-identical to scratch solves"
-
 # Non-gating incremental-maintenance tier: regenerate the
 # BENCH_incremental.json experiment (single-method edits at scale 64
 # under 2obj+H) and flag drift against the checked-in artifact.

@@ -36,11 +36,10 @@
 //! no observability capture), the solver state from the
 //! previous solve is *retained* and the fixpoint is maintained in place
 //! (see [`crate::solver::incremental`]): additive edits resume semi-naive
-//! evaluation, retractions run delete-and-rederive over the invalidation
-//! cone, and anything the maintenance layer cannot handle exactly
-//! (exception-flow retraction, dispatch-changing overrides, excessive
-//! churn) transparently falls back to a from-scratch solve of the new
-//! program. Either way the result is byte-identical to a fresh solve;
+//! evaluation, and everything else (retracting edits, dispatch-changing
+//! overrides, catch clauses added under live exception flow)
+//! transparently falls back to a from-scratch solve of the new program.
+//! Either way the result is byte-identical to a fresh solve;
 //! [`AnalysisSession::last_apply_was_incremental`] reports which path ran.
 //!
 //! ## Back-end dispatch
@@ -282,7 +281,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     /// [`AnalysisSession::solve`] exports its solver counters
     /// (`pta_solver_*`) and every
     /// [`AnalysisSession::apply`] its outcome
-    /// (`pta_apply_total{mode=...}`, fallback reasons, cone sizes) into
+    /// (`pta_apply_total{mode=...}`, fallback reasons, maintained tuples) into
     /// it. A disabled registry (the default) is a true no-op. Pure
     /// observability: unlike the other builders this does *not* drop
     /// retained solver state, so a resident session can be instrumented
@@ -332,7 +331,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     }
 
     /// Maintenance counters from the last incremental
-    /// [`AnalysisSession::apply`] (cone sizes, maintained tuples), or
+    /// [`AnalysisSession::apply`] (maintained tuples), or
     /// `None` if the last apply re-solved from scratch (or no apply has
     /// happened yet).
     pub fn last_apply_stats(&self) -> Option<ApplyStats> {
@@ -441,6 +440,8 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                     self.last_fallback = Some(reason);
                 }
             }
+            // A fallen-back solver is dropped here, before the re-solve
+            // below, so the two never hold memory at the same time.
         }
         self.program = new_program;
         self.version += 1;
@@ -471,8 +472,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     }
 
     /// Exports one apply's outcome: which path ran, the fallback reason
-    /// if any, and (for incremental applies) the invalidation-cone sizes
-    /// and maintained-tuple count.
+    /// if any, and (for incremental applies) the maintained-tuple count.
     fn export_apply_metrics(&self) {
         if !self.metrics.is_enabled() {
             return;
@@ -483,11 +483,6 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                 .inc();
             m.counter("pta_apply_maintained_tuples_total", &[])
                 .add(s.maintained_tuples);
-            m.gauge("pta_apply_cone_keys", &[]).set(s.cone_keys);
-            m.gauge("pta_apply_cone_flds", &[]).set(s.cone_flds);
-            m.gauge("pta_apply_cone_statics", &[]).set(s.cone_statics);
-            m.gauge("pta_apply_cone_sites", &[]).set(s.cone_sites);
-            m.gauge("pta_apply_cone_reach", &[]).set(s.cone_reach);
         } else {
             m.counter("pta_apply_total", &[("mode", "full")]).inc();
             let reason = self.last_fallback.unwrap_or("no retained solver");
@@ -498,22 +493,17 @@ impl<P: ContextPolicy> AnalysisSession<P> {
 
     /// Produces the next program version from `delta`.
     ///
-    /// For additive deltas the session first recalls the retained
-    /// solver's program handle; if that leaves this session as the sole
-    /// owner of the current version, the edit mutates the program in
-    /// place — no arena clones. Any caller that kept an `Arc` to the
-    /// current version defeats uniqueness and gets the cloning path, so
-    /// old versions handed out through [`AnalysisSession::program`] are
-    /// never disturbed. Retracting deltas always clone: the maintenance
-    /// layer's cone collection reads the *old* program.
+    /// The session first recalls the retained solver's program handle; if
+    /// that leaves this session as the sole owner of the current version,
+    /// the edit mutates the program in place — no arena clones. Any caller
+    /// that kept an `Arc` to the current version defeats uniqueness and
+    /// gets the cloning path, so old versions handed out through
+    /// [`AnalysisSession::program`] are never disturbed.
     ///
     /// On `Err` the session (program and retained solver) is unchanged.
     /// On `Ok` the session's program slot holds a placeholder until the
     /// caller installs the returned version.
     fn advance_program(&mut self, delta: &ProgramDelta) -> Result<Arc<Program>, DeltaError> {
-        if delta.has_retractions() {
-            return Ok(Arc::new(self.program.apply_delta(delta)?));
-        }
         if let Some(s) = self.retained.as_mut() {
             s.set_program(placeholder_program());
         }

@@ -99,8 +99,7 @@ pub struct SolverConfig {
     /// [`ProgramDelta`](pta_ir::ProgramDelta) can be applied incrementally
     /// (see [`crate::AnalysisSession::apply`]). Off by default: retention
     /// clones the context interners into the result instead of moving
-    /// them, and maintains derivation-support counts on the
-    /// inter-procedural edge set.
+    /// them.
     pub retain: bool,
 }
 
@@ -177,9 +176,9 @@ pub(crate) fn solve_sequential<P: ContextPolicy + Clone>(
     Solver::new(Arc::clone(program), policy.clone(), config).solve()
 }
 
-/// Incremental fixpoint maintenance (delta application, invalidation-cone
-/// retraction, reseeding) — a child module so it can reach the solver's
-/// private state without widening any visibility.
+/// Incremental fixpoint maintenance (additive delta application) — a child
+/// module so it can reach the solver's private state without widening any
+/// visibility.
 #[path = "incremental.rs"]
 pub(crate) mod incremental;
 
@@ -305,8 +304,8 @@ impl StaticIndex {
     /// declares. Each CSR table is rebuilt by a linear merge of its old
     /// (already sorted) flat array with the few sorted new pairs, so the
     /// cost is one pass over the index instead of a re-scan and re-sort
-    /// of every instruction in the program. Retracting deltas must use
-    /// [`StaticIndex::build`] on the new program instead.
+    /// of every instruction in the program. Retracting deltas never get
+    /// here: they re-solve, building a fresh index.
     fn append_additive(&mut self, program: &Program, delta: &ProgramDelta) {
         let n_new = program.var_count();
         let n_old = self.rows.len() - 1;
@@ -574,23 +573,11 @@ pub(crate) struct Solver<P: ContextPolicy> {
     /// `Reachable(meth, ctx)`, as a dense interner (IDs unused; newness is
     /// detected by length growth).
     reachable: DenseMap<(u32, u32)>,
-    /// Tombstoned reachability-pair IDs. The dense interner is
-    /// append-only, so incremental retraction marks pairs dead instead of
-    /// removing them; [`Solver::mark_reachable`] resurrects a tombstoned
-    /// pair exactly like a fresh one. Always empty outside retained
-    /// sessions.
-    reach_dead: FxHashSet<u32>,
-    /// `(from_key, to_key) -> derivation count` for `InterProcAssign`
-    /// edges — how many call-graph edges installed this edge. Maintained
-    /// only under `config.retain`; retraction decrements and removes the
-    /// edge when its last support disappears (the counting layer of
-    /// incremental maintenance; edge supports are acyclic, unlike
-    /// points-to derivations, so counting is exact here).
-    ipa_support: FxHashMap<(u32, u32), u32>,
     /// `true` once any exception fact (escape or catch binding) has been
-    /// derived. Retraction under live exception flow falls back to a full
-    /// re-solve: throw propagation is recursive across the call graph and
-    /// its derivations are not tracked at key granularity.
+    /// derived. An incremental apply that adds a catch clause under live
+    /// exception flow falls back to a full re-solve: the new clause can
+    /// capture exceptions that already escaped, which is a retraction of
+    /// derived facts.
     exc_seen: bool,
 
     /// Keys with non-empty deltas, FIFO.
@@ -656,9 +643,8 @@ pub(crate) struct Solver<P: ContextPolicy> {
     /// Cached context-insensitive projections, carried across retained
     /// incremental applies so [`Solver::build_result`] only recomputes
     /// the variables that actually changed. Built on the first retained
-    /// build, patched additively, and dropped on any retracting apply
-    /// (retraction can shrink sets, which the dirty tracking does not
-    /// observe).
+    /// build and patched additively afterwards (incremental applies only
+    /// ever grow sets).
     proj_cache: Option<Box<ProjCache>>,
 }
 
@@ -724,8 +710,6 @@ impl<P: ContextPolicy> Solver<P> {
             ctx_cg_edges: 0,
             cg_insens: FxHashSet::default(),
             reachable: DenseMap::with_capacity(hints.contexts),
-            reach_dead: FxHashSet::default(),
-            ipa_support: FxHashMap::default(),
             exc_seen: false,
             dirty: VecDeque::new(),
             reach_queue: VecDeque::new(),
@@ -791,7 +775,7 @@ impl<P: ContextPolicy> Solver<P> {
     /// Replaces the solver's program handle without touching any derived
     /// state. The session uses this to recall the handle before an
     /// in-place program edit (see `AnalysisSession::apply`); the next
-    /// incremental apply installs the edited program via `swap_program`.
+    /// incremental apply installs the edited program.
     pub(crate) fn set_program(&mut self, program: Arc<Program>) {
         self.program = program;
     }
@@ -1247,11 +1231,8 @@ impl<P: ContextPolicy> Solver<P> {
     /// budget limit trips.
     fn mark_reachable(&mut self, meth: u32, ctx: u32) {
         let before = self.reachable.len();
-        let id = self.reachable.intern((meth, ctx));
-        // A pair tombstoned by retraction resurrects exactly like a fresh
-        // one: un-tombstone, re-enqueue, and re-count the fan-out.
-        let fresh = self.reachable.len() > before || self.reach_dead.remove(&id);
-        if fresh {
+        self.reachable.intern((meth, ctx));
+        if self.reachable.len() > before {
             self.reach_queue.push_back((meth, ctx));
             self.method_fanout[meth as usize] += 1;
             if self.config.degrade
@@ -1365,12 +1346,6 @@ impl<P: ContextPolicy> Solver<P> {
     fn add_ipa_edge(&mut self, from: u32, from_ctx: u32, to: u32, to_ctx: u32) {
         let from_key = self.key_id(from, from_ctx);
         let to_key = self.key_id(to, to_ctx);
-        if self.config.retain {
-            // Count every derivation, including duplicates the dedup scan
-            // below swallows: retraction decrements per removed call edge
-            // and drops the edge only when its support reaches zero.
-            *self.ipa_support.entry((from_key, to_key)).or_insert(0) += 1;
-        }
         if self.ipa_out[from_key as usize].contains(&to_key) {
             return;
         }
@@ -1805,9 +1780,8 @@ impl<P: ContextPolicy> Solver<P> {
                 v.dedup();
             }
             if retain {
-                // First retained build (or first after a retracting
-                // apply): seed the projection cache from the projections
-                // just computed in full.
+                // First retained build: seed the projection cache from
+                // the projections just computed in full.
                 let mut var_keys: Vec<Vec<u32>> = Vec::new();
                 var_keys.resize_with(self.program.var_count(), Vec::new);
                 for key in 0..self.vkeys.len() as u32 {
@@ -1827,10 +1801,8 @@ impl<P: ContextPolicy> Solver<P> {
         };
 
         let mut reachable: FxHashSet<MethodId> = FxHashSet::default();
-        for (id, &(m, _ctx)) in self.reachable.keys().iter().enumerate() {
-            if !self.reach_dead.contains(&(id as u32)) {
-                reachable.insert(MethodId::from_raw(m));
-            }
+        for &(m, _ctx) in self.reachable.keys() {
+            reachable.insert(MethodId::from_raw(m));
         }
 
         let tuples = if self.config.keep_tuples {
@@ -2005,7 +1977,7 @@ impl<P: ContextPolicy> Solver<P> {
             reachable,
             ctx_vpt_count,
             ctx_call_graph_edges: self.ctx_cg_edges,
-            ctx_reachable_count: (self.reachable.len() - self.reach_dead.len()) as u64,
+            ctx_reachable_count: self.reachable.len() as u64,
             ctx_count: ctx_interner.len(),
             hctx_count: hctx_interner.len(),
             tuples,

@@ -3,10 +3,9 @@
 //! identical* to a fresh solve of the edited program.
 //!
 //! This is the correctness bar of the incremental subsystem (DESIGN.md
-//! §15): whether `apply` took the counted-retraction path, the additive
-//! resume path, or fell back to a full re-solve is an implementation
-//! detail the caller must never be able to observe in the analysis
-//! results. Edit sequences come from the deterministic
+//! §15): whether `apply` took the additive resume path or fell back to a
+//! full re-solve is an implementation detail the caller must never be
+//! able to observe in the analysis results. Edit sequences come from the deterministic
 //! [`pta_workload::EditStream`] generator; a failure is shrunk to a
 //! locally-minimal edit subsequence with [`pta_workload::shrink_steps`]
 //! before the panic message is built, so the reproduction in the test log
@@ -15,9 +14,8 @@
 //! The fingerprint compares semantic projections only — points-to sets,
 //! call graph, reachability, context-sensitive tuple counts, uncaught
 //! exceptions. Interner sizes (`SolverStats::contexts` etc.) are
-//! deliberately excluded: a retained session keeps interned contexts for
-//! retracted facts, and that slack is specified behavior, not a leak of
-//! analysis meaning.
+//! deliberately excluded: they are not analysis meaning, and an
+//! implementation may keep slack in them.
 
 use pta_core::{Analysis, AnalysisSession, Backend, PointsToResult};
 use pta_ir::{Program, ProgramBuilder, ProgramDelta};
@@ -208,8 +206,9 @@ fn edit_streams_match_scratch_on_datalog_and_threads() {
 }
 
 /// A small program with no exception traffic, so the incremental engine's
-/// exception guard never forces a fallback and both the additive-resume
-/// and counted-retraction paths genuinely run.
+/// exception guard never forces a fallback: additive edits genuinely take
+/// the resume path, and retracting edits fall back only because they
+/// retract.
 fn throw_free_base() -> Program {
     let mut b = ProgramBuilder::new();
     let object = b.class("Object", None);
@@ -321,11 +320,11 @@ fn additive_edits_take_the_incremental_path() {
     }
 }
 
-/// Retractions on a throw-free base take the counted-retraction path (no
-/// fallback) and still match scratch — including deleting the allocation
-/// an entire points-to chain hangs off.
+/// Retractions re-solve from scratch even on a throw-free base, name why,
+/// retain the re-solved state for the next apply, and match scratch —
+/// including deleting the allocation an entire points-to chain hangs off.
 #[test]
-fn retracting_edits_take_the_incremental_path() {
+fn retracting_edits_fall_back_and_match_scratch() {
     let base = throw_free_base();
     for analysis in Analysis::ALL {
         let mut session = AnalysisSession::open(base.clone())
@@ -343,10 +342,15 @@ fn retracting_edits_take_the_incremental_path() {
         d1.remove_instr(main, 1);
         let v2 = base.apply_delta(&d1).unwrap();
         let r1 = session.apply(&d1).unwrap();
+        assert!(!session.last_apply_was_incremental(), "{analysis}");
+        assert_eq!(
+            session.last_fallback(),
+            Some("delta retracts facts"),
+            "{analysis}"
+        );
         assert!(
-            session.last_apply_was_incremental(),
-            "{analysis}: retraction fell back: {:?}",
-            session.last_fallback()
+            session.is_retained(),
+            "{analysis}: the fallback solve must retain its state"
         );
         assert_eq!(
             fingerprint(&v2, &r1),
@@ -366,10 +370,15 @@ fn retracting_edits_take_the_incremental_path() {
         d2.clear_method(leaf_attach);
         let v3 = v2.apply_delta(&d2).unwrap();
         let r2 = session.apply(&d2).unwrap();
+        assert!(!session.last_apply_was_incremental(), "{analysis}");
+        assert_eq!(
+            session.last_fallback(),
+            Some("delta retracts facts"),
+            "{analysis}"
+        );
         assert!(
-            session.last_apply_was_incremental(),
-            "{analysis}: clear_method fell back: {:?}",
-            session.last_fallback()
+            session.is_retained(),
+            "{analysis}: the fallback solve must retain its state"
         );
         assert_eq!(
             fingerprint(&v3, &r2),
@@ -410,6 +419,13 @@ fn stale_deltas_are_rejected_without_corrupting_the_session() {
         2,
         "failed apply must not advance the version"
     );
+    // A stale retracting delta is rejected the same way, before the
+    // retained solver is given up.
+    let mut d2r = ProgramDelta::new(&base);
+    d2r.remove_instr(main, 0);
+    session.apply(&d2r).unwrap_err();
+    assert_eq!(session.version(), 2);
+    assert!(session.is_retained());
 
     // The session still works incrementally afterwards.
     let current = std::sync::Arc::clone(session.program());
@@ -429,9 +445,9 @@ fn stale_deltas_are_rejected_without_corrupting_the_session() {
     );
 }
 
-/// Mixed streams on an exception-bearing workload: retracting edits are
-/// expected to fall back (the exception guard), but results must still be
-/// exact, and purely additive steps must still take the fast path.
+/// Mixed streams on an exception-bearing workload: retracting edits fall
+/// back, but results must still be exact, and purely additive steps must
+/// still take the fast path.
 #[test]
 fn fallbacks_on_exception_traffic_are_exact() {
     let base = dacapo_workload("xalan", 0.1);
@@ -447,8 +463,7 @@ fn fallbacks_on_exception_traffic_are_exact() {
 
 /// Retraction over large sets: a copy chain of a 150-object points-to
 /// set (well past the small → bitmap promotion) loses its copies one
-/// `apply` at a time. Each apply clears whole bitmap-stage keys and must
-/// stay exact against a scratch solve.
+/// `apply` at a time. Each apply must stay exact against a scratch solve.
 #[test]
 fn retracting_copies_of_a_bitmap_set_matches_scratch() {
     let mut b = ProgramBuilder::new();
@@ -472,7 +487,7 @@ fn retracting_copies_of_a_bitmap_set_matches_scratch() {
     let r0 = session.solve();
     assert_eq!(r0.points_to(d).len(), 150);
 
-    // Retract the copies one at a time; each apply clears the dead key.
+    // Retract the copies one at a time.
     let mut program = base.clone();
     for _ in 0..2 {
         let last = program.instrs(main).len() - 1;
@@ -480,11 +495,6 @@ fn retracting_copies_of_a_bitmap_set_matches_scratch() {
         delta.remove_instr(main, last);
         let next = program.apply_delta(&delta).unwrap();
         let r = session.apply(&delta).unwrap();
-        assert!(
-            session.last_apply_was_incremental(),
-            "retraction fell back: {:?}",
-            session.last_fallback()
-        );
         assert_eq!(
             fingerprint(&next, &r),
             scratch(&next, Analysis::Insens, Backend::Dense)

@@ -271,24 +271,6 @@ impl ProgramDelta {
         self.base.methods
     }
 
-    /// The `(method, base-body index)` pairs removed, in recording order.
-    #[must_use]
-    pub fn removed_instrs(&self) -> &[(MethodId, usize)] {
-        &self.removals
-    }
-
-    /// Methods whose bodies this delta clears entirely.
-    #[must_use]
-    pub fn cleared_methods(&self) -> &[MethodId] {
-        &self.cleared
-    }
-
-    /// Entry points removed by this delta.
-    #[must_use]
-    pub fn removed_entry_points(&self) -> &[MethodId] {
-        &self.remove_entries
-    }
-
     /// Entry points added by this delta.
     #[must_use]
     pub fn added_entry_points(&self) -> &[MethodId] {

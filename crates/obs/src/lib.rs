@@ -42,9 +42,7 @@ pub mod metrics;
 
 pub use eventlog::{EventLog, Field};
 pub use json::{escape, escape_into};
-pub use metrics::{
-    Counter, Gauge, Histogram, MetricKind, Metrics, MetricsScope, LATENCY_BUCKETS_US,
-};
+pub use metrics::{Counter, Gauge, Histogram, MetricKind, Metrics, LATENCY_BUCKETS_US};
 
 /// An event phase, mirroring the Chrome trace-event `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,14 +12,9 @@
 //! allocator). Enabled, each series is an [`Arc`]'d cell of atomics:
 //! updates through a [`Counter`]/[`Gauge`]/[`Histogram`] handle are
 //! **lock-free** (`Relaxed` atomic adds); the registry `Mutex` guards
-//! only series registration and snapshotting.
-//!
-//! For hot loops a [`MetricsScope`] buffers deltas in per-thread plain
-//! integers (no atomics, no locks) and merges them into the shared
-//! cells on drop/flush — in registration-index order, so concurrent
-//! scopes always merge deterministically (sums are commutative; the
-//! order makes that obvious and keeps the single lock acquisition per
-//! flush, exactly like [`TraceScope`](crate::TraceScope)).
+//! only series registration and snapshotting. Concurrent updates to one
+//! series always sum to the same totals, whatever the interleaving:
+//! atomic adds commute.
 //!
 //! # Exposition
 //!
@@ -79,9 +74,6 @@ struct Cell {
     /// unlabeled. Used both as the registry key and for exposition.
     label_text: String,
     kind: MetricKind,
-    /// Dense registration index; [`MetricsScope`] buffers are keyed by
-    /// it and flushed in its order.
-    index: usize,
     /// Counter total, gauge value, or histogram observation count.
     value: AtomicU64,
     /// Histogram sum of observed values (unused otherwise).
@@ -175,7 +167,6 @@ impl Metrics {
             labels: sorted,
             label_text: label_text.clone(),
             kind,
-            index,
             value: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets,
@@ -211,17 +202,6 @@ impl Metrics {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
             cell: self.register(name, labels, MetricKind::Histogram, bounds),
-        }
-    }
-
-    /// Opens a per-thread buffering scope. On a disabled registry the
-    /// scope is itself a no-op (and never allocates).
-    #[must_use]
-    pub fn scope(&self) -> MetricsScope {
-        MetricsScope {
-            reg: self.reg.clone(),
-            counts: Vec::new(),
-            hists: Vec::new(),
         }
     }
 
@@ -564,122 +544,6 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
-struct HistShard {
-    index: usize,
-    count: u64,
-    sum: u64,
-    buckets: Vec<u64>,
-}
-
-/// A per-thread buffering scope: counter increments and histogram
-/// observations accumulate in plain (non-atomic) integers and merge
-/// into the shared cells on drop/flush, in registration-index order.
-/// All methods are inlined no-ops when the parent [`Metrics`] is
-/// disabled.
-#[derive(Debug)]
-pub struct MetricsScope {
-    reg: Option<Arc<Registry>>,
-    /// Dense per-cell-index counter deltas.
-    counts: Vec<u64>,
-    /// Sparse histogram deltas, kept sorted by cell index.
-    hists: Vec<HistShard>,
-}
-
-impl MetricsScope {
-    /// `true` if this scope records anything.
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.reg.is_some()
-    }
-
-    /// Buffers `Counter::inc` locally.
-    #[inline]
-    pub fn inc(&mut self, c: &Counter) {
-        self.add(c, 1);
-    }
-
-    /// Buffers `Counter::add` locally.
-    #[inline]
-    pub fn add(&mut self, c: &Counter, n: u64) {
-        if self.reg.is_none() {
-            return;
-        }
-        let Some(cell) = &c.cell else {
-            return;
-        };
-        if cell.index >= self.counts.len() {
-            self.counts.resize(cell.index + 1, 0);
-        }
-        self.counts[cell.index] += n;
-    }
-
-    /// Buffers `Histogram::observe` locally.
-    #[inline]
-    pub fn observe(&mut self, h: &Histogram, v: u64) {
-        if self.reg.is_none() {
-            return;
-        }
-        let Some(cell) = &h.cell else {
-            return;
-        };
-        let pos = match self.hists.binary_search_by_key(&cell.index, |s| s.index) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                self.hists.insert(
-                    pos,
-                    HistShard {
-                        index: cell.index,
-                        count: 0,
-                        sum: 0,
-                        buckets: vec![0; cell.buckets.len()],
-                    },
-                );
-                pos
-            }
-        };
-        let shard = &mut self.hists[pos];
-        shard.buckets[cell.bucket_index(v)] += 1;
-        shard.sum += v;
-        shard.count += 1;
-    }
-
-    /// Merges buffered deltas into the registry without closing the
-    /// scope (the only locking this type ever does).
-    pub fn flush(&mut self) {
-        let Some(reg) = &self.reg else {
-            return;
-        };
-        if self.counts.iter().all(|&d| d == 0) && self.hists.is_empty() {
-            return;
-        }
-        let inner = reg.inner.lock().unwrap();
-        for (idx, d) in self.counts.iter_mut().enumerate() {
-            if *d != 0 {
-                inner.cells[idx].value.fetch_add(*d, Ordering::Relaxed);
-                *d = 0;
-            }
-        }
-        for shard in self.hists.drain(..) {
-            let cell = &inner.cells[shard.index];
-            for (b, d) in cell.buckets.iter().zip(&shard.buckets) {
-                if *d != 0 {
-                    b.fetch_add(*d, Ordering::Relaxed);
-                }
-            }
-            cell.sum.fetch_add(shard.sum, Ordering::Relaxed);
-            cell.value.fetch_add(shard.count, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Drop for MetricsScope {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,10 +558,6 @@ mod tests {
         c.inc();
         g.set(5);
         h.observe(15);
-        let mut s = m.scope();
-        s.inc(&c);
-        s.observe(&h, 3);
-        drop(s);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0);
         assert_eq!(h.count(), 0);
@@ -752,55 +612,6 @@ mod tests {
         assert_eq!(h.quantile(0.75), 1000);
         // The overflow bucket clamps to the highest finite bound.
         assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn scope_buffers_and_merges() {
-        let m = Metrics::enabled();
-        let c = m.counter("c_total", &[]);
-        let h = m.histogram("h_us", &[], &[10, 100]);
-        let mut s = m.scope();
-        s.inc(&c);
-        s.add(&c, 4);
-        s.observe(&h, 7);
-        s.observe(&h, 70);
-        // Nothing visible until the scope flushes.
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        s.flush();
-        assert_eq!(c.get(), 5);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 77);
-        // Flush is idempotent; drop re-flushes whatever accumulated.
-        s.flush();
-        s.inc(&c);
-        drop(s);
-        assert_eq!(c.get(), 6);
-    }
-
-    #[test]
-    fn scope_merge_is_deterministic_across_thread_interleavings() {
-        // Two scopes updating the same series from different threads
-        // must always sum to the same totals.
-        let m = Metrics::enabled();
-        let c = m.counter("c_total", &[]);
-        let h = m.histogram("h_us", &[], &[10]);
-        std::thread::scope(|t| {
-            for _ in 0..4 {
-                let (m, c, h) = (m.clone(), c.clone(), h.clone());
-                t.spawn(move || {
-                    let mut s = m.scope();
-                    for i in 0..100u64 {
-                        s.inc(&c);
-                        s.observe(&h, i % 20);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 400);
-        assert_eq!(h.count(), 400);
-        let prom = m.to_prometheus();
-        assert!(prom.contains("c_total 400\n"));
     }
 
     #[test]

@@ -86,7 +86,6 @@ fn disabled_metrics_and_event_log_allocate_nothing() {
     let counter = metrics.counter("req_total", &[("op", "points_to")]);
     let gauge = metrics.gauge("queue_depth", &[]);
     let hist = metrics.histogram("lat_us", &[], pta_obs::LATENCY_BUCKETS_US);
-    let mut scope = metrics.scope();
 
     let before = allocs();
     for i in 0..10_000u64 {
@@ -97,8 +96,6 @@ fn disabled_metrics_and_event_log_allocate_nothing() {
         gauge.sub(1);
         gauge.fetch_max(i);
         hist.observe(i);
-        scope.inc(&counter);
-        scope.observe(&hist, i);
         log.emit(
             "request",
             &[("op", Field::Str("points_to")), ("i", Field::U64(i))],
@@ -106,7 +103,6 @@ fn disabled_metrics_and_event_log_allocate_nothing() {
         assert_eq!(counter.get(), 0);
         assert_eq!(hist.count(), 0);
     }
-    scope.flush();
     let after = allocs();
     assert_eq!(
         after - before,

@@ -322,7 +322,7 @@ impl EditStream {
     /// Samples one edit. Weights favor the additive edits an editor
     /// session mostly produces, with enough retraction traffic
     /// (instruction removal, method clearing, entry-point toggling) to
-    /// exercise the DRed path and its fallback.
+    /// exercise the fallback re-solve.
     fn sample(&mut self) -> Edit {
         let roll = self.rng.gen_range(0..100u32);
         let meth = self.pick_method();

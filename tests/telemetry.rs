@@ -256,6 +256,28 @@ fn apply_metrics_distinguish_incremental_from_fallback() {
     );
     assert!(!m.to_prometheus().contains("pta_apply_fallback_total"));
 
+    // A retracting delta on the same session re-solves from scratch and
+    // says why; no apply exports invalidation-cone gauges.
+    let current = std::sync::Arc::clone(session.program());
+    let main = current
+        .methods()
+        .find(|&m| current.method_name(m) == "main")
+        .unwrap();
+    let mut retract = ProgramDelta::new(&current);
+    retract.remove_instr(main, 0);
+    session.apply(&retract).unwrap();
+    assert!(!session.last_apply_was_incremental());
+    assert_eq!(m.value("pta_apply_total", &[("mode", "full")]), Some(1));
+    assert_eq!(
+        m.value(
+            "pta_apply_fallback_total",
+            &[("reason", "delta retracts facts")]
+        ),
+        Some(1)
+    );
+    let prom = m.to_prometheus();
+    assert!(!prom.contains("pta_apply_cone_"), "{prom}");
+
     // A session that did not opt into incremental maintenance retains
     // nothing: the same delta must fall back to a full re-solve, and the
     // scrape must say why.
