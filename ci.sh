@@ -23,34 +23,6 @@ cargo test -q
 echo "==> tier-1: benchmark package (cargo test --manifest-path benchmark/Cargo.toml)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-# Gating: starved-budget smoke. A deliberately exhausted step budget
-# under --degrade must still exit 0 and report its demotions (W007).
-echo "==> tier-1: starved-budget smoke (--max-steps 1000 --degrade)"
-./target/release/pta workload luindex --scale 0.3 --print > /tmp/ci-starved.jir
-./target/release/pta analyze /tmp/ci-starved.jir --analysis 2obj+H \
-  --max-steps 1000 --degrade > /tmp/ci-starved.out
-grep -q 'W007' /tmp/ci-starved.out
-grep -q 'degraded:' /tmp/ci-starved.out
-echo "    starved smoke OK: degraded run completed with demotions reported"
-
-# Gating: observability smoke. A traced run on a DaCapo config must
-# produce a Chrome trace-event timeline carrying the session solve span
-# and the per-rule spans (full JSON validation of trace files
-# lives in tests/observability.rs, which gates via `cargo test` above),
-# and `pta explain` must print a derivation chain on the motivating
-# example.
-echo "==> tier-1: observability smoke (--trace + pta explain)"
-./target/release/pta workload luindex --scale 0.3 --print > /tmp/ci-obs.jir
-./target/release/pta analyze /tmp/ci-obs.jir --analysis S-2obj+H \
-  --trace /tmp/ci-obs.trace.json > /dev/null
-grep -q '"traceEvents"' /tmp/ci-obs.trace.json
-grep -q '"name":"solve"' /tmp/ci-obs.trace.json
-grep -q '"name":"alloc","cat":"rule"' /tmp/ci-obs.trace.json
-./target/release/pta explain examples/programs/motivating.jir r1 'Object#' \
-  > /tmp/ci-obs-explain.out
-grep -q 'allocation site' /tmp/ci-obs-explain.out
-echo "    observability smoke OK: trace has solve/rule spans; explain printed a chain"
-
 # Non-gating incremental-maintenance tier: regenerate the
 # BENCH_incremental.json experiment (single-method edits at scale 64
 # under 2obj+H) and flag drift against the checked-in artifact.

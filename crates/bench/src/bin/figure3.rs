@@ -13,7 +13,7 @@ use pta_bench::{
 };
 
 fn main() -> ExitCode {
-    let mut opts = MatrixOptions::from_env();
+    let mut opts = MatrixOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = opts.apply_cli_args(&args) {
         eprintln!("error: {e}");

@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pta_core::{Analysis, AnalysisSession, PointsToResult};
+use pta_ir::rng::Rng;
 use pta_ir::{Program, ProgramDelta};
 use pta_workload::{check_name, dacapo_config, generate, parse_scale};
 
@@ -118,17 +119,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// classes. This is the "developer edits one method body" workload the
 /// incremental engine is built for.
 fn single_method_edit(program: &Program, step: usize, seed: u64) -> ProgramDelta {
-    // splitmix64, same generator family as the workload crate.
-    let mut state = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(step as u64);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize
-    };
+    let mut rng = Rng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(step as u64),
+    );
+    let mut next = || rng.next_u64() as usize;
     let meth = pta_ir::MethodId::from_index(next() % program.method_count());
     let ty = pta_ir::TypeId::from_index(next() % program.type_count());
     let mut delta = ProgramDelta::new(program);

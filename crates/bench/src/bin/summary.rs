@@ -11,7 +11,7 @@ use std::process::ExitCode;
 use pta_bench::{maybe_dump_json, render_summary, run_matrix, MatrixOptions};
 
 fn main() -> ExitCode {
-    let mut opts = MatrixOptions::from_env();
+    let mut opts = MatrixOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = opts.apply_cli_args(&args) {
         eprintln!("error: {e}");

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
         return check(path, expect);
     }
 
-    let mut opts = MatrixOptions::from_env();
+    let mut opts = MatrixOptions::default();
     if let Err(e) = opts.apply_cli_args(&args) {
         eprintln!("error: {e}");
         eprintln!(

@@ -8,49 +8,50 @@
 //! | Figure 3 (time vs may-fail casts scatter) | `figure3` | per-benchmark CSV series + ASCII scatter |
 //! | §1/§4 summary statistics (speedups, slowdowns) | `summary` | the aggregate claims, paper vs. measured |
 //!
-//! All binaries accept environment variables and equivalent command-line
-//! flags (flags win when both are given):
+//! All three binaries take the same command-line flags:
 //!
-//! - `PTA_SCALE` / `--scale S` — workload scale factor (default `1.0`; the
-//!   full DaCapo suite at scale 1 runs the complete matrix in well under a
+//! - `--scale S` — workload scale factor (default `1.0`; the full
+//!   DaCapo suite at scale 1 runs the complete matrix in well under a
 //!   minute);
-//! - `PTA_WORKLOADS` / `--workloads A,B` — comma-separated subset of
-//!   benchmark names;
-//! - `PTA_ANALYSES` / `--analyses A,B` — comma-separated subset of analysis
-//!   names (e.g. `1obj,S-2obj+H`);
-//! - `PTA_REPS` / `--reps N` — repetitions per cell (median reported);
-//! - `PTA_JOBS` / `--jobs N` — worker threads for the matrix (`1` =
-//!   sequential, `0` = one per core, default). Cells are farmed out to
-//!   workers; row order in every output is deterministic regardless of
-//!   completion order. Use `--jobs 1` for timing-grade runs — parallel
-//!   cells contend for cores and per-cell times become pessimistic;
-//! - `PTA_CELL_TIMEOUT` / `--cell-timeout SECS` — per-cell wall-clock
-//!   deadline. A cell whose solve trips the deadline is retried once
-//!   (transient contention on a loaded box is the common cause); if the
-//!   retry trips too, the cell's row is emitted with `"status":"timeout"`
-//!   and carries whatever the partial solve salvaged. With a timeout set,
-//!   all cells also share one SIGINT-linked [`pta_core::CancelToken`], so
-//!   ctrl-c drains the matrix cooperatively instead of killing it: every
+//! - `--workloads A,B` — comma-separated subset of benchmark names;
+//! - `--analyses A,B` — comma-separated subset of analysis names (e.g.
+//!   `1obj,S-2obj+H`);
+//! - `--reps N` — repetitions per cell (median reported);
+//! - `--jobs N` — worker threads for the matrix (`1` = sequential, `0`
+//!   = one per core, default). Cells are farmed out to workers; row
+//!   order in every output is deterministic regardless of completion
+//!   order. Use `--jobs 1` for timing-grade runs — parallel cells
+//!   contend for cores and per-cell times become pessimistic;
+//! - `--cell-timeout SECS` — per-cell wall-clock deadline. A cell whose
+//!   solve trips the deadline is retried once (transient contention on
+//!   a loaded box is the common cause); if the retry trips too, the
+//!   cell's row is emitted with `"status":"timeout"` and carries
+//!   whatever the partial solve salvaged. With a timeout set, all cells
+//!   also share one SIGINT-linked [`pta_core::CancelToken`], so ctrl-c
+//!   drains the matrix cooperatively instead of killing it: every
 //!   unfinished cell comes back as a timeout row and the outputs still
 //!   render;
-//! - `PTA_JSON` / `--json PATH` — dump the raw [`ExperimentRow`]s (wall
-//!   time, precision metrics, and solver counters) as JSON, the format
-//!   checked in as `BENCH_baseline.json` and consumed by `table1 --check`;
-//! - `PTA_TRACE_DIR` / `--trace-dir DIR` — record a Chrome trace-event
-//!   JSON file per cell into `DIR` (created if missing), named
-//!   `{workload}-{analysis}.trace.json`. Every repetition of
-//!   the cell lands on the same timeline. Tracing skews wall times, so
-//!   traced dumps are diagnostics, not measurements;
-//! - `PTA_PROFILE` / `--profile` — collect a per-rule evaluation profile
-//!   per cell and embed it in the JSON row under `"profile"` (the format
-//!   checked in as `BENCH_profile.json` and diffed by `profdiff`);
-//! - `PTA_TAINT_GROUPS` / `--taint-groups N` — inject `N` taint fixture
-//!   groups into every generated workload and run the `pta check` client
-//!   suite (taint, escape, nullness) against each cell's final result,
-//!   embedding the finding counts in the JSON row under `"clients"`.
-//!   The clients run after the clock stops, like the precision metrics,
-//!   so timings stay comparable; `0` (the default) leaves the workloads
-//!   byte-identical to earlier schema revisions.
+//! - `--max-memory BYTES` — per-cell budget on the solver's memory
+//!   estimate; a tripped cell yields a `"status":"memory_cap"` row;
+//! - `--json PATH` — dump the raw [`ExperimentRow`]s (wall time,
+//!   precision metrics, and solver counters) as JSON, the format
+//!   checked in as `BENCH_baseline.json` and consumed by
+//!   `table1 --check`;
+//! - `--trace-dir DIR` — record a Chrome trace-event JSON file per cell
+//!   into `DIR` (created if missing), named
+//!   `{workload}-{analysis}.trace.json`. Every repetition of the cell
+//!   lands on the same timeline. Tracing skews wall times, so traced
+//!   dumps are diagnostics, not measurements;
+//! - `--profile` — collect a per-rule evaluation profile per cell and
+//!   embed it in the JSON row under `"profile"` (the format checked in
+//!   as `BENCH_profile.json` and diffed by `profdiff`);
+//! - `--taint-groups N` — inject `N` taint fixture groups into every
+//!   generated workload and run the `pta check` client suite (taint,
+//!   escape, nullness) against each cell's final result, embedding the
+//!   finding counts in the JSON row under `"clients"`. The clients run
+//!   after the clock stops, like the precision metrics, so timings stay
+//!   comparable; `0` (the default) leaves the workloads byte-identical
+//!   to earlier schema revisions.
 //!
 //! Micro-benchmarks (`cargo bench`, plain `main`-style harnesses) cover
 //! per-analysis solver time (`analyses`), the design-choice ablations
@@ -276,8 +277,8 @@ pub fn rows_to_json(rows: &[ExperimentRow]) -> String {
     format!("[\n{}\n]", body.join(",\n"))
 }
 
-/// Harness options, usually read from the environment via
-/// [`MatrixOptions::from_env`].
+/// Harness options: the defaults, overridden by command-line flags via
+/// [`MatrixOptions::apply_cli_args`].
 #[derive(Debug, Clone)]
 pub struct MatrixOptions {
     /// Workload scale factor.
@@ -294,7 +295,7 @@ pub struct MatrixOptions {
     /// Per-cell wall-clock deadline in seconds, if any. A tripped cell is
     /// retried once; a second trip yields a `"status":"timeout"` row.
     pub cell_timeout: Option<f64>,
-    /// Per-cell memory budget in bytes (`--max-memory` / `PTA_MAX_MEMORY`,
+    /// Per-cell memory budget in bytes (`--max-memory`,
     /// `pta_govern::parse_byte_size` syntax), enforced against the
     /// solver's deterministic memory estimate. A tripped cell yields a
     /// `"status":"memory_cap"` row without a retry — the estimate is a
@@ -338,72 +339,11 @@ impl Default for MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// Reads `PTA_SCALE`, `PTA_WORKLOADS`, `PTA_ANALYSES`, `PTA_REPS`,
-    /// `PTA_JOBS`, `PTA_CELL_TIMEOUT`, `PTA_JSON`, `PTA_TRACE_DIR`,
-    /// `PTA_PROFILE` and `PTA_TAINT_GROUPS` from the environment, falling
-    /// back to defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message on malformed values (these are operator
-    /// inputs on the command line).
-    pub fn from_env() -> MatrixOptions {
-        let mut opts = MatrixOptions::default();
-        if let Ok(s) = std::env::var("PTA_SCALE") {
-            opts.scale = s.parse().unwrap_or_else(|_| panic!("bad PTA_SCALE: {s:?}"));
-        }
-        if let Ok(s) = std::env::var("PTA_WORKLOADS") {
-            opts.workloads = s.split(',').map(|w| w.trim().to_owned()).collect();
-        }
-        if let Ok(s) = std::env::var("PTA_ANALYSES") {
-            opts.analyses = s
-                .split(',')
-                .map(|a| a.trim().parse().unwrap_or_else(|e| panic!("{e}")))
-                .collect();
-        }
-        if let Ok(s) = std::env::var("PTA_REPS") {
-            opts.repetitions = s.parse().unwrap_or_else(|_| panic!("bad PTA_REPS: {s:?}"));
-        }
-        if let Ok(s) = std::env::var("PTA_JOBS") {
-            opts.jobs = s.parse().unwrap_or_else(|_| panic!("bad PTA_JOBS: {s:?}"));
-        }
-        if let Ok(s) = std::env::var("PTA_CELL_TIMEOUT") {
-            opts.cell_timeout = Some(
-                parse_cell_timeout(&s).unwrap_or_else(|| panic!("bad PTA_CELL_TIMEOUT: {s:?}")),
-            );
-        }
-        if let Ok(s) = std::env::var("PTA_MAX_MEMORY") {
-            opts.max_memory = Some(
-                pta_govern::parse_byte_size(&s)
-                    .unwrap_or_else(|e| panic!("bad PTA_MAX_MEMORY: {e}")),
-            );
-        }
-        if let Ok(s) = std::env::var("PTA_JSON") {
-            opts.json_out = Some(s);
-        }
-        if let Ok(s) = std::env::var("PTA_TRACE_DIR") {
-            opts.trace_dir = Some(s);
-        }
-        if let Ok(s) = std::env::var("PTA_TAINT_GROUPS") {
-            opts.taint_groups = s
-                .parse()
-                .unwrap_or_else(|_| panic!("bad PTA_TAINT_GROUPS: {s:?}"));
-        }
-        if let Ok(s) = std::env::var("PTA_PROFILE") {
-            opts.profile = match s.as_str() {
-                "1" | "true" | "yes" => true,
-                "0" | "false" | "no" | "" => false,
-                _ => panic!("bad PTA_PROFILE: {s:?} (expected 1 or 0)"),
-            };
-        }
-        opts
-    }
-
-    /// Applies command-line flags on top of the current options. Flags
-    /// mirror the environment variables (`--scale`, `--workloads`,
-    /// `--analyses`, `--reps`, `--jobs`, `--cell-timeout`, `--json`,
-    /// `--trace-dir`, `--profile`, `--taint-groups`) and take precedence. Unknown flags are
-    /// an error so typos fail loudly.
+    /// Applies command-line flags on top of the current options
+    /// (`--scale`, `--workloads`, `--analyses`, `--reps`, `--jobs`,
+    /// `--cell-timeout`, `--max-memory`, `--json`, `--trace-dir`,
+    /// `--profile`, `--taint-groups`). Each option has this one way to be
+    /// set. Unknown flags are an error so typos fail loudly.
     ///
     /// # Errors
     ///

@@ -1,6 +1,7 @@
-//! Program edits: [`ProgramDelta`] describes a batch of changes against a
-//! frozen [`Program`], and [`Program::apply_delta`] produces the edited
-//! program without disturbing any existing ID.
+//! Program construction and program edits: [`ProgramDelta`] records
+//! declarations, instructions and removals against a frozen base
+//! [`Program`], and [`Program::apply_delta`] produces the edited program
+//! without disturbing any existing ID.
 //!
 //! A delta is built against a specific *base* program (captured as the
 //! sizes of every ID space). New classes, signatures, fields, methods,
@@ -9,6 +10,13 @@
 //! and means the same thing — in the edited program**. This append-only
 //! discipline is what lets a long-lived analysis session keep its
 //! interned keys across edits (see `pta-core`'s incremental solver).
+//!
+//! A fresh program is a delta over the empty program:
+//! [`crate::ProgramBuilder`] wraps `ProgramDelta::default()`, so IDs are
+//! numbered and names interned in this one place whether a program is
+//! built or edited. With no base, every span already counts from zero and
+//! [`crate::ProgramBuilder::finish`] moves the delta's arenas into the
+//! program as they are.
 //!
 //! Removals are deliberately conservative:
 //!
@@ -31,9 +39,9 @@
 //! formals and argument lists in a flat list of its own, with spans
 //! counted from the start of each. Applying the delta appends both to the
 //! program's arenas and rebases every new span by the program's arena
-//! lengths at that moment. Interning against the base (`class`, `sig`) looks names up in a
-//! snapshot of the base's class and signature names, taken once in
-//! [`ProgramDelta::new`] into one buffer.
+//! lengths at that moment. Interning against the base (`class`, `sig`)
+//! looks names up in a snapshot of the base's class and signature names,
+//! taken once in [`ProgramDelta::new`] into one buffer.
 
 use crate::hash::FxHashMap;
 use crate::hierarchy::Hierarchy;
@@ -43,9 +51,7 @@ use crate::program::{
     FieldInfo, HeapInfo, Instr, InvoInfo, InvoKind, MethodInfo, Program, SigInfo, TypeInfo, VarInfo,
 };
 use crate::srcloc::SrcLoc;
-use crate::validate::{
-    check_catch_binder, check_entry_point, check_instr, EntityView, ValidateError,
-};
+use crate::validate::{check_catch_binder, check_entry_point, check_instr, ValidateError};
 
 /// Why a delta could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +100,8 @@ impl From<ValidateError> for DeltaError {
 }
 
 /// Sizes of every ID space of the base program; the compatibility stamp
-/// checked by [`Program::apply_delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// checked by [`Program::apply_delta`]. The default is the empty program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BaseCounts {
     types: usize,
     fields: usize,
@@ -122,12 +128,12 @@ impl BaseCounts {
 
 /// A batch of edits against a base [`Program`].
 ///
-/// Build one with [`ProgramDelta::new`], record edits with the same
-/// vocabulary as [`crate::ProgramBuilder`] (new entities get provisional
-/// IDs that continue the base numbering), then apply it with
+/// Build one with [`ProgramDelta::new`], record edits (new entities get
+/// provisional IDs that continue the base numbering), then apply it with
 /// [`Program::apply_delta`]. A delta may be applied to any program with
 /// the same ID-space sizes as its base — in practice, the program it was
-/// built from.
+/// built from. `ProgramDelta::default()` is a delta over the empty
+/// program, which is what [`crate::ProgramBuilder`] wraps.
 ///
 /// # Example
 ///
@@ -151,7 +157,7 @@ impl BaseCounts {
 /// assert_eq!(edited.instrs(main).len(), 2);
 /// # Ok::<(), pta_ir::ValidateError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProgramDelta {
     base: BaseCounts,
     /// Names and labels of the appended entities; spans count from 0 and
@@ -216,27 +222,42 @@ impl ProgramDelta {
             .collect();
         ProgramDelta {
             base: BaseCounts::of(base),
-            names: String::new(),
-            var_lists: Vec::new(),
-            new_types: Vec::new(),
-            new_fields: Vec::new(),
-            new_sigs: Vec::new(),
-            new_methods: Vec::new(),
-            new_vars: Vec::new(),
-            new_heaps: Vec::new(),
-            new_invos: Vec::new(),
-            appends: Vec::new(),
-            removals: Vec::new(),
-            cleared: Vec::new(),
-            new_catches: Vec::new(),
-            add_entries: Vec::new(),
-            remove_entries: Vec::new(),
             base_names,
             base_types,
             base_sigs,
             type_by_name,
             sig_by_key,
-            field_by_key: NameIndex::default(),
+            ..ProgramDelta::default()
+        }
+    }
+
+    /// Freezes a delta over the empty program into a [`Program`]. With no
+    /// base, every span already counts from zero, so the arenas move into
+    /// the program without a copy. The caller validates first (see
+    /// [`crate::ProgramBuilder::finish`]).
+    pub(crate) fn into_program(self) -> Program {
+        assert_eq!(
+            self.base,
+            BaseCounts::default(),
+            "only a delta over the empty program becomes a program"
+        );
+        assert!(
+            !self.has_retractions(),
+            "a fresh program has nothing to remove"
+        );
+        let hierarchy = Hierarchy::build(&self.new_types, &self.new_methods);
+        Program {
+            names: self.names,
+            var_lists: self.var_lists,
+            types: self.new_types,
+            fields: self.new_fields,
+            sigs: self.new_sigs,
+            methods: self.new_methods,
+            vars: self.new_vars,
+            heaps: self.new_heaps,
+            invos: self.new_invos,
+            entry_points: self.add_entries,
+            hierarchy,
         }
     }
 
@@ -315,13 +336,32 @@ impl ProgramDelta {
         i
     }
 
-    fn method_info(&mut self, meth: MethodId) -> &mut MethodInfo {
+    /// The position of a method declared by this delta in `new_methods`.
+    fn new_method_pos(&self, meth: MethodId) -> usize {
         let i = meth.index();
         assert!(
             i >= self.base.methods,
             "method {meth} belongs to the base program; record body edits via append/remove ops"
         );
-        &mut self.new_methods[i - self.base.methods]
+        i - self.base.methods
+    }
+
+    fn new_method(&self, meth: MethodId) -> &MethodInfo {
+        &self.new_methods[self.new_method_pos(meth)]
+    }
+
+    fn method_info(&mut self, meth: MethodId) -> &mut MethodInfo {
+        let pos = self.new_method_pos(meth);
+        &mut self.new_methods[pos]
+    }
+
+    fn new_invo(&self, invo: InvoId) -> &InvoInfo {
+        let i = invo.index();
+        assert!(
+            i >= self.base.invos,
+            "invocation site {invo} belongs to the base program"
+        );
+        &self.new_invos[i - self.base.invos]
     }
 
     fn is_new_method(&self, meth: MethodId) -> bool {
@@ -331,36 +371,30 @@ impl ProgramDelta {
     /// Appends `instr` to `meth` — into the new-method skeleton for
     /// methods declared by this delta, or the edit list for base methods.
     fn push_instr(&mut self, meth: MethodId, instr: Instr) {
-        if self.is_new_method(meth) {
-            self.method_info(meth).instrs.push(instr);
-        } else {
-            self.appends.push((meth, instr));
+        match meth.index().checked_sub(self.base.methods) {
+            Some(pos) => self.new_methods[pos].instrs.push(instr),
+            None => self.appends.push((meth, instr)),
         }
     }
 
-    // ----- declarations (mirroring ProgramBuilder) ------------------------
+    // ----- declarations ----------------------------------------------------
 
-    /// Declares a class (or returns the existing/pending ID by name).
+    /// Declares a class with an optional superclass, or returns the ID of
+    /// the base or pending class of this name.
     ///
     /// # Panics
     ///
-    /// Panics if the name exists with a different parent.
+    /// Panics if this delta already declared the class with a *different*
+    /// parent.
     pub fn class(&mut self, name: &str, parent: Option<TypeId>) -> TypeId {
-        let hash = name_hash(name, 0);
-        let found = self
-            .type_by_name
-            .find(hash, |i| match i.checked_sub(self.base.types) {
-                None => self.base_types[i].str(&self.base_names) == name,
-                Some(pos) => self.new_types[pos].name.str(&self.names) == name,
-            });
-        if let Some(i) = found {
-            if let Some(pos) = i.checked_sub(self.base.types) {
+        if let Some(id) = self.class_by_name(name) {
+            if let Some(pos) = id.index().checked_sub(self.base.types) {
                 assert_eq!(
                     self.new_types[pos].parent, parent,
                     "class {name} redeclared with a different parent"
                 );
             }
-            return TypeId::from_index(i);
+            return id;
         }
         if let Some(p) = parent {
             self.type_index(p);
@@ -370,8 +404,21 @@ impl ProgramDelta {
             name: Span::push_str(&mut self.names, name),
             parent,
         });
-        self.type_by_name.insert(hash, id.index());
+        self.type_by_name.insert(name_hash(name, 0), id.index());
         id
+    }
+
+    /// Looks up a base or pending class by name.
+    #[must_use]
+    pub fn class_by_name(&self, name: &str) -> Option<TypeId> {
+        self.type_by_name
+            .find(name_hash(name, 0), |i| {
+                match i.checked_sub(self.base.types) {
+                    None => self.base_types[i].str(&self.base_names) == name,
+                    Some(pos) => self.new_types[pos].name.str(&self.names) == name,
+                }
+            })
+            .map(TypeId::from_index)
     }
 
     /// Interns a signature `(name, arity)` against the base and pending
@@ -402,12 +449,12 @@ impl ProgramDelta {
         id
     }
 
-    /// Declares a new instance field `owner.name`.
+    /// Declares (or returns the pending) instance field `owner.name`.
     pub fn field(&mut self, owner: TypeId, name: &str) -> FieldId {
         self.field_impl(owner, name, false)
     }
 
-    /// Declares a new static field `owner.name`.
+    /// Declares (or returns the pending) static field `owner.name`.
     pub fn static_field(&mut self, owner: TypeId, name: &str) -> FieldId {
         self.field_impl(owner, name, true)
     }
@@ -436,8 +483,10 @@ impl ProgramDelta {
         id
     }
 
-    /// Declares a new method on `declaring`; instance methods implicitly
-    /// receive a fresh `this` variable.
+    /// Declares a new method on `declaring` with the given formal parameter
+    /// names. Instance methods (`is_static == false`) implicitly receive a
+    /// fresh `this` variable. The signature is interned from the name and
+    /// arity.
     pub fn method(
         &mut self,
         declaring: TypeId,
@@ -487,8 +536,8 @@ impl ProgramDelta {
         id
     }
 
-    /// Marks `var` as the return variable of a method *declared by this
-    /// delta* (base methods keep their return variable).
+    /// Marks `var` as the return variable (the paper's `FORMALRETURN`) of
+    /// a method *declared by this delta* (base methods keep theirs).
     pub fn set_return(&mut self, meth: MethodId, var: VarId) {
         self.method_info(meth).ret = Some(var);
     }
@@ -496,10 +545,14 @@ impl ProgramDelta {
     /// The formal parameters of a method declared by this delta.
     #[must_use]
     pub fn formals(&self, meth: MethodId) -> &[VarId] {
-        assert!(self.is_new_method(meth), "formals only for delta methods");
-        self.new_methods[meth.index() - self.base.methods]
-            .formals
-            .slice(&self.var_lists)
+        self.new_method(meth).formals.slice(&self.var_lists)
+    }
+
+    /// The implicit receiver variable of an instance method declared by
+    /// this delta.
+    #[must_use]
+    pub fn this(&self, meth: MethodId) -> Option<VarId> {
+        self.new_method(meth).this
     }
 
     /// Registers `meth` as an additional entry point.
@@ -619,6 +672,71 @@ impl ProgramDelta {
         invo
     }
 
+    // ----- source locations ------------------------------------------------
+
+    /// Records the source location of a method declared by this delta (the
+    /// textual frontend's diagnostics point at `.jir` source with it).
+    pub fn set_method_loc(&mut self, meth: MethodId, loc: SrcLoc) {
+        self.method_info(meth).loc = loc;
+    }
+
+    /// Records the source location of the most recently appended
+    /// instruction of a method declared by this delta. Earlier instructions
+    /// without a recorded location default to [`SrcLoc::UNKNOWN`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `meth` has no instructions yet.
+    pub fn set_last_instr_loc(&mut self, meth: MethodId, loc: SrcLoc) {
+        let info = self.method_info(meth);
+        assert!(
+            !info.instrs.is_empty(),
+            "set_last_instr_loc on empty method {meth}"
+        );
+        info.instr_locs
+            .resize(info.instrs.len() - 1, SrcLoc::UNKNOWN);
+        info.instr_locs.push(loc);
+    }
+
+    // ----- introspection ---------------------------------------------------
+    //
+    // Read access to the entities this delta declares; the workload
+    // generator's dead-allocation sweep reads its own output through these
+    // before freezing it.
+
+    /// Number of methods in the edited program: the base's plus those
+    /// declared so far.
+    #[must_use]
+    pub fn method_count(&self) -> usize {
+        self.base.methods + self.new_methods.len()
+    }
+
+    /// The instructions appended so far to a method declared by this delta.
+    #[must_use]
+    pub fn instrs(&self, meth: MethodId) -> &[Instr] {
+        &self.new_method(meth).instrs
+    }
+
+    /// The return variable of a method declared by this delta, if one was
+    /// set.
+    #[must_use]
+    pub fn formal_return(&self, meth: MethodId) -> Option<VarId> {
+        self.new_method(meth).ret
+    }
+
+    /// Actual arguments of an invocation site appended by this delta.
+    #[must_use]
+    pub fn actual_args(&self, invo: InvoId) -> &[VarId] {
+        self.new_invo(invo).args.slice(&self.var_lists)
+    }
+
+    /// The variable receiving the return value of an invocation site
+    /// appended by this delta, if any.
+    #[must_use]
+    pub fn actual_return(&self, invo: InvoId) -> Option<VarId> {
+        self.new_invo(invo).ret
+    }
+
     // ----- removals --------------------------------------------------------
 
     /// Removes the `index`-th instruction of `meth`'s *base* body. The
@@ -647,69 +765,73 @@ impl ProgramDelta {
 /// base counts resolve in the base arenas, appended IDs in the delta's
 /// pending lists. This is what lets a delta be validated *before* it is
 /// applied, which in turn is what makes [`Program::apply_delta_in_place`]
-/// safe — nothing can fail once mutation starts.
-struct DeltaView<'a> {
+/// safe — nothing can fail once mutation starts. Over the empty program
+/// every ID resolves in the delta, which is how a fresh program is
+/// validated.
+pub(crate) struct DeltaView<'a> {
     base: &'a Program,
     delta: &'a ProgramDelta,
 }
 
-impl EntityView for DeltaView<'_> {
-    fn var_method(&self, var: VarId) -> MethodId {
+impl DeltaView<'_> {
+    pub(crate) fn var_method(&self, var: VarId) -> MethodId {
         match var.index().checked_sub(self.delta.base.vars) {
             None => self.base.var_method(var),
             Some(i) => self.delta.new_vars[i].method,
         }
     }
-    fn field_is_static(&self, field: FieldId) -> bool {
+    pub(crate) fn field_is_static(&self, field: FieldId) -> bool {
         match field.index().checked_sub(self.delta.base.fields) {
             None => self.base.field_is_static(field),
             Some(i) => self.delta.new_fields[i].is_static,
         }
     }
-    fn invo_kind(&self, invo: InvoId) -> InvoKind {
+    pub(crate) fn invo_kind(&self, invo: InvoId) -> InvoKind {
         match invo.index().checked_sub(self.delta.base.invos) {
             None => self.base.invo_kind(invo),
             Some(i) => self.delta.new_invos[i].kind,
         }
     }
-    fn actual_args(&self, invo: InvoId) -> &[VarId] {
-        match invo.index().checked_sub(self.delta.base.invos) {
-            None => self.base.actual_args(invo),
-            Some(i) => self.delta.new_invos[i].args.slice(&self.delta.var_lists),
+    pub(crate) fn actual_args(&self, invo: InvoId) -> &[VarId] {
+        if invo.index() < self.delta.base.invos {
+            self.base.actual_args(invo)
+        } else {
+            self.delta.actual_args(invo)
         }
     }
-    fn actual_return(&self, invo: InvoId) -> Option<VarId> {
-        match invo.index().checked_sub(self.delta.base.invos) {
-            None => self.base.actual_return(invo),
-            Some(i) => self.delta.new_invos[i].ret,
+    pub(crate) fn actual_return(&self, invo: InvoId) -> Option<VarId> {
+        if invo.index() < self.delta.base.invos {
+            self.base.actual_return(invo)
+        } else {
+            self.delta.actual_return(invo)
         }
     }
-    fn sig_arity(&self, sig: SigId) -> usize {
+    pub(crate) fn sig_arity(&self, sig: SigId) -> usize {
         match sig.index().checked_sub(self.delta.base.sigs) {
             None => self.base.sig_arity(sig),
             Some(i) => self.delta.new_sigs[i].arity,
         }
     }
-    fn method_is_static(&self, meth: MethodId) -> bool {
+    pub(crate) fn method_is_static(&self, meth: MethodId) -> bool {
         match meth.index().checked_sub(self.delta.base.methods) {
             None => self.base.method_is_static(meth),
             Some(i) => self.delta.new_methods[i].is_static,
         }
     }
-    fn formals_len(&self, meth: MethodId) -> usize {
-        match meth.index().checked_sub(self.delta.base.methods) {
-            None => self.base.formals(meth).len(),
-            Some(i) => self.delta.new_methods[i].formals.len(),
+    pub(crate) fn formals_len(&self, meth: MethodId) -> usize {
+        if meth.index() < self.delta.base.methods {
+            self.base.formals(meth).len()
+        } else {
+            self.delta.formals(meth).len()
         }
     }
 }
 
 /// Validates everything `delta` contributes to the edited program —
-/// stale-base stamp, removal indices, entry points, appended
-/// instructions, new method bodies, new catch clauses — against the
-/// *unmodified* base. Every check the full [`crate::validate`] pass
-/// would make on the edited program is either made here or holds by
-/// induction (base entities were validated when the base was frozen).
+/// stale-base stamp, removal indices, then [`validate_additions`] —
+/// against the *unmodified* base. Every well-formedness check on the
+/// edited program is either made here or holds by induction (base
+/// entities were validated when the base was frozen).
 fn validate_delta(base: &Program, delta: &ProgramDelta) -> Result<(), DeltaError> {
     if BaseCounts::of(base) != delta.base {
         return Err(DeltaError::StaleBase);
@@ -728,14 +850,31 @@ fn validate_delta(base: &Program, delta: &ProgramDelta) -> Result<(), DeltaError
             });
         }
     }
+    Ok(validate_additions(base, delta)?)
+}
 
+/// Checks what `delta` adds to `base`, in this order: that an entry point
+/// remains, each added entry point, instructions appended to base
+/// methods, each new method's instructions and then its catch binders,
+/// and catch clauses added to base methods. Over the empty program this
+/// is the whole well-formedness check of a fresh program, and the first
+/// error is the first one met walking entry points, then each method's
+/// body and catch binders in ID order.
+///
+/// # Errors
+///
+/// Returns the first [`ValidateError`] discovered.
+pub(crate) fn validate_additions(
+    base: &Program,
+    delta: &ProgramDelta,
+) -> Result<(), ValidateError> {
     let view = DeltaView { base, delta };
     let keeps_base_entry = base
         .entry_points()
         .iter()
         .any(|m| !delta.remove_entries.contains(m));
     if !keeps_base_entry && delta.add_entries.is_empty() {
-        return Err(ValidateError::NoEntryPoint.into());
+        return Err(ValidateError::NoEntryPoint);
     }
     for &m in &delta.add_entries {
         check_entry_point(&view, m)?;

@@ -65,4 +65,4 @@ pub use interp::{DynamicFacts, InterpConfig, Interpreter};
 pub use program::{Instr, InvoKind, Program};
 pub use srcloc::SrcLoc;
 pub use stats::{ProgramStats, SizeHints};
-pub use validate::{validate, FieldAccess, ValidateError};
+pub use validate::{FieldAccess, ValidateError};

@@ -44,11 +44,6 @@ impl Span {
         Span::new(start, arena.len() - start)
     }
 
-    /// The number of bytes or elements addressed.
-    pub(crate) fn len(self) -> usize {
-        self.len as usize
-    }
-
     fn new(start: usize, len: usize) -> Span {
         let fits = |n: usize| u32::try_from(n).expect("name arena exceeds 4 GiB");
         fits(start + len);

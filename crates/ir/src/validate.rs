@@ -1,14 +1,18 @@
-//! Well-formedness validation for [`Program`]s.
+//! Well-formedness checks for [`crate::Program`]s.
 //!
-//! Checked once when a builder is frozen; analyses may then rely on these
-//! invariants without re-checking (e.g. every variable in an instruction
-//! belongs to the enclosing method, call arities match, entry points exist).
+//! Every program is checked when its builder is frozen, and every edit
+//! before it is applied: both run [`crate::delta`]'s `validate_additions`,
+//! which calls the checks here on a base program overlaid with the
+//! pending delta. Analyses may then rely on these invariants without
+//! re-checking (e.g. every variable in an instruction belongs to the
+//! enclosing method, call arities match, entry points exist).
 
 use std::error::Error;
 use std::fmt;
 
+use crate::delta::DeltaView;
 use crate::ids::{FieldId, InvoId, MethodId, VarId};
-use crate::program::{Instr, InvoKind, Program};
+use crate::program::{Instr, InvoKind};
 
 /// The four field-access shapes, used to report kind mismatches precisely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,53 +161,10 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
-/// Read-only view of the entity attributes the per-instruction checks
-/// consult. Implemented by [`Program`] itself and — in `delta.rs` — by a
-/// base program overlaid with a pending [`crate::ProgramDelta`], so a
-/// delta can be validated *before* it is applied (which is what makes
-/// in-place application safe: nothing can fail after mutation starts).
-pub(crate) trait EntityView {
-    fn var_method(&self, var: VarId) -> MethodId;
-    fn field_is_static(&self, field: FieldId) -> bool;
-    fn invo_kind(&self, invo: InvoId) -> InvoKind;
-    fn actual_args(&self, invo: InvoId) -> &[VarId];
-    fn actual_return(&self, invo: InvoId) -> Option<VarId>;
-    fn sig_arity(&self, sig: crate::ids::SigId) -> usize;
-    fn method_is_static(&self, meth: MethodId) -> bool;
-    fn formals_len(&self, meth: MethodId) -> usize;
-}
-
-impl EntityView for Program {
-    fn var_method(&self, var: VarId) -> MethodId {
-        Program::var_method(self, var)
-    }
-    fn field_is_static(&self, field: FieldId) -> bool {
-        Program::field_is_static(self, field)
-    }
-    fn invo_kind(&self, invo: InvoId) -> InvoKind {
-        Program::invo_kind(self, invo)
-    }
-    fn actual_args(&self, invo: InvoId) -> &[VarId] {
-        Program::actual_args(self, invo)
-    }
-    fn actual_return(&self, invo: InvoId) -> Option<VarId> {
-        Program::actual_return(self, invo)
-    }
-    fn sig_arity(&self, sig: crate::ids::SigId) -> usize {
-        Program::sig_arity(self, sig)
-    }
-    fn method_is_static(&self, meth: MethodId) -> bool {
-        Program::method_is_static(self, meth)
-    }
-    fn formals_len(&self, meth: MethodId) -> usize {
-        Program::formals(self, meth).len()
-    }
-}
-
 /// Checks that `entry` is a legal analysis root: a static method without
 /// parameters.
-pub(crate) fn check_entry_point<V: EntityView>(
-    view: &V,
+pub(crate) fn check_entry_point(
+    view: &DeltaView<'_>,
     entry: MethodId,
 ) -> Result<(), ValidateError> {
     if !view.method_is_static(entry) || view.formals_len(entry) != 0 {
@@ -213,8 +174,8 @@ pub(crate) fn check_entry_point<V: EntityView>(
 }
 
 /// Checks one instruction of `meth`'s body against the view.
-pub(crate) fn check_instr<V: EntityView>(
-    view: &V,
+pub(crate) fn check_instr(
+    view: &DeltaView<'_>,
     meth: MethodId,
     instr: &Instr,
 ) -> Result<(), ValidateError> {
@@ -341,8 +302,8 @@ pub(crate) fn check_instr<V: EntityView>(
 }
 
 /// Checks that a catch clause's binder variable belongs to `meth`.
-pub(crate) fn check_catch_binder<V: EntityView>(
-    view: &V,
+pub(crate) fn check_catch_binder(
+    view: &DeltaView<'_>,
     meth: MethodId,
     binder: VarId,
 ) -> Result<(), ValidateError> {
@@ -354,29 +315,6 @@ pub(crate) fn check_catch_binder<V: EntityView>(
             var: binder,
         })
     }
-}
-
-/// Checks all well-formedness invariants of `program`.
-///
-/// # Errors
-///
-/// Returns the first [`ValidateError`] discovered.
-pub fn validate(program: &Program) -> Result<(), ValidateError> {
-    if program.entry_points().is_empty() {
-        return Err(ValidateError::NoEntryPoint);
-    }
-    for &entry in program.entry_points() {
-        check_entry_point(program, entry)?;
-    }
-    for meth in program.methods() {
-        for instr in program.instrs(meth) {
-            check_instr(program, meth, instr)?;
-        }
-        for &(_, binder) in program.catches(meth) {
-            check_catch_binder(program, meth, binder)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ impl WorkloadConfig {
     }
 
     /// Scales every size knob by `factor` (at least 1 each), keeping the
-    /// idiom mix. Used by the bench harness's `PTA_SCALE` option.
+    /// idiom mix. Used by the bench harness's `--scale` flag.
     pub fn scaled(&self, factor: f64) -> WorkloadConfig {
         let scale = |n: usize| -> usize { ((n as f64 * factor).round() as usize).max(1) };
         WorkloadConfig {

@@ -196,3 +196,53 @@ fn profile_and_trace_agree_on_rule_activity() {
         );
     }
 }
+
+/// The CLI surface of the same features: `pta analyze --trace` writes a
+/// Chrome timeline with the session's `solve` span and per-rule spans on
+/// a DaCapo-shaped workload, and `pta explain` prints a derivation chain
+/// on the motivating example.
+#[test]
+fn cli_trace_file_and_explain_chain() {
+    let pta = env!("CARGO_BIN_EXE_pta");
+    let out = std::process::Command::new(pta)
+        .args(["workload", "luindex", "--scale", "0.3", "--print"])
+        .output()
+        .expect("spawn pta workload");
+    assert!(out.status.success());
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let jir = dir.join(format!("pta-obs-{id}.jir"));
+    let trace = dir.join(format!("pta-obs-{id}.trace.json"));
+    std::fs::write(&jir, &out.stdout).unwrap();
+    let out = std::process::Command::new(pta)
+        .args(["analyze", jir.to_str().unwrap(), "--analysis", "S-2obj+H"])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn pta analyze");
+    let written = std::fs::read_to_string(&trace);
+    std::fs::remove_file(&jir).ok();
+    std::fs::remove_file(&trace).ok();
+    assert!(out.status.success(), "{out:?}");
+    let written = written.expect("trace file written");
+    for needle in [
+        r#""traceEvents""#,
+        r#""name":"solve""#,
+        r#""name":"alloc","cat":"rule""#,
+    ] {
+        assert!(written.contains(needle), "trace lacks {needle}");
+    }
+
+    let out = std::process::Command::new(pta)
+        .args([
+            "explain",
+            "examples/programs/motivating.jir",
+            "r1",
+            "Object#",
+        ])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn pta explain");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(text.contains("allocation site"), "{text}");
+}
