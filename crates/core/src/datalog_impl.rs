@@ -27,12 +27,13 @@ use std::rc::Rc;
 
 use pta_datalog::{Engine, RelId, Term, VerifyReport};
 use pta_govern::{Budget, CancelToken};
-use pta_ir::hash::{FxHashMap, FxHashSet};
-use pta_ir::{FieldId, HeapId, Instr, InvoId, MethodId, Program, TypeId, VarId};
+use pta_ir::hash::FxHashSet;
+use pta_ir::{HeapId, Instr, InvoId, MethodId, Program, TypeId};
 
 use crate::context::{CtxId, CtxInterner, HCtxId, HCtxInterner};
 use crate::policy::ContextPolicy;
-use crate::results::PointsToResult;
+use crate::project::{self, Csr, FieldView};
+use crate::results::{hot_vars, PointsToResult};
 
 fn v(name: &str) -> Term {
     Term::var(name)
@@ -95,51 +96,28 @@ where
         (e.run_governed(budget, cancel), None)
     };
 
-    let mut var_points_to: FxHashMap<VarId, Vec<HeapId>> = FxHashMap::default();
-    {
-        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for row in e.rows(vpt) {
-            let (var, heap) = (row.get(0), row.get(2));
-            if seen.insert((var, heap)) {
-                var_points_to
-                    .entry(VarId::from_raw(var))
-                    .or_default()
-                    .push(HeapId::from_raw(heap));
-            }
-        }
-    }
-    for vals in var_points_to.values_mut() {
-        vals.sort_unstable();
-    }
+    // Context-insensitive projections into the same flat views the dense
+    // solver builds (see `crate::project`).
+    let pairs = |rel: RelId, a: usize, b: usize| -> Vec<(u32, u32)> {
+        e.rows(rel).map(|row| (row.get(a), row.get(b))).collect()
+    };
+    let var_points_to = Csr::from_pairs(program.var_count(), &pairs(vpt, 0, 2), HeapId::from_raw);
+    let call_targets = Csr::from_pairs(
+        program.invo_count(),
+        &pairs(call_graph, 0, 2),
+        MethodId::from_raw,
+    );
+    let reachable_set = project::bitset(
+        program.method_count(),
+        e.rows(reachable).map(|row| row.get(0)),
+    );
 
-    let mut call_targets: FxHashMap<InvoId, Vec<MethodId>> = FxHashMap::default();
-    let mut cg_insens: FxHashSet<(InvoId, MethodId)> = FxHashSet::default();
-    for row in e.rows(call_graph) {
-        let (invo, meth) = (InvoId::from_raw(row.get(0)), MethodId::from_raw(row.get(2)));
-        if cg_insens.insert((invo, meth)) {
-            call_targets.entry(invo).or_default().push(meth);
-        }
-    }
-    for vals in call_targets.values_mut() {
-        vals.sort_unstable();
-    }
-
-    let mut reachable_set: FxHashSet<MethodId> = FxHashSet::default();
-    for row in e.rows(reachable) {
-        reachable_set.insert(MethodId::from_raw(row.get(0)));
-    }
-
-    let ctx_interner = Rc::try_unwrap(ctxs)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| {
-            // Functors still hold clones of the Rc (they live in the
-            // engine, dropped above — but `e` is still alive here), so fall
-            // back to reconstructing by cloning the contents.
-            clone_ctx_interner(&rc.borrow())
-        });
-    let hctx_interner = Rc::try_unwrap(hctxs)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| clone_hctx_interner(&rc.borrow()));
+    // The engine's functors still hold clones of the `Rc`s (`e` is alive
+    // here), so the interners are usually cloned out.
+    let ctx_interner =
+        Rc::try_unwrap(ctxs).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner);
+    let hctx_interner =
+        Rc::try_unwrap(hctxs).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner);
 
     let mut uncaught: Vec<HeapId> = {
         let entries: FxHashSet<u32> = program.entry_points().iter().map(|m| m.raw()).collect();
@@ -153,40 +131,23 @@ where
     };
     uncaught.sort_unstable();
 
-    // Context-insensitive heap-graph projections, matching the dense
-    // solver's field/static views byte for byte.
-    let mut field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>> = FxHashMap::default();
-    {
-        let mut seen: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
-        for row in e.rows(fld_pts) {
-            let (base, fld, heap) = (row.get(0), row.get(2), row.get(3));
-            if seen.insert((base, fld, heap)) {
-                field_points_to
-                    .entry((HeapId::from_raw(base), FieldId::from_raw(fld)))
-                    .or_default()
-                    .push(HeapId::from_raw(heap));
-            }
-        }
-    }
-    for vals in field_points_to.values_mut() {
-        vals.sort_unstable();
-    }
-    let mut static_points_to: FxHashMap<FieldId, Vec<HeapId>> = FxHashMap::default();
-    {
-        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for row in e.rows(static_fld_pts) {
-            let (fld, heap) = (row.get(0), row.get(1));
-            if seen.insert((fld, heap)) {
-                static_points_to
-                    .entry(FieldId::from_raw(fld))
-                    .or_default()
-                    .push(HeapId::from_raw(heap));
-            }
-        }
-    }
-    for vals in static_points_to.values_mut() {
-        vals.sort_unstable();
-    }
+    let cells: Vec<[u32; 3]> = e
+        .rows(fld_pts)
+        .map(|row| [row.get(0), row.get(2), row.get(3)])
+        .collect();
+    let (field_points_to, _) = FieldView::build(
+        program.heap_count(),
+        program.field_count(),
+        cells.len(),
+        |i| (cells[i as usize][0], cells[i as usize][1]),
+        |_| 1,
+        |i| std::iter::once(cells[i as usize][2]),
+    );
+    let static_points_to = Csr::from_pairs(
+        program.field_count(),
+        &pairs(static_fld_pts, 0, 1),
+        HeapId::from_raw,
+    );
 
     let profile_box = rule_prof.map(|prof| {
         let rules = prof
@@ -198,26 +159,9 @@ where
                 ns: r.ns,
             })
             .collect();
-        let mut sizes: Vec<(usize, VarId)> = var_points_to
-            .iter()
-            .map(|(&v, heaps)| (heaps.len(), v))
-            .collect();
-        sizes.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let hot_vars = sizes
-            .into_iter()
-            .take(10)
-            .map(|(len, v)| pta_obs::HotVar {
-                name: format!(
-                    "{}::{}",
-                    program.method_qualified_name(program.var_method(v)),
-                    program.var_name(v)
-                ),
-                size: len as u64,
-            })
-            .collect();
         Box::new(pta_obs::Profile {
             rules,
-            hot_vars,
+            hot_vars: hot_vars(program, &var_points_to),
             // `PtsSet` stage promotions are a dense-solver concept; the
             // generic engine's relations have no staged representation.
             set_promotions: 0,
@@ -236,7 +180,7 @@ where
 
     PointsToResult {
         var_points_to,
-        call_graph_edges: cg_insens.len(),
+        call_graph_edges: call_targets.items().len(),
         call_targets,
         reachable: reachable_set,
         ctx_vpt_count: e.len(vpt) as u64,
@@ -718,28 +662,12 @@ where
     }
 }
 
-fn clone_ctx_interner(src: &CtxInterner) -> CtxInterner {
-    let mut out = CtxInterner::new();
-    for i in 0..src.len() {
-        out.intern(src.resolve(CtxId::from_raw(i as u32)));
-    }
-    out
-}
-
-fn clone_hctx_interner(src: &HCtxInterner) -> HCtxInterner {
-    let mut out = HCtxInterner::new();
-    for i in 0..src.len() {
-        out.intern(src.resolve(HCtxId::from_raw(i as u32)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Analysis;
     use crate::session::{AnalysisSession, Backend};
-    use pta_ir::ProgramBuilder;
+    use pta_ir::{ProgramBuilder, VarId};
 
     /// Box container program: two boxes, two payloads, store/load.
     fn box_program() -> (Program, [VarId; 2]) {

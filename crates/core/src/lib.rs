@@ -64,6 +64,7 @@ pub mod context;
 pub mod datalog_impl;
 pub mod fault;
 pub mod policy;
+pub mod project;
 pub mod pts;
 pub mod results;
 pub mod session;

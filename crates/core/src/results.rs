@@ -12,10 +12,11 @@
 //! facts, such as the `quickstart` example.
 
 use pta_govern::Termination;
-use pta_ir::hash::{FxHashMap, FxHashSet};
+use pta_ir::hash::FxHashMap;
 use pta_ir::{FieldId, HeapId, InvoId, MethodId, Program, VarId};
 
 use crate::context::{Ctx, CtxId, CtxInterner, HCtxId, HCtxInterner, HeapCtx};
+use crate::project::{Csr, FieldView};
 
 /// One method demoted to its policy's context-insensitive fallback by
 /// graceful degradation (`SolverConfig::degrade`): its context fan-out
@@ -246,10 +247,13 @@ impl std::fmt::Display for SolverStats {
 /// The result of running a points-to analysis over a program.
 #[derive(Debug)]
 pub struct PointsToResult {
-    pub(crate) var_points_to: FxHashMap<VarId, Vec<HeapId>>,
-    pub(crate) call_targets: FxHashMap<InvoId, Vec<MethodId>>,
+    /// Variable → sorted heap abstractions (context-insensitive).
+    pub(crate) var_points_to: Csr<HeapId>,
+    /// Invocation site → sorted callees.
+    pub(crate) call_targets: Csr<MethodId>,
     pub(crate) call_graph_edges: usize,
-    pub(crate) reachable: FxHashSet<MethodId>,
+    /// Bitset of the reachable methods.
+    pub(crate) reachable: Vec<u64>,
     pub(crate) ctx_vpt_count: u64,
     pub(crate) ctx_call_graph_edges: u64,
     pub(crate) ctx_reachable_count: u64,
@@ -262,10 +266,10 @@ pub struct PointsToResult {
     pub(crate) uncaught: Vec<HeapId>,
     /// Context-insensitive instance-field view: `(base heap, field)` →
     /// sorted heap abstractions stored there under some context.
-    pub(crate) field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>>,
+    pub(crate) field_points_to: FieldView,
     /// Context-insensitive static-field view: field → sorted heap
     /// abstractions stored there.
-    pub(crate) static_points_to: FxHashMap<FieldId, Vec<HeapId>>,
+    pub(crate) static_points_to: Csr<HeapId>,
     pub(crate) ctx_interner: CtxInterner,
     pub(crate) hctx_interner: HCtxInterner,
     pub(crate) stats: SolverStats,
@@ -277,25 +281,38 @@ pub struct PointsToResult {
     pub(crate) profile: Option<Box<pta_obs::Profile>>,
 }
 
+/// The ten variables with the largest context-insensitive points-to sets
+/// (ties broken by variable ID), for a run's profile.
+pub(crate) fn hot_vars(program: &Program, var_points_to: &Csr<HeapId>) -> Vec<pta_obs::HotVar> {
+    let mut sizes: Vec<(usize, VarId)> = var_points_to
+        .rows()
+        .map(|(v, heaps)| (heaps.len(), VarId::from_index(v)))
+        .collect();
+    sizes.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let hot = sizes.into_iter().take(10).map(|(len, v)| pta_obs::HotVar {
+        name: format!(
+            "{}::{}",
+            program.method_qualified_name(program.var_method(v)),
+            program.var_name(v)
+        ),
+        size: len as u64,
+    });
+    hot.collect()
+}
+
 impl PointsToResult {
     /// The (context-insensitive) points-to set of `var`, sorted by heap ID.
     ///
     /// Empty for variables the analysis never reached.
     pub fn points_to(&self, var: VarId) -> &[HeapId] {
-        self.var_points_to
-            .get(&var)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.var_points_to.row(var.index())
     }
 
     /// The possible callees of invocation site `invo`, sorted.
     ///
     /// For static call sites this is the single static target (if reached).
     pub fn call_targets(&self, invo: InvoId) -> &[MethodId] {
-        self.call_targets
-            .get(&invo)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.call_targets.row(invo.index())
     }
 
     /// Number of edges in the context-insensitive call graph — the paper's
@@ -306,17 +323,21 @@ impl PointsToResult {
 
     /// `true` if the analysis found `meth` reachable in some context.
     pub fn is_reachable(&self, meth: MethodId) -> bool {
-        self.reachable.contains(&meth)
+        let m = meth.index();
+        self.reachable
+            .get(m >> 6)
+            .is_some_and(|w| w >> (m & 63) & 1 != 0)
     }
 
-    /// The set of reachable methods.
+    /// The reachable methods, ascending.
     pub fn reachable_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        self.reachable.iter().copied()
+        let methods = (0..self.reachable.len() * 64).map(MethodId::from_index);
+        methods.filter(|&m| self.is_reachable(m))
     }
 
     /// Number of reachable methods.
     pub fn reachable_method_count(&self) -> usize {
-        self.reachable.len()
+        self.reachable.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Total number of context-sensitive `VarPointsTo` tuples — the paper's
@@ -535,35 +556,29 @@ impl PointsToResult {
     /// projected down to allocation sites — the heap-graph view client
     /// analyses (taint reachability, escape) traverse.
     pub fn field_points_to(&self, base: HeapId, field: FieldId) -> &[HeapId] {
-        self.field_points_to
-            .get(&(base, field))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.field_points_to.get(base, field)
     }
 
     /// Iterates every populated `(base heap, field)` cell with its sorted
-    /// points-to set, in unspecified order.
+    /// points-to set, ascending by base heap, then field.
     pub fn field_points_to_iter(
         &self,
     ) -> impl Iterator<Item = ((HeapId, FieldId), &[HeapId])> + '_ {
-        self.field_points_to.iter().map(|(&k, v)| (k, v.as_slice()))
+        self.field_points_to.iter()
     }
 
     /// The (context-insensitive) points-to set of static field `field`,
     /// sorted by heap ID. Empty if nothing was ever stored there.
     pub fn static_points_to(&self, field: FieldId) -> &[HeapId] {
-        self.static_points_to
-            .get(&field)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.static_points_to.row(field.index())
     }
 
     /// Iterates every populated static field with its sorted points-to
-    /// set, in unspecified order.
+    /// set, ascending by field.
     pub fn static_points_to_iter(&self) -> impl Iterator<Item = (FieldId, &[HeapId])> + '_ {
         self.static_points_to
-            .iter()
-            .map(|(&k, v)| (k, v.as_slice()))
+            .rows()
+            .map(|(f, heaps)| (FieldId::from_index(f), heaps))
     }
 
     /// `true` if `a` and `b` may point to a common heap object — the
@@ -590,20 +605,20 @@ impl PointsToResult {
     /// The average points-to set size over variables of reachable methods
     /// with non-empty sets — the paper's "avg objs per var" metric.
     pub fn average_points_to_size(&self) -> f64 {
-        if self.var_points_to.is_empty() {
+        let vars = self.var_points_to.rows().count();
+        if vars == 0 {
             return 0.0;
         }
-        let total: u64 = self.var_points_to.values().map(|v| v.len() as u64).sum();
-        total as f64 / self.var_points_to.len() as f64
+        self.var_points_to.items().len() as f64 / vars as f64
     }
 
     /// The median points-to set size over variables with non-empty sets.
     /// (The paper notes this is 1 for all analyses and benchmarks.)
     pub fn median_points_to_size(&self) -> usize {
-        if self.var_points_to.is_empty() {
+        let mut sizes: Vec<usize> = self.var_points_to.rows().map(|(_, h)| h.len()).collect();
+        if sizes.is_empty() {
             return 0;
         }
-        let mut sizes: Vec<usize> = self.var_points_to.values().map(Vec::len).collect();
         sizes.sort_unstable();
         sizes[sizes.len() / 2]
     }

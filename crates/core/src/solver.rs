@@ -59,8 +59,11 @@ use pta_ir::{
 use crate::context::{CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner};
 use crate::fault::FaultPlan;
 use crate::policy::ContextPolicy;
+use crate::project::{self, Csr, FieldView, Union};
 use crate::pts::PtsSet;
-use crate::results::{CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, SolverStats};
+use crate::results::{
+    hot_vars, CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, SolverStats,
+};
 
 /// Solver configuration. The default is an unlimited, uninstrumented,
 /// non-retaining solve.
@@ -301,22 +304,20 @@ impl StaticIndex {
 
     /// Extends the index with a purely additive delta's instructions —
     /// the base-method appends plus the bodies of methods the delta
-    /// declares. Each CSR table is rebuilt by a linear merge of its old
-    /// (already sorted) flat array with the few sorted new pairs, so the
-    /// cost is one pass over the index instead of a re-scan and re-sort
-    /// of every instruction in the program. Retracting deltas never get
-    /// here: they re-solve, building a fresh index.
+    /// declares. Each CSR table with new pairs is spliced: the variables
+    /// they name are re-merged and every other segment is copied in bulk,
+    /// so the cost is one pass over the index instead of a re-scan and
+    /// re-sort of every instruction in the program. Retracting deltas
+    /// never get here: they re-solve, building a fresh index.
     fn append_additive(&mut self, program: &Program, delta: &ProgramDelta) {
         let n_new = program.var_count();
-        let n_old = self.rows.len() - 1;
-
         let mut assigns_new: Vec<(u32, (VarId, Option<TypeId>))> = Vec::new();
         let mut loads_new: Vec<(u32, (VarId, FieldId))> = Vec::new();
         let mut stores_on_new: Vec<(u32, (FieldId, VarId))> = Vec::new();
         let mut stores_of_new: Vec<(u32, (VarId, FieldId))> = Vec::new();
         let mut sstores_new: Vec<(u32, FieldId)> = Vec::new();
         let mut vcalls_new: Vec<(u32, (SigId, InvoId))> = Vec::new();
-        let mut thrown_new: FxHashSet<u32> = FxHashSet::default();
+        let mut thrown_new: Vec<VarId> = Vec::new();
         let new_method_instrs = (delta.base_method_count()..program.method_count())
             .flat_map(|i| program.instrs(MethodId::from_index(i)).iter().copied());
         for instr in delta
@@ -335,150 +336,61 @@ impl StaticIndex {
                 }
                 Instr::VCall { base, sig, invo } => vcalls_new.push((base.raw(), (sig, invo))),
                 Instr::SStore { field, from } => sstores_new.push((from.raw(), field)),
-                Instr::Throw { var } => {
-                    thrown_new.insert(var.raw());
-                }
+                Instr::Throw { var } => thrown_new.push(var),
                 Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {}
             }
         }
 
-        // Merges one table's old per-var segments (sorted by construction)
-        // with the sorted new pairs, deduplicating like `build_csr`.
-        // `None` means the table had no new pairs and its old flat array
-        // (and old starts column, extended for new vars) stands as-is.
-        fn merged<T: Copy + Ord>(
-            rows: &[[u32; 7]],
-            t: usize,
-            old: &[T],
-            n_new: usize,
-            mut newp: Vec<(u32, T)>,
-        ) -> Option<(Vec<u32>, Vec<T>)> {
-            if newp.is_empty() {
-                return None;
-            }
-            newp.sort_unstable();
-            newp.dedup();
-            let n_old = rows.len() - 1;
-            let mut starts = vec![0u32; n_new + 1];
-            let mut out: Vec<T> = Vec::with_capacity(old.len() + newp.len());
-            let mut ni = 0;
-            for v in 0..n_new {
-                let seg: &[T] = if v < n_old {
-                    &old[rows[v][t] as usize..rows[v + 1][t] as usize]
-                } else {
-                    &[]
-                };
-                let run_start = ni;
-                while ni < newp.len() && newp[ni].0 == v as u32 {
-                    ni += 1;
-                }
-                let run = &newp[run_start..ni];
-                if run.is_empty() {
-                    out.extend_from_slice(seg);
-                } else {
-                    let (mut a, mut b) = (0, 0);
-                    while a < seg.len() && b < run.len() {
-                        match seg[a].cmp(&run[b].1) {
-                            std::cmp::Ordering::Less => {
-                                out.push(seg[a]);
-                                a += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                out.push(seg[a]);
-                                a += 1;
-                                b += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                out.push(run[b].1);
-                                b += 1;
-                            }
-                        }
-                    }
-                    out.extend_from_slice(&seg[a..]);
-                    out.extend(run[b..].iter().map(|&(_, item)| item));
-                }
-                starts[v + 1] = out.len() as u32;
-            }
-            Some((starts, out))
+        // New variables get empty segments (the sentinel row's starts,
+        // which carries no thrown flag); then each table with new pairs is
+        // spliced.
+        let sentinel = *self.rows.last().expect("the sentinel row");
+        self.rows.resize(n_new + 1, sentinel);
+        for v in thrown_new {
+            self.rows[v.index()][ROW_THROWN] = 1;
         }
-
-        let m_assign = merged(&self.rows, ROW_ASSIGN, &self.assigns, n_new, assigns_new);
-        let m_load = merged(&self.rows, ROW_LOAD_ON, &self.loads_on, n_new, loads_new);
-        let m_store_on = merged(
-            &self.rows,
-            ROW_STORE_ON,
-            &self.stores_on,
-            n_new,
-            stores_on_new,
-        );
-        let m_store_of = merged(
-            &self.rows,
-            ROW_STORE_OF,
-            &self.stores_of,
-            n_new,
-            stores_of_new,
-        );
-        let m_sstore = merged(
-            &self.rows,
-            ROW_SSTORE_OF,
-            &self.sstores_of,
-            n_new,
-            sstores_new,
-        );
-        let m_vcall = merged(&self.rows, ROW_VCALL_ON, &self.vcalls_on, n_new, vcalls_new);
-
-        // Start value for variable `v` in table `t`: the rebuilt starts
-        // column when the table changed, else the old column (new vars
-        // get the old total — their segments are empty).
-        fn col(starts: Option<&[u32]>, old_rows: &[[u32; 7]], t: usize, v: usize) -> u32 {
-            match starts {
-                Some(s) => s[v],
-                None => old_rows[v.min(old_rows.len() - 1)][t],
-            }
-        }
-        let (sa, sl, son, sof, ss, sv) = (
-            m_assign.as_ref().map(|(s, _)| s.as_slice()),
-            m_load.as_ref().map(|(s, _)| s.as_slice()),
-            m_store_on.as_ref().map(|(s, _)| s.as_slice()),
-            m_store_of.as_ref().map(|(s, _)| s.as_slice()),
-            m_sstore.as_ref().map(|(s, _)| s.as_slice()),
-            m_vcall.as_ref().map(|(s, _)| s.as_slice()),
-        );
-        let mut rows = vec![[0u32; 7]; n_new + 1];
-        for (v, row) in rows.iter_mut().enumerate() {
-            let thrown = v < n_new
-                && ((v < n_old && self.rows[v][ROW_THROWN] != 0)
-                    || thrown_new.contains(&(v as u32)));
-            *row = [
-                col(sa, &self.rows, ROW_ASSIGN, v),
-                col(sl, &self.rows, ROW_LOAD_ON, v),
-                col(son, &self.rows, ROW_STORE_ON, v),
-                col(sof, &self.rows, ROW_STORE_OF, v),
-                col(ss, &self.rows, ROW_SSTORE_OF, v),
-                col(sv, &self.rows, ROW_VCALL_ON, v),
-                u32::from(thrown),
-            ];
-        }
-        self.rows = rows;
-        if let Some((_, items)) = m_assign {
-            self.assigns = items;
-        }
-        if let Some((_, items)) = m_load {
-            self.loads_on = items;
-        }
-        if let Some((_, items)) = m_store_on {
-            self.stores_on = items;
-        }
-        if let Some((_, items)) = m_store_of {
-            self.stores_of = items;
-        }
-        if let Some((_, items)) = m_sstore {
-            self.sstores_of = items;
-        }
-        if let Some((_, items)) = m_vcall {
-            self.vcalls_on = items;
-        }
+        let rows = &mut self.rows;
+        splice_table(rows, ROW_ASSIGN, &mut self.assigns, assigns_new);
+        splice_table(rows, ROW_LOAD_ON, &mut self.loads_on, loads_new);
+        splice_table(rows, ROW_STORE_ON, &mut self.stores_on, stores_on_new);
+        splice_table(rows, ROW_STORE_OF, &mut self.stores_of, stores_of_new);
+        splice_table(rows, ROW_SSTORE_OF, &mut self.sstores_of, sstores_new);
+        splice_table(rows, ROW_VCALL_ON, &mut self.vcalls_on, vcalls_new);
     }
+}
+
+/// Merges the unsorted `new` pairs into table `t` of the static index:
+/// the variables they name are re-merged (sorted, deduplicated like
+/// [`build_csr`]) and the segments between them are copied in bulk.
+fn splice_table<T: Copy + Ord>(
+    rows: &mut [[u32; 7]],
+    t: usize,
+    items: &mut Vec<T>,
+    mut new: Vec<(u32, T)>,
+) {
+    if new.is_empty() {
+        return;
+    }
+    new.sort_unstable();
+    let mut dirty: Vec<u32> = new.iter().map(|&(v, _)| v).collect();
+    dirty.dedup();
+    let starts = rows.iter().map(|row| row[t]).collect();
+    let old = Csr::from_parts(starts, std::mem::take(items));
+    let mut rest = new.as_slice();
+    let table = old.splice(rows.len() - 1, &dirty, |v, seg, out| {
+        let (run, tail) = rest.split_at(rest.partition_point(|&(w, _)| w as usize <= v));
+        let mut merged = seg.to_vec();
+        merged.extend(run.iter().map(|&(_, item)| item));
+        merged.sort_unstable();
+        merged.dedup();
+        out.extend(merged);
+        rest = tail;
+    });
+    let (starts, table) = table.into_parts();
+    for (row, start) in rows.iter_mut().zip(starts) {
+        row[t] = start;
+    }
+    *items = table;
 }
 
 /// How a `VarPointsTo` tuple was first derived (recorded only under
@@ -650,21 +562,44 @@ pub(crate) struct Solver<P: ContextPolicy> {
 
 /// See [`Solver::proj_cache`].
 struct ProjCache {
-    /// Insens variable points-to as of the last build, re-derived per
-    /// dirty variable.
-    var_points_to: FxHashMap<VarId, Vec<HeapId>>,
+    /// Insens variable points-to as of the last build; each build
+    /// re-derives the dirty variables and splices them in.
+    var_points_to: Csr<HeapId>,
     /// Insens call targets as of the last build, patched from `cg_new`.
-    call_targets: FxHashMap<InvoId, Vec<MethodId>>,
+    call_targets: Csr<MethodId>,
+    /// Insens field view as of the last build; each build re-derives the
+    /// dirty base heaps and splices them in.
+    field_points_to: FieldView,
     /// Reverse index: variable -> its interned `(var, ctx)` key IDs.
     /// Appended by [`Solver::key_id`] while the cache is live.
     var_keys: Vec<Vec<u32>>,
+    /// Reverse index: base heap -> its field entry IDs, ordered by field.
+    /// Appended by [`Solver::fld_id`] while the cache is live.
+    heap_fes: Vec<Vec<u32>>,
     /// Variables whose context-sensitive sets grew since the last build.
     dirty_vars: FxHashSet<u32>,
+    /// Base heaps whose field cells grew since the last build.
+    dirty_bases: FxHashSet<u32>,
     /// Insens call-graph edges inserted since the last build.
     cg_new: Vec<(InvoId, MethodId)>,
     /// Running context-sensitive tuple count (matches the sum of all
     /// entry set sizes; valid because additive applies never remove).
     ctx_vpt: u64,
+}
+
+/// Appends the sorted, distinct heaps of one variable's `(var, ctx)`
+/// `keys` to `out`.
+fn var_row(
+    union: &mut Union,
+    entries: &[VarEntry],
+    objs: &DenseMap<(u32, u32)>,
+    keys: &[u32],
+    out: &mut Vec<HeapId>,
+) {
+    let sets = keys.iter().map(|&k| &entries[k as usize].set);
+    let total = sets.clone().map(PtsSet::len).sum();
+    let heaps = sets.flat_map(PtsSet::iter).map(|o| objs.resolve(o).0);
+    union.append(out, total, heaps, HeapId::from_raw);
 }
 
 impl<P: ContextPolicy> Solver<P> {
@@ -1089,6 +1024,15 @@ impl<P: ContextPolicy> Solver<P> {
         let id = self.fkeys.intern((base_obj, field));
         if id as usize == self.fentries.len() {
             self.fentries.push(FldEntry::default());
+            if let Some(cache) = self.proj_cache.as_deref_mut() {
+                let base = self.objs.resolve(base_obj).0 as usize;
+                if cache.heap_fes.len() <= base {
+                    cache.heap_fes.resize_with(base + 1, Vec::new);
+                }
+                let fes = &mut cache.heap_fes[base];
+                let at = fes.partition_point(|&fe| self.fkeys.resolve(fe).1 <= field);
+                fes.insert(at, id);
+            }
         }
         id
     }
@@ -1163,6 +1107,9 @@ impl<P: ContextPolicy> Solver<P> {
             self.bitmap_bytes += entry.set.bitmap_bytes() - bytes_before;
         }
         if !fresh.is_empty() {
+            if let Some(cache) = self.proj_cache.as_deref_mut() {
+                cache.dirty_bases.insert(self.objs.resolve(base_obj).0);
+            }
             self.stats.fld_inserted += fresh.len() as u64;
             self.prof_derive(R_STORE, fresh.len() as u64);
             if self.config.track_provenance {
@@ -1653,157 +1600,123 @@ impl<P: ContextPolicy> Solver<P> {
                 }
             };
 
-        let (mut var_points_to, cached_call_targets, ctx_vpt_count);
+        // Context-insensitive projections into flat views (see
+        // `crate::project`). A retained build after the first re-derives
+        // only the variables, call sites and base heaps that changed since
+        // the last one and copies the clean rows around them in bulk.
+        let t0 = self.ts.now_ns();
+        let (n_vars, n_heaps) = (self.program.var_count(), self.program.heap_count());
+        let n_invos = self.program.invo_count();
+        let (entries, objs) = (&self.entries, &self.objs);
+        let (fkeys, fentries) = (&self.fkeys, &self.fentries);
+        let field_of = |fe: u32| fkeys.resolve(fe).1;
+        let fe_len = |fe: u32| fentries[fe as usize].set.len();
+        let fe_heaps = |fe: u32| fentries[fe as usize].set.iter().map(|o| objs.resolve(o).0);
+        let mut union = Union::default();
+        let projected;
         if let Some(cache) = self.proj_cache.as_deref_mut().filter(|_| retain) {
-            // Incremental build: re-derive only the variables whose sets
-            // grew since the last build, fold the new call edges in, and
-            // clone the patched cache into the result.
-            for var in cache.dirty_vars.drain() {
-                let mut heaps: Vec<HeapId> = Vec::new();
-                if let Some(keys) = cache.var_keys.get(var as usize) {
-                    for &key in keys {
-                        for obj in self.entries[key as usize].set.iter() {
-                            heaps.push(HeapId::from_raw(self.objs.resolve(obj).0));
-                        }
-                    }
-                }
-                heaps.sort_unstable();
-                heaps.dedup();
-                if heaps.is_empty() {
-                    cache.var_points_to.remove(&VarId::from_raw(var));
-                } else {
-                    cache.var_points_to.insert(VarId::from_raw(var), heaps);
-                }
-            }
-            let mut touched: Vec<InvoId> = Vec::with_capacity(cache.cg_new.len());
-            for (invo, meth) in cache.cg_new.drain(..) {
-                cache.call_targets.entry(invo).or_default().push(meth);
-                touched.push(invo);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for invo in touched {
-                let v = cache
-                    .call_targets
-                    .get_mut(&invo)
-                    .expect("touched invo was just inserted");
-                v.sort_unstable();
-                v.dedup();
-            }
-            var_points_to = cache.var_points_to.clone();
-            cached_call_targets = Some(cache.call_targets.clone());
-            ctx_vpt_count = cache.ctx_vpt;
+            let mut dirty: Vec<u32> = cache.dirty_vars.drain().collect();
+            dirty.sort_unstable();
+            let var_keys = &cache.var_keys;
+            cache.var_points_to = cache.var_points_to.splice(n_vars, &dirty, |v, _, out| {
+                let keys = var_keys.get(v).map_or(&[][..], Vec::as_slice);
+                var_row(&mut union, entries, objs, keys, out);
+            });
+            projected = dirty.len();
+            cache.cg_new.sort_unstable();
+            let mut invos: Vec<u32> = cache.cg_new.iter().map(|(i, _)| i.raw()).collect();
+            invos.dedup();
+            let mut new = cache.cg_new.as_slice();
+            cache.call_targets = cache.call_targets.splice(n_invos, &invos, |i, old, out| {
+                let (added, tail) = new.split_at(new.partition_point(|(v, _)| v.index() <= i));
+                let total = old.len() + added.len();
+                let methods = old.iter().copied().chain(added.iter().map(|&(_, m)| m));
+                union.append(out, total, methods.map(MethodId::raw), MethodId::from_raw);
+                new = tail;
+            });
+            cache.cg_new.clear();
+            let mut dirty: Vec<u32> = cache.dirty_bases.drain().collect();
+            dirty.sort_unstable();
+            let heap_fes = &cache.heap_fes;
+            let elems = |b: usize| heap_fes.get(b).map_or(&[][..], Vec::as_slice);
+            cache.field_points_to = cache
+                .field_points_to
+                .splice(n_heaps, &dirty, elems, field_of, fe_len, fe_heaps);
         } else {
-            // Context-insensitive projection via counting sort over
-            // variables: scatter every tuple's heap into one flat
-            // per-var-segmented array, then sort/dedup each segment — no
-            // per-tuple hashing.
-            let mut vpt_total = 0u64;
-            let n_vars = self.program.var_count();
-            let mut starts = vec![0u32; n_vars + 1];
-            for (key, entry) in self.entries.iter().enumerate() {
-                vpt_total += entry.set.len() as u64;
-                let (var, _ctx) = self.vkeys.resolve(key as u32);
-                starts[var as usize + 1] += entry.set.len() as u32;
-            }
-            for i in 0..n_vars {
-                starts[i + 1] += starts[i];
-            }
-            let mut flat = vec![0u32; vpt_total as usize];
-            let mut cursor = starts.clone();
-            for (key, entry) in self.entries.iter().enumerate() {
-                if entry.set.is_empty() {
-                    continue;
-                }
-                let (var, _ctx) = self.vkeys.resolve(key as u32);
-                let c = &mut cursor[var as usize];
-                for obj in entry.set.iter() {
-                    flat[*c as usize] = self.objs.resolve(obj).0;
-                    *c += 1;
-                }
-            }
-            var_points_to = FxHashMap::default();
-            for var in 0..n_vars {
-                let seg = &mut flat[starts[var] as usize..starts[var + 1] as usize];
-                if seg.is_empty() {
-                    continue;
-                }
-                seg.sort_unstable();
-                let mut heaps: Vec<HeapId> = Vec::with_capacity(seg.len());
-                let mut last = u32::MAX;
-                for &h in seg.iter() {
-                    if h != last {
-                        heaps.push(HeapId::from_raw(h));
-                        last = h;
-                    }
-                }
-                var_points_to.insert(VarId::from_raw(var as u32), heaps);
-            }
-            cached_call_targets = None;
-            ctx_vpt_count = vpt_total;
+            let by_var = Csr::group(n_vars, 0..entries.len() as u32, |k| {
+                self.vkeys.resolve(k).0 as usize
+            });
+            let raw = |&(i, m): &(InvoId, MethodId)| (i.raw(), m.raw());
+            let pairs: Vec<_> = self.cg_insens.iter().map(raw).collect();
+            let (field_points_to, by_base) = FieldView::build(
+                n_heaps,
+                self.program.field_count(),
+                fentries.len(),
+                |fe| (objs.resolve(fkeys.resolve(fe).0).0, field_of(fe)),
+                fe_len,
+                fe_heaps,
+            );
+            // The reverse indexes serve only later retained builds.
+            let index = |csr: &Csr<u32>, n: usize| -> Vec<Vec<u32>> {
+                let n = if retain { n } else { 0 };
+                (0..n).map(|i| csr.row(i).to_vec()).collect()
+            };
+            self.proj_cache = Some(Box::new(ProjCache {
+                var_points_to: Csr::build(n_vars, |v, out| {
+                    var_row(&mut union, entries, objs, by_var.row(v), out);
+                }),
+                call_targets: Csr::from_pairs(n_invos, &pairs, MethodId::from_raw),
+                field_points_to,
+                var_keys: index(&by_var, n_vars),
+                heap_fes: index(&by_base, n_heaps),
+                dirty_vars: FxHashSet::default(),
+                dirty_bases: FxHashSet::default(),
+                cg_new: Vec::new(),
+                ctx_vpt: entries.iter().map(|e| e.set.len() as u64).sum(),
+            }));
+            projected = n_vars;
         }
-
-        // Rule-level profile plus the hottest variables by final
-        // context-projected set size (top 10, deterministic tie-break on
-        // the variable id).
-        let profile = self.prof.take().map(|p| {
-            let mut sizes: Vec<(usize, VarId)> = var_points_to
-                .iter()
-                .map(|(&v, heaps)| (heaps.len(), v))
-                .collect();
-            sizes.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let hot = sizes
-                .into_iter()
-                .take(10)
-                .map(|(len, v)| pta_obs::HotVar {
-                    name: format!(
-                        "{}::{}",
-                        self.program
-                            .method_qualified_name(self.program.var_method(v)),
-                        self.program.var_name(v)
-                    ),
-                    size: len as u64,
-                })
-                .collect();
-            Box::new(p.into_profile(hot))
-        });
-
-        let call_targets = if let Some(ct) = cached_call_targets {
-            ct
+        // A retained build clones the (flat) views; any other moves them.
+        let (var_points_to, call_targets, field_points_to, ctx_vpt_count) = if retain {
+            let cache = self.proj_cache.as_deref().expect("built above");
+            (
+                cache.var_points_to.clone(),
+                cache.call_targets.clone(),
+                cache.field_points_to.clone(),
+                cache.ctx_vpt,
+            )
         } else {
-            let mut call_targets: FxHashMap<InvoId, Vec<MethodId>> = FxHashMap::default();
-            for &(invo, meth) in &self.cg_insens {
-                call_targets.entry(invo).or_default().push(meth);
-            }
-            for v in call_targets.values_mut() {
-                v.sort_unstable();
-                v.dedup();
-            }
-            if retain {
-                // First retained build: seed the projection cache from
-                // the projections just computed in full.
-                let mut var_keys: Vec<Vec<u32>> = Vec::new();
-                var_keys.resize_with(self.program.var_count(), Vec::new);
-                for key in 0..self.vkeys.len() as u32 {
-                    let (var, _ctx) = self.vkeys.resolve(key);
-                    var_keys[var as usize].push(key);
-                }
-                self.proj_cache = Some(Box::new(ProjCache {
-                    var_points_to: var_points_to.clone(),
-                    call_targets: call_targets.clone(),
-                    var_keys,
-                    dirty_vars: FxHashSet::default(),
-                    cg_new: Vec::new(),
-                    ctx_vpt: ctx_vpt_count,
-                }));
-            }
-            call_targets
+            let cache = self.proj_cache.take().expect("built above");
+            (
+                cache.var_points_to,
+                cache.call_targets,
+                cache.field_points_to,
+                cache.ctx_vpt,
+            )
         };
-
-        let mut reachable: FxHashSet<MethodId> = FxHashSet::default();
-        for &(m, _ctx) in self.reachable.keys() {
-            reachable.insert(MethodId::from_raw(m));
+        let reachable = project::bitset(
+            self.program.method_count(),
+            self.reachable.keys().iter().map(|&(m, _)| m),
+        );
+        let static_points_to = Csr::build(self.statics.len(), |f, out| {
+            let set = &self.statics[f].set;
+            let heaps = set.iter().map(|o| objs.resolve(o).0);
+            union.append(out, set.len(), heaps, HeapId::from_raw);
+        });
+        if self.ts.is_enabled() {
+            let dur = self.ts.now_ns().saturating_sub(t0);
+            let heaps = var_points_to.items().len() as u64;
+            let args = [("vars", projected as u64), ("heaps", heaps)];
+            self.ts.complete("project", "solver", t0, dur, &args);
+            // A retained solver outlives this build: publish its spans now.
+            self.ts.flush();
         }
+
+        // Rule-level profile plus the hottest variables.
+        let profile = self
+            .prof
+            .take()
+            .map(|p| Box::new(p.into_profile(hot_vars(&self.program, &var_points_to))));
 
         let tuples = if self.config.keep_tuples {
             let mut out = Vec::with_capacity(ctx_vpt_count as usize);
@@ -1872,44 +1785,6 @@ impl<P: ContextPolicy> Solver<P> {
             set.into_iter().collect()
         };
         uncaught.sort_unstable();
-
-        // Context-insensitive heap-graph projections: (base heap, field)
-        // and static-field cells, sorted/deduped so both back ends (and
-        // all thread counts) produce byte-identical views.
-        let mut field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>> = FxHashMap::default();
-        for (fe, entry) in self.fentries.iter().enumerate() {
-            if entry.set.is_empty() {
-                continue;
-            }
-            let (base_obj, field) = self.fkeys.resolve(fe as u32);
-            let base = HeapId::from_raw(self.objs.resolve(base_obj).0);
-            let cell = field_points_to
-                .entry((base, FieldId::from_raw(field)))
-                .or_default();
-            for obj in entry.set.iter() {
-                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
-            }
-        }
-        for v in field_points_to.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        let mut static_points_to: FxHashMap<FieldId, Vec<HeapId>> = FxHashMap::default();
-        for (fld, entry) in self.statics.iter().enumerate() {
-            if entry.set.is_empty() {
-                continue;
-            }
-            let cell = static_points_to
-                .entry(FieldId::from_raw(fld as u32))
-                .or_default();
-            for obj in entry.set.iter() {
-                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
-            }
-        }
-        for v in static_points_to.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
 
         let fld_provenance = if self.config.track_provenance {
             Some(

@@ -31,6 +31,13 @@ fn fingerprint(program: &Program, r: &PointsToResult) -> String {
             out.push_str(&format!("c{:?}={:?};", invo, r.call_targets(invo)));
         }
     }
+    let mut fields: Vec<_> = r.field_points_to_iter().collect();
+    fields.sort_unstable();
+    let mut statics: Vec<_> = r.static_points_to_iter().collect();
+    statics.sort_unstable();
+    let mut reach: Vec<_> = r.reachable_methods().collect();
+    reach.sort_unstable();
+    out.push_str(&format!("f={fields:?};s={statics:?};r={reach:?};"));
     let s = r.solver_stats();
     out.push_str(&format!(
         "reach={};edges={};ctx_vpt={};ctx_edges={};uncaught={:?};\

@@ -1069,21 +1069,18 @@ const UPDATE_USAGE: &str = "usage: pta update FILE.jir [--workload NAME:SCALE] [
 fn result_fingerprint(program: &Program, r: &PointsToResult) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
+    // Every view is sorted by ID.
     for v in program.vars() {
-        let mut pts: Vec<usize> = r.points_to(v).iter().map(|h| h.index()).collect();
-        pts.sort_unstable();
+        let pts: Vec<usize> = r.points_to(v).iter().map(|h| h.index()).collect();
         let _ = writeln!(out, "v{} {pts:?}", v.index());
     }
     for i in program.invos() {
-        let mut targets: Vec<usize> = r.call_targets(i).iter().map(|m| m.index()).collect();
-        targets.sort_unstable();
+        let targets: Vec<usize> = r.call_targets(i).iter().map(|m| m.index()).collect();
         let _ = writeln!(out, "i{} {targets:?}", i.index());
     }
-    let mut reach: Vec<usize> = r.reachable_methods().map(|m| m.index()).collect();
-    reach.sort_unstable();
+    let reach: Vec<usize> = r.reachable_methods().map(|m| m.index()).collect();
     let _ = writeln!(out, "reach {reach:?}");
-    let mut uncaught: Vec<usize> = r.uncaught_exceptions().iter().map(|h| h.index()).collect();
-    uncaught.sort_unstable();
+    let uncaught: Vec<usize> = r.uncaught_exceptions().iter().map(|h| h.index()).collect();
     let _ = writeln!(out, "uncaught {uncaught:?}");
     let _ = writeln!(
         out,

@@ -163,3 +163,26 @@ fn full_matrix_client_backends_agree() {
         }
     }
 }
+
+/// The `pta check` binary on the motivating example: the spec marks
+/// `Client.main` a source and `C.foo`'s argument a sink, so exactly the
+/// two conflation-visible taint findings (W020) appear, and the direct
+/// and Datalog client back ends print byte-identical JSON.
+#[test]
+fn cli_check_motivating_example_direct_and_datalog_agree() {
+    let run = |backend: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
+            .args(["check", "examples/programs/motivating.jir"])
+            .args(["--spec", "examples/specs/motivating.spec"])
+            .args(["--format", "json", "--client-backend", backend])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("spawn pta check");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 JSON")
+    };
+    let direct = run("direct");
+    assert_eq!(direct, run("datalog"), "client back ends disagree");
+    assert_eq!(direct.matches(r#""code":""#).count(), 2, "{direct}");
+    assert_eq!(direct.matches(r#""code":"W020""#).count(), 2, "{direct}");
+}

@@ -228,9 +228,15 @@ fn cli_trace_file_and_explain_chain() {
         r#""traceEvents""#,
         r#""name":"solve""#,
         r#""name":"alloc","cat":"rule""#,
+        r#""name":"project","cat":"solver""#,
     ] {
         assert!(written.contains(needle), "trace lacks {needle}");
     }
+    // The result projection is its own span, sized by its arguments.
+    let project = written.split(r#""name":"project""#).nth(1).unwrap();
+    let project = &project[..project.find('}').unwrap()];
+    assert!(project.contains(r#""args":{"vars":"#), "{project}");
+    assert!(project.contains(r#""heaps":"#), "{project}");
 
     let out = std::process::Command::new(pta)
         .args([
