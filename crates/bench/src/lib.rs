@@ -52,10 +52,6 @@
 //!   after the clock stops, like the precision metrics, so timings stay
 //!   comparable; `0` (the default) leaves the workloads byte-identical
 //!   to earlier schema revisions.
-//!
-//! Micro-benchmarks (`cargo bench`, plain `main`-style harnesses) cover
-//! per-analysis solver time (`analyses`), the design-choice ablations
-//! called out in DESIGN.md (`ablation`), and solver-internals (`solver`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -72,7 +68,6 @@ use pta_workload::{DACAPO_NAMES, TAINT_SPEC};
 
 pub mod json;
 pub mod render;
-pub mod timing;
 
 pub use render::{render_figure3_csv, render_figure3_scatter, render_summary, render_table1};
 

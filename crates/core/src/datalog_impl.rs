@@ -14,8 +14,8 @@
 //! projections *and* identical context-sensitive tuple counts on every
 //! workload. The Datalog back end is typically 10-50x slower, which is
 //! exactly the gap between an interpreted join engine and Doop's
-//! compiled/indexed rules; the benchmarks in `pta-bench` measure the
-//! specialized solver.
+//! compiled/indexed rules; `table1` and the benchmark measure the
+//! specialized solver, and `pta analyze --datalog` this one.
 //!
 //! One extension mirrors the solver: `cast` instructions (absent from the
 //! paper's model, but needed for the may-fail-casts client) propagate

@@ -18,7 +18,8 @@
 //! implementation may keep slack in them.
 
 use pta_core::{Analysis, AnalysisSession, Backend, PointsToResult};
-use pta_ir::{Program, ProgramBuilder, ProgramDelta};
+use pta_ir::rng::Rng;
+use pta_ir::{MethodId, Program, ProgramBuilder, ProgramDelta, TypeId};
 use pta_workload::{dacapo_workload, materialize, shrink_steps, Edit, EditStream};
 
 /// Everything the analysis *means* about `program`, as one string.
@@ -260,8 +261,27 @@ fn throw_free_base() -> Program {
     b.finish().unwrap()
 }
 
-/// Purely additive edits on a throw-free base must take the incremental
-/// path (no fallback) under every policy, and still match scratch.
+/// One seeded single-method additive edit: append `fresh = new T` to a
+/// randomly chosen existing method, with `T` drawn from the program's
+/// classes — the "developer edits one method body" shape.
+fn single_method_edit(program: &Program, step: usize, seed: u64) -> ProgramDelta {
+    let mut rng = Rng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(step as u64),
+    );
+    let mut next = || rng.next_u64() as usize;
+    let meth = MethodId::from_index(next() % program.method_count());
+    let ty = TypeId::from_index(next() % program.type_count());
+    let mut delta = ProgramDelta::new(program);
+    let var = delta.var(meth, &format!("incr_v{step}"));
+    delta.alloc(meth, var, ty, &format!("incr_h{step}"));
+    delta
+}
+
+/// Purely additive edits must take the incremental path (no fallback)
+/// and still match scratch: hand-written edits on a throw-free base under
+/// every policy, and seeded single-method allocations on a workload with
+/// live exception flow.
 #[test]
 fn additive_edits_take_the_incremental_path() {
     let base = throw_free_base();
@@ -323,6 +343,30 @@ fn additive_edits_take_the_incremental_path() {
             fingerprint(&v3, &r2),
             scratch(&v3, analysis, Backend::Dense),
             "{analysis}"
+        );
+    }
+
+    let mut session = AnalysisSession::open(dacapo_workload("luindex", 0.3))
+        .policy(Analysis::TwoObjH)
+        .incremental(true);
+    let solved = session.solve();
+    assert!(
+        solved.solver_stats().throw_tuples > 0,
+        "luindex must carry live exception flow"
+    );
+    for step in 0..20 {
+        let delta = single_method_edit(session.program(), step, 1);
+        let r = session.apply(&delta).unwrap();
+        assert!(
+            session.last_apply_was_incremental(),
+            "luindex edit {step} fell back: {:?}",
+            session.last_fallback()
+        );
+        let program = session.program();
+        assert_eq!(
+            fingerprint(program, &r),
+            scratch(program, Analysis::TwoObjH, Backend::Dense),
+            "luindex edit {step}"
         );
     }
 }

@@ -33,8 +33,8 @@ use std::sync::{Arc, Mutex};
 use crate::escape_into;
 
 /// Fixed latency bucket upper bounds, in microseconds, shared by every
-/// request-latency histogram in the workspace (daemon and soak driver)
-/// so their distributions are directly comparable. An implicit `+Inf`
+/// request-latency histogram in the workspace (one per daemon op) so
+/// their distributions are directly comparable. An implicit `+Inf`
 /// overflow bucket is always appended.
 pub const LATENCY_BUCKETS_US: &[u64] = &[
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,

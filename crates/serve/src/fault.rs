@@ -4,10 +4,10 @@
 //! request id**, whether to disturb the request and how. The decision is
 //! a pure function of `(seed, request id)` — admission order, worker
 //! scheduling, and connection multiplexing cannot change it — so the
-//! soak driver in `crates/bench` runs the same function and knows in
-//! advance exactly which of its requests will be delayed, cancelled,
-//! starved, or garbled, and therefore exactly what bytes every response
-//! must carry. Fault injection never makes an answer *wrong*: a faulted
+//! soak test in `crates/serve/tests/soak.rs` runs the same function and
+//! knows in advance exactly which of its requests will be delayed,
+//! cancelled, starved, or garbled, and therefore exactly what bytes
+//! every response must carry. Fault injection never makes an answer *wrong*: a faulted
 //! request either still answers correctly (delay), answers with a
 //! deterministic structured error (cancel, exhaust), or is replaced by
 //! the sentinel garble line that carries its id.
@@ -28,7 +28,7 @@ pub enum FaultKind {
     Exhaust,
     /// Replace the response with the malformed sentinel line
     /// `!garble <id>` — simulates a daemon bug corrupting a response so
-    /// clients (and the soak driver) prove they survive one.
+    /// clients (and the soak test) prove they survive one.
     Garble,
 }
 
@@ -117,7 +117,7 @@ impl FaultInjector {
 
 /// The sentinel line emitted in place of a response for a garble fault.
 /// It is intentionally not JSON; it still carries the request id so a
-/// client can correlate (the soak driver matches on this exact shape).
+/// client can correlate (the soak test matches on this exact shape).
 #[must_use]
 pub fn garble_line(id: u64) -> String {
     format!("!garble {id}")

@@ -21,8 +21,8 @@
 //!   (exit 0), force-cancelling only if the deadline passes (exit 3).
 //! - **Fault injection**: `--inject-faults` disturbs a seeded,
 //!   per-request-id-deterministic subset of requests (delay / cancel /
-//!   exhaust / garble) so the soak driver in `crates/bench` can predict
-//!   every byte the daemon should emit — see [`fault`].
+//!   exhaust / garble) so the soak test (`crates/serve/tests/soak.rs`)
+//!   can predict every byte the daemon should emit — see [`fault`].
 //!
 //! Module map: [`protocol`] defines the wire grammar, [`resident`] the
 //! solved-once cache, [`answer`] the pure evaluator shared with the

@@ -47,7 +47,7 @@
 //! Responses are one JSON object per line: `{"id":N,"ok":true,...}` on
 //! success, `{"id":N,"ok":false,"error":CODE,"message":...}` otherwise.
 //! Error codes are enumerated in [`ErrorCode`]; they are part of the
-//! protocol and are asserted on by the soak driver.
+//! protocol and are asserted on by the soak test.
 
 use crate::json::{self, Value};
 

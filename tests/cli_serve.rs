@@ -74,7 +74,9 @@ const WORKLOAD: &[&str] = &["--workload", "luindex:0.2"];
 fn answers_all_four_query_kinds_then_drains_on_eof() {
     // `r` exists in every generated workload (field-load results);
     // devirt 0 and a bogus cast give the remaining two kinds structured
-    // answers without needing to know instruction layout.
+    // answers without needing to know instruction layout. The real cast
+    // is a fixed property of the deterministic luindex generator
+    // (visible via `pta analyze --casts`).
     let input = concat!(
         "{\"id\":1,\"op\":\"points_to\",\"var\":\"r\"}\n",
         "{\"id\":2,\"op\":\"devirt\",\"invo\":0}\n",
@@ -82,9 +84,16 @@ fn answers_all_four_query_kinds_then_drains_on_eof() {
         "{\"id\":4,\"op\":\"findings\",\"var\":\"r\",\"policy\":\"2obj+H\"}\n",
         "{\"id\":5,\"op\":\"health\"}\n",
         "{\"id\":6,\"op\":\"stats\"}\n",
+        "{\"id\":7,\"op\":\"cast_check\",\"method\":\"Service0.step0\",\"instr\":2,",
+        "\"policy\":\"S-2obj+H\"}\n",
     );
+    let events =
+        std::env::temp_dir().join(format!("pta-serve-events-{}.jsonl", std::process::id()));
+    let policies = [
+        "--policy", "insens", "--policy", "2obj+H", "--policy", "S-2obj+H",
+    ];
     let out = serve_stdio(
-        &[WORKLOAD, &["--policy", "insens", "--policy", "2obj+H"]].concat(),
+        &[WORKLOAD, &policies, &["--events", events.to_str().unwrap()]].concat(),
         input,
     );
     assert_eq!(out.status.code(), Some(0), "EOF must drain cleanly");
@@ -93,8 +102,9 @@ fn answers_all_four_query_kinds_then_drains_on_eof() {
         (1, "\"op\":\"points_to\""),
         (2, "\"op\":\"devirt\""),
         (4, "\"op\":\"findings\""),
-        (5, "\"op\":\"health\""),
+        (5, "\"op\":\"health\",\"status\":\"ok\""),
         (6, "\"op\":\"stats\""),
+        (7, "\"may_fail\":true"),
     ] {
         let line = line_for(&stdout, id).unwrap_or_else(|| panic!("no response {id}: {stdout}"));
         assert!(line.contains("\"ok\":true"), "id {id}: {line}");
@@ -103,6 +113,18 @@ fn answers_all_four_query_kinds_then_drains_on_eof() {
     // The bogus cast answers a *structured* error, not a dropped line.
     let cast = line_for(&stdout, 3).expect("cast response");
     assert!(cast.contains("\"error\":\"unknown_cast\""), "{cast}");
+
+    // The event log records the lifecycle: start, each request, and a
+    // graceful (unforced) drain.
+    let log = std::fs::read_to_string(&events).expect("event log written");
+    let _ = std::fs::remove_file(&events);
+    for want in [
+        "\"event\":\"daemon_start\"",
+        "\"event\":\"request\",\"id\":1,\"op\":\"points_to\",\"status\":\"ok\"",
+        "\"event\":\"shutdown\",\"forced\":false",
+    ] {
+        assert!(log.contains(want), "event log lacks {want}:\n{log}");
+    }
 }
 
 #[test]

@@ -5,11 +5,15 @@
 //! JSON by the serve crate's own parser, apply-path metrics distinguish
 //! incremental maintenance from full-re-solve fallbacks, and an
 //! in-process daemon serves the same registry over both the `metrics`
-//! protocol op and the HTTP exposition endpoint.
+//! protocol op and the HTTP exposition endpoint, as does the `pta`
+//! binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use pta_core::{Analysis, AnalysisSession};
 use pta_ir::{Program, ProgramBuilder, ProgramDelta};
@@ -41,8 +45,8 @@ fn solve_with_metrics(program: &Program, analysis: Analysis) -> Metrics {
 }
 
 /// Every solve exports the fixpoint-shaped counters, and a rerun must
-/// reproduce the whole registry byte-for-byte — the property the soak
-/// driver's counter digest and `BENCH_serve.json` baseline rely on.
+/// reproduce the whole registry byte-for-byte — the property the counter
+/// digest pinned in `crates/serve/tests/soak.rs` relies on.
 #[test]
 fn solver_counters_are_rerun_deterministic() {
     let program = dacapo_workload("luindex", 0.2);
@@ -308,11 +312,42 @@ fn read_response(stream: &mut BufReader<TcpStream>) -> String {
     line
 }
 
+/// One `GET /metrics` against the exposition endpoint: the raw HTTP
+/// response, headers included.
+fn scrape(metrics_port: u16) -> String {
+    let mut conn = TcpStream::connect(("127.0.0.1", metrics_port)).unwrap();
+    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .unwrap();
+    let mut http = String::new();
+    conn.read_to_string(&mut http).unwrap();
+    http
+}
+
+/// Waits for a daemon to publish a bound port into `path`.
+fn read_port_file(path: &Path) -> u16 {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(port) = std::fs::read_to_string(path)
+            .ok()
+            .and_then(|t| t.trim().parse().ok())
+        {
+            return port;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{} never appeared",
+            path.display()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// One in-process daemon, observed through all three telemetry
 /// channels: the `metrics` protocol op (JSON + embedded Prometheus
 /// text), the HTTP exposition endpoint, and the shared registry handle.
 /// Request counters, latency histograms, and resident gauges must
-/// agree on what the daemon just did.
+/// agree on what the daemon just did. The `pta` binary then serves the
+/// same endpoint from its `--metrics-addr` / `--metrics-port-file` flags.
 #[test]
 fn daemon_exposes_request_metrics_over_op_and_http() {
     let handle = launch(ServeConfig {
@@ -328,11 +363,12 @@ fn daemon_exposes_request_metrics_over_op_and_http() {
     let metrics_port = handle.metrics_port.expect("metrics port");
 
     let mut conn = BufReader::new(TcpStream::connect(("127.0.0.1", port)).unwrap());
-    // Two queries; reading each response guarantees the worker has
+    // Three queries; reading each response guarantees the worker has
     // recorded its latency observation before we scrape.
     for (id, req) in [
         (1, "{\"id\":1,\"op\":\"points_to\",\"var\":\"r\"}\n"),
         (2, "{\"id\":2,\"op\":\"points_to\",\"var\":\"r\"}\n"),
+        (3, "{\"id\":3,\"op\":\"devirt\",\"invo\":0}\n"),
     ] {
         conn.get_mut().write_all(req.as_bytes()).unwrap();
         let reply = read_response(&mut conn);
@@ -344,7 +380,7 @@ fn daemon_exposes_request_metrics_over_op_and_http() {
 
     // Channel 1: the `metrics` protocol op.
     conn.get_mut()
-        .write_all(b"{\"id\":3,\"op\":\"metrics\"}\n")
+        .write_all(b"{\"id\":4,\"op\":\"metrics\"}\n")
         .unwrap();
     let reply = read_response(&mut conn);
     let v = parse(&reply).expect("metrics reply must be JSON");
@@ -353,27 +389,26 @@ fn daemon_exposes_request_metrics_over_op_and_http() {
         Some(Value::Array(items)) => items.clone(),
         other => panic!("no counters array in {other:?}"),
     };
-    let requests = counters
-        .iter()
-        .find(|c| {
-            c.get("name").and_then(Value::as_str) == Some("pta_requests_total")
-                && c.get("labels")
-                    .and_then(|l| l.get("op"))
-                    .and_then(Value::as_str)
-                    == Some("points_to")
-        })
-        .expect("pta_requests_total{op=points_to} in metrics op reply");
-    assert_eq!(requests.get("value").and_then(Value::as_u64), Some(2));
+    let counter = |name: &str, op: Option<&str>| {
+        counters
+            .iter()
+            .find(|c| {
+                c.get("name").and_then(Value::as_str) == Some(name)
+                    && c.get("labels")
+                        .and_then(|l| l.get("op"))
+                        .and_then(Value::as_str)
+                        == op
+            })
+            .and_then(|c| c.get("value").and_then(Value::as_u64))
+    };
+    assert_eq!(counter("pta_requests_total", Some("points_to")), Some(2));
+    assert_eq!(counter("pta_requests_total", Some("devirt")), Some(1));
+    assert_eq!(counter("pta_solve_total", None), Some(1));
     let embedded = v.get("prometheus").and_then(Value::as_str).unwrap();
     assert!(embedded.contains("pta_requests_total{op=\"points_to\"} 2"));
 
     // Channel 2: the HTTP exposition endpoint.
-    let mut scrape = TcpStream::connect(("127.0.0.1", metrics_port)).unwrap();
-    scrape
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
-        .unwrap();
-    let mut http = String::new();
-    scrape.read_to_string(&mut http).unwrap();
+    let http = scrape(metrics_port);
     assert!(http.starts_with("HTTP/1.1 200 OK"), "{http}");
     assert!(http.contains("text/plain; version=0.0.4"));
     let body = http.split("\r\n\r\n").nth(1).expect("HTTP body");
@@ -424,4 +459,59 @@ fn daemon_exposes_request_metrics_over_op_and_http() {
         .unwrap();
     let _ = read_response(&mut conn);
     assert_eq!(handle.wait(), 0, "clean drain after shutdown op");
+
+    // The same endpoint through the `pta` binary's flags: ports published
+    // to files, one answered query, then a well-formed scrape.
+    let tmp = std::env::temp_dir();
+    let port_file = tmp.join(format!("pta-telemetry-{}.port", std::process::id()));
+    let metrics_port_file = tmp.join(format!("pta-telemetry-{}.mport", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(&metrics_port_file);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pta"))
+        .args(["serve", "--workload", "luindex:0.2", "--no-stdin"])
+        .args(["--port", "0", "--port-file"])
+        .arg(&port_file)
+        .args(["--metrics-addr", "127.0.0.1:0", "--metrics-port-file"])
+        .arg(&metrics_port_file)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pta serve");
+    let port = read_port_file(&port_file);
+    let metrics_port = read_port_file(&metrics_port_file);
+    let mut conn = BufReader::new(TcpStream::connect(("127.0.0.1", port)).unwrap());
+    conn.get_mut()
+        .write_all(b"{\"id\":8,\"op\":\"points_to\",\"var\":\"r\"}\n")
+        .unwrap();
+    let reply = read_response(&mut conn);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let http = scrape(metrics_port);
+    assert!(http.starts_with("HTTP/1.1 200 OK"), "{http}");
+    for want in [
+        "# TYPE pta_request_latency_us histogram",
+        "\npta_request_latency_us_count{op=\"points_to\"} 1\n",
+        "# TYPE pta_solver_vpt_inserted_total counter",
+        "\npta_solve_total 1\n",
+    ] {
+        assert!(http.contains(want), "scrape lacks {want:?}:\n{http}");
+    }
+    conn.get_mut()
+        .write_all(b"{\"id\":9,\"op\":\"shutdown\"}\n")
+        .unwrap();
+    let _ = read_response(&mut conn);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("pta serve did not drain after the shutdown op");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0), "clean drain after shutdown op");
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_file(&metrics_port_file);
 }
