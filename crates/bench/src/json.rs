@@ -1,21 +1,21 @@
-//! Validation of the harness's `--json` dumps.
+//! Reading the harness's `--json` dumps back.
 //!
 //! The harness emits JSON by hand, so round-tripping a dump through the
 //! workspace's JSON reader ([`pta_obs::json`], which shares no code with
 //! the emitter) is the cheapest way to catch a malformed emitter.
-//! `table1 --check FILE` and the CI smoke-perf step both parse a dumped
-//! `--json` file and assert every cell is present and well-formed with
-//! [`validate_rows`].
+//! `pta table1 --check FILE` asserts every cell is present and
+//! well-formed ([`check_dump`]), and `pta profdiff` compares the per-rule
+//! profiles of two dumps ([`diff_profiles`]).
 
-use pta_obs::json::Value;
+use pta_obs::json::{self, Value};
 
 /// Fields every [`crate::ExperimentRow`] JSON object must carry.
 ///
 /// `status`, `schema_version` and `threads` are deliberately absent:
 /// they are validated separately because dumps from before those fields
-/// existed (`BENCH_baseline.json` among them) omit them. A missing
-/// status means `"ok"`, a missing version means v1, a missing thread
-/// count means `1`.
+/// existed (`BENCH_baseline.json` among them) omit them, and current rows
+/// no longer carry `threads`. A missing status means `"ok"`, a missing
+/// version means v1, a missing thread count means `1`.
 const ROW_FIELDS: &[&str] = &[
     "workload",
     "analysis",
@@ -53,6 +53,126 @@ pub struct RowsSummary {
     pub profiled: usize,
 }
 
+/// Parses a dump's text and validates it with [`validate_rows`].
+///
+/// # Errors
+///
+/// Returns the JSON reader's or the validator's message.
+pub fn parse_dump(source: &str) -> Result<(Value, RowsSummary), String> {
+    let doc = json::parse(source).map_err(|e| e.to_string())?;
+    let summary = validate_rows(&doc)?;
+    Ok((doc, summary))
+}
+
+/// `pta table1 --check`: parses and validates a dump and, with
+/// `expect_cells`, checks that it holds that many cells. Returns the
+/// verdict line, e.g. `24 cells OK`, noting partial and profiled rows.
+///
+/// # Errors
+///
+/// Returns why the dump fails the check.
+pub fn check_dump(source: &str, expect_cells: Option<usize>) -> Result<String, String> {
+    let (_, summary) = parse_dump(source)?;
+    let cells = summary.cells;
+    if let Some(expected) = expect_cells.filter(|&n| n != cells) {
+        return Err(format!("{cells} cells, expected {expected}"));
+    }
+    let mut notes = Vec::new();
+    // Partial cells are tolerated — the dump is well-formed and complete —
+    // but loudly reported: their metrics are partial.
+    if summary.timeouts > 0 {
+        notes.push(format!(
+            "{} timed out; those rows carry partial results",
+            summary.timeouts
+        ));
+    }
+    if summary.memory_caps > 0 {
+        notes.push(format!(
+            "{} tripped their memory budget; those rows carry partial results",
+            summary.memory_caps
+        ));
+    }
+    if summary.profiled > 0 {
+        notes.push(format!("{} carry profile embeds", summary.profiled));
+    }
+    Ok(if notes.is_empty() {
+        format!("{cells} cells OK")
+    } else {
+        format!("{cells} cells OK ({})", notes.join("; "))
+    })
+}
+
+/// What [`diff_profiles`] found.
+#[derive(Debug, Default)]
+pub struct ProfileDiff {
+    /// Rules present in both dumps whose counters were compared.
+    pub compared: usize,
+    /// One line per counter outside the tolerance and per baseline row
+    /// or rule missing from the current dump.
+    pub drifts: Vec<String>,
+}
+
+/// `pta profdiff`: compares the per-rule `fires` and `derived` counters of
+/// two validated dumps. Rows are matched by `(workload, analysis)`; rows
+/// without a `"profile"` embed are skipped. A counter drifts when it moves
+/// by more than `tolerance` (a fraction, e.g. `0.05`) of its baseline
+/// value. Timing (`ns`) is never compared — it is machine noise by design.
+///
+/// The solver is deterministic, so on an unchanged tree the counts agree
+/// exactly; a drift means the rule engine's behaviour changed.
+#[must_use]
+pub fn diff_profiles(baseline: &Value, current: &Value, tolerance: f64) -> ProfileDiff {
+    let current = profiled_rows(current);
+    let mut diff = ProfileDiff::default();
+    for (key, rules) in profiled_rows(baseline) {
+        let Some((_, cur_rules)) = current.iter().find(|(k, _)| *k == key) else {
+            diff.drifts
+                .push(format!("{key}: missing from the current dump"));
+            continue;
+        };
+        for (name, base) in rules {
+            let Some((_, cur)) = cur_rules.iter().find(|(n, _)| *n == name) else {
+                diff.drifts.push(format!(
+                    "{key}: rule {name:?} missing from the current dump"
+                ));
+                continue;
+            };
+            diff.compared += 1;
+            for (what, b, c) in [("fires", base[0], cur[0]), ("derived", base[1], cur[1])] {
+                if (c as f64 - b as f64).abs() > b as f64 * tolerance {
+                    let delta = c as i128 - b as i128;
+                    diff.drifts
+                        .push(format!("{key} {name} {what}: {b} -> {c} ({delta:+})"));
+                }
+            }
+        }
+    }
+    diff
+}
+
+/// One profiled row's `(rule, [fires, derived])` pairs, in dump order.
+type RuleCounts = Vec<(String, [u64; 2])>;
+
+/// `(workload/analysis, rule counts)` for every profiled row of a
+/// validated dump, in dump order.
+fn profiled_rows(doc: &Value) -> Vec<(String, RuleCounts)> {
+    let text = |v: &Value, k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_owned();
+    let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_number).unwrap_or(0.0) as u64;
+    doc.as_array()
+        .into_iter()
+        .flatten()
+        .filter_map(|row| {
+            let rules = row.get("profile")?.get("rules")?.as_array()?;
+            let key = format!("{}/{}", text(row, "workload"), text(row, "analysis"));
+            let rules = rules
+                .iter()
+                .map(|r| (text(r, "name"), [num(r, "fires"), num(r, "derived")]))
+                .collect();
+            Some((key, rules))
+        })
+        .collect()
+}
+
 /// Validates a parsed `--json` dump: a non-empty array of rows, each with
 /// the full field set, a non-negative wall time, and a `stats` object with
 /// numeric counters. Timed-out rows (`"status":"timeout"`) are tolerated
@@ -62,9 +182,10 @@ pub struct RowsSummary {
 /// `"rules"` array whose entries have a name and numeric counters.
 ///
 /// Both schema versions are accepted: v1 dumps (no `schema_version`, no
-/// `threads` — `BENCH_baseline.json` era) and v2 dumps (both fields on
-/// every row). A version this reader does not know is an error, so a
-/// future incompatible format fails loudly instead of half-validating.
+/// `threads` — `BENCH_baseline.json` era) and v2 dumps, with or without
+/// the retired `threads` field. A version this reader does not know is an
+/// error, so a future incompatible format fails loudly instead of
+/// half-validating.
 ///
 /// # Errors
 ///
@@ -89,7 +210,7 @@ pub fn validate_rows(doc: &Value) -> Result<RowsSummary, String> {
             }
         }
         match row.get("threads").map(Value::as_number) {
-            None => {} // v1 rows are implicitly single-threaded
+            None => {} // v1 and current rows: every cell solves on one thread
             Some(Some(n)) if n >= 0.0 && n.fract() == 0.0 => {}
             Some(n) => return Err(format!("row {i}: field \"threads\" is malformed: {n:?}")),
         }
@@ -194,12 +315,23 @@ fn validate_profile(profile: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_cell, MatrixOptions};
+    use pta_core::Analysis;
     use pta_obs::json::parse;
+
+    /// One repetition of `luindex` s0.15 under `analysis` and `opts`.
+    fn luindex_row(opts: MatrixOptions, analysis: Analysis) -> crate::ExperimentRow {
+        let program = pta_workload::dacapo_workload("luindex", 0.15);
+        let opts = MatrixOptions {
+            repetitions: 1,
+            ..opts
+        };
+        run_cell(&opts, "luindex", &program, analysis, None).unwrap()
+    }
 
     #[test]
     fn round_trips_real_rows() {
-        let program = pta_workload::dacapo_workload("luindex", 0.15);
-        let row = crate::run_cell("luindex", &program, pta_core::Analysis::OneObj, 1);
+        let row = luindex_row(MatrixOptions::default(), Analysis::OneObj);
         let doc = parse(&crate::rows_to_json(std::slice::from_ref(&row))).unwrap();
         assert_eq!(
             validate_rows(&doc),
@@ -237,26 +369,30 @@ mod tests {
 
     #[test]
     fn timeout_rows_validate_and_are_counted() {
-        let program = pta_workload::dacapo_workload("luindex", 0.15);
-        let ok = crate::run_cell("luindex", &program, pta_core::Analysis::OneObj, 1);
-        let timed_out = crate::run_cell_governed(
-            "luindex",
-            &program,
-            pta_core::Analysis::STwoObjH,
-            1,
-            Some(1e-6),
-            None,
+        let ok = luindex_row(MatrixOptions::default(), Analysis::OneObj);
+        let timed_out = luindex_row(
+            MatrixOptions {
+                cell_timeout: Some(std::time::Duration::from_micros(1)),
+                ..MatrixOptions::default()
+            },
+            Analysis::STwoObjH,
         );
         assert_eq!(timed_out.status, crate::CellStatus::Timeout);
-        let doc = parse(&crate::rows_to_json(&[ok.clone(), timed_out])).unwrap();
+        let dump = crate::rows_to_json(&[ok.clone(), timed_out]);
         assert_eq!(
-            validate_rows(&doc),
+            validate_rows(&parse(&dump).unwrap()),
             Ok(RowsSummary {
                 cells: 2,
                 timeouts: 1,
                 memory_caps: 0,
                 profiled: 0
             })
+        );
+        // `pta table1 --check` accepts the dump and says which rows are
+        // partial.
+        assert_eq!(
+            check_dump(&dump, Some(2)),
+            Ok("2 cells OK (1 timed out; those rows carry partial results)".to_owned())
         );
 
         // Legacy dumps (BENCH_baseline.json) predate the status field;
@@ -282,19 +418,13 @@ mod tests {
 
     #[test]
     fn profiled_rows_validate_and_are_counted() {
-        let program = pta_workload::dacapo_workload("luindex", 0.15);
-        let plain = crate::run_cell("luindex", &program, pta_core::Analysis::OneObj, 1);
-        let profiled = crate::run_cell_observed(
-            "luindex",
-            &program,
-            pta_core::Analysis::OneObj,
-            1,
-            None,
-            None,
-            None,
-            &pta_obs::Trace::disabled(),
-            true,
-            None,
+        let plain = luindex_row(MatrixOptions::default(), Analysis::OneObj);
+        let profiled = luindex_row(
+            MatrixOptions {
+                profile: true,
+                ..MatrixOptions::default()
+            },
+            Analysis::OneObj,
         );
         let dump = crate::rows_to_json(&[plain, profiled]);
         assert_eq!(
@@ -315,12 +445,15 @@ mod tests {
 
     #[test]
     fn both_schema_versions_validate_but_unknown_ones_fail() {
-        let program = pta_workload::dacapo_workload("luindex", 0.15);
-        let row = crate::run_cell("luindex", &program, pta_core::Analysis::OneObj, 1);
+        let row = luindex_row(MatrixOptions::default(), Analysis::OneObj);
         let current = crate::rows_to_json(std::slice::from_ref(&row));
         assert!(current.contains(&format!("\"schema_version\":{}", crate::SCHEMA_VERSION)));
-        assert!(current.contains("\"threads\":1"));
+        assert!(!current.contains("\"threads\""));
         assert!(validate_rows(&parse(&current).unwrap()).is_ok());
+
+        // Recorded v2 rows (the checked-in dumps) carry `"threads":1`.
+        let recorded = current.replace("\"status\":\"ok\",", "\"status\":\"ok\",\"threads\":1,");
+        assert!(validate_rows(&parse(&recorded).unwrap()).is_ok());
 
         // A v1 dump (BENCH_baseline.json era): no schema_version, no
         // threads, no status.
@@ -329,7 +462,6 @@ mod tests {
                 &format!("\"schema_version\":{},", crate::SCHEMA_VERSION),
                 "",
             )
-            .replace("\"threads\":1,", "")
             .replace("\"status\":\"ok\",", "");
         assert!(validate_rows(&parse(&v1).unwrap()).is_ok());
 

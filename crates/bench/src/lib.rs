@@ -1,65 +1,27 @@
 //! # pta-bench — the experiment harness
 //!
-//! Regenerates **every table and figure** of the paper's evaluation (§4):
+//! Regenerates **every table and figure** of the paper's evaluation (§4)
+//! as subcommands of the `pta` binary:
 //!
-//! | paper artifact | binary | output |
+//! | paper artifact | subcommand | output |
 //! |---|---|---|
-//! | Table 1 (12 analyses × 10 benchmarks × 6 metrics) | `table1` | the table, in the paper's layout, plus JSON rows |
-//! | Figure 3 (time vs may-fail casts scatter) | `figure3` | per-benchmark CSV series + ASCII scatter |
-//! | §1/§4 summary statistics (speedups, slowdowns) | `summary` | the aggregate claims, paper vs. measured |
+//! | Table 1 (12 analyses × 10 benchmarks × 6 metrics) | `pta table1` | the table, in the paper's layout, plus JSON rows |
+//! | Figure 3 (time vs may-fail casts scatter) | `pta figure3` | per-benchmark CSV series + ASCII scatter |
+//! | §1/§4 summary statistics (speedups, slowdowns) | `pta summary` | the aggregate claims, paper vs. measured |
 //!
-//! All three binaries take the same command-line flags:
-//!
-//! - `--scale S` — workload scale factor (default `1.0`; the full
-//!   DaCapo suite at scale 1 runs the complete matrix in well under a
-//!   minute);
-//! - `--workloads A,B` — comma-separated subset of benchmark names;
-//! - `--analyses A,B` — comma-separated subset of analysis names (e.g.
-//!   `1obj,S-2obj+H`);
-//! - `--reps N` — repetitions per cell (median reported);
-//! - `--jobs N` — worker threads for the matrix (`1` = sequential, `0`
-//!   = one per core, default). Cells are farmed out to workers; row
-//!   order in every output is deterministic regardless of completion
-//!   order. Use `--jobs 1` for timing-grade runs — parallel cells
-//!   contend for cores and per-cell times become pessimistic;
-//! - `--cell-timeout SECS` — per-cell wall-clock deadline. A cell whose
-//!   solve trips the deadline is retried once (transient contention on
-//!   a loaded box is the common cause); if the retry trips too, the
-//!   cell's row is emitted with `"status":"timeout"` and carries
-//!   whatever the partial solve salvaged. With a timeout set, all cells
-//!   also share one SIGINT-linked [`pta_core::CancelToken`], so ctrl-c
-//!   drains the matrix cooperatively instead of killing it: every
-//!   unfinished cell comes back as a timeout row and the outputs still
-//!   render;
-//! - `--max-memory BYTES` — per-cell budget on the solver's memory
-//!   estimate; a tripped cell yields a `"status":"memory_cap"` row;
-//! - `--json PATH` — dump the raw [`ExperimentRow`]s (wall time,
-//!   precision metrics, and solver counters) as JSON, the format
-//!   checked in as `BENCH_baseline.json` and consumed by
-//!   `table1 --check`;
-//! - `--trace-dir DIR` — record a Chrome trace-event JSON file per cell
-//!   into `DIR` (created if missing), named
-//!   `{workload}-{analysis}.trace.json`. Every repetition of the cell
-//!   lands on the same timeline. Tracing skews wall times, so traced
-//!   dumps are diagnostics, not measurements;
-//! - `--profile` — collect a per-rule evaluation profile per cell and
-//!   embed it in the JSON row under `"profile"` (the format checked in
-//!   as `BENCH_profile.json` and diffed by `profdiff`);
-//! - `--taint-groups N` — inject `N` taint fixture groups into every
-//!   generated workload and run the `pta check` client suite (taint,
-//!   escape, nullness) against each cell's final result, embedding the
-//!   finding counts in the JSON row under `"clients"`. The clients run
-//!   after the clock stops, like the precision metrics, so timings stay
-//!   comparable; `0` (the default) leaves the workloads byte-identical
-//!   to earlier schema revisions.
+//! The three share the [`MatrixOptions`] flags (listed in `pta`'s usage
+//! text). [`run_matrix`] runs the matrix, [`rows_to_json`] writes the
+//! `--json` dump, and [`json`] reads dumps back: `pta table1 --check`
+//! validates one ([`json::check_dump`]) and `pta profdiff` compares the
+//! per-rule profiles of two ([`json::diff_profiles`]).
 
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pta_clients::{
     client_metrics, precision_metrics, run_check, CheckSpec, ClientBackend, ClientMetrics,
-    ExperimentMetrics,
 };
 use pta_core::{Analysis, AnalysisSession, Budget, CancelToken, SolverStats};
 use pta_ir::{Program, ProgramStats};
@@ -71,14 +33,12 @@ pub mod render;
 
 pub use render::{render_figure3_csv, render_figure3_scatter, render_summary, render_table1};
 
-// Re-export for binaries.
-pub use pta_workload::dacapo_config as workload_config;
-
 /// Version of the JSON row format emitted by [`ExperimentRow::to_json`].
 ///
 /// History: v1 (unversioned) dumps predate the `schema_version` and
-/// `threads` fields; v2 added both. `table1 --check` accepts either —
-/// see [`json::validate_rows`].
+/// `threads` fields; v2 added both, and later v2 rows dropped `threads`
+/// (always 1). `pta table1 --check` accepts all of them — see
+/// [`json::validate_rows`].
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// How a matrix cell ended: completed, timed out (even after the one
@@ -120,10 +80,6 @@ pub struct ExperimentRow {
     pub analysis: String,
     /// Whether the cell completed or timed out.
     pub status: CellStatus,
-    /// Solver thread count: always 1, as every cell solves on one
-    /// thread. Kept so rows keep the v2 shape that `table1 --check` and
-    /// the checked-in dumps expect.
-    pub threads: usize,
     /// Reachable methods ("over ~N meths").
     pub reachable_methods: usize,
     /// "avg objs per var".
@@ -159,51 +115,13 @@ pub struct ExperimentRow {
     /// when the cell ran with taint fixtures injected (`--taint-groups`).
     /// Like `profile`, optional in the JSON row — the schema stays at v2.
     pub clients: Option<ClientMetrics>,
-    /// Peak heap bytes over the cell's solves, measured by the binary's
+    /// Peak heap bytes over the cell's solves, measured by `pta`'s
     /// counting allocator (`pta_govern::memtrack`; the high-water mark is
     /// reset at cell start). `None` — and absent from the JSON row — in
     /// processes without the allocator installed, e.g. unit tests. With
     /// `--jobs > 1` the counter is process-wide, so concurrent cells
     /// inflate each other; memory experiments run `--jobs 1`.
     pub peak_rss_bytes: Option<u64>,
-}
-
-impl ExperimentRow {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        workload: &str,
-        analysis: Analysis,
-        status: CellStatus,
-        m: &ExperimentMetrics,
-        time_secs: f64,
-        stats: SolverStats,
-        profile: Option<pta_obs::Profile>,
-        clients: Option<ClientMetrics>,
-        peak_rss_bytes: Option<u64>,
-    ) -> Self {
-        ExperimentRow {
-            workload: workload.to_owned(),
-            analysis: analysis.name().to_owned(),
-            status,
-            threads: 1,
-            reachable_methods: m.reachable_methods,
-            avg_objs_per_var: m.avg_var_points_to,
-            call_graph_edges: m.call_graph_edges,
-            poly_v_calls: m.poly_virtual_calls,
-            reachable_v_calls: m.reachable_virtual_calls,
-            may_fail_casts: m.may_fail_casts,
-            reachable_casts: m.reachable_casts,
-            time_secs,
-            sensitive_var_points_to: m.ctx_var_points_to,
-            contexts: m.contexts,
-            heap_contexts: m.heap_contexts,
-            uncaught_exception_sites: m.uncaught_exception_sites,
-            stats,
-            profile,
-            clients,
-            peak_rss_bytes,
-        }
-    }
 }
 
 /// Formats an `f64` as a JSON number (finite values only).
@@ -224,7 +142,7 @@ impl ExperimentRow {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"schema_version\":{},\"workload\":\"{}\",\"analysis\":\"{}\",\
-             \"status\":\"{}\",\"threads\":{},\"reachable_methods\":{},\
+             \"status\":\"{}\",\"reachable_methods\":{},\
              \"avg_objs_per_var\":{},\"call_graph_edges\":{},\"poly_v_calls\":{},\
              \"reachable_v_calls\":{},\"may_fail_casts\":{},\"reachable_casts\":{},\
              \"time_secs\":{},\"sensitive_var_points_to\":{},\"contexts\":{},\
@@ -233,7 +151,6 @@ impl ExperimentRow {
             escape(&self.workload),
             escape(&self.analysis),
             self.status.as_str(),
-            self.threads,
             self.reachable_methods,
             json_f64(self.avg_objs_per_var),
             self.call_graph_edges,
@@ -272,8 +189,8 @@ pub fn rows_to_json(rows: &[ExperimentRow]) -> String {
     format!("[\n{}\n]", body.join(",\n"))
 }
 
-/// Harness options: the defaults, overridden by command-line flags via
-/// [`MatrixOptions::apply_cli_args`].
+/// Harness options: what the matrix runs and how each cell is governed
+/// and observed. `pta table1|figure3|summary` set them from their flags.
 #[derive(Debug, Clone)]
 pub struct MatrixOptions {
     /// Workload scale factor.
@@ -287,31 +204,29 @@ pub struct MatrixOptions {
     pub repetitions: usize,
     /// Worker threads for the matrix: `1` = sequential, `0` = one per core.
     pub jobs: usize,
-    /// Per-cell wall-clock deadline in seconds, if any. A tripped cell is
-    /// retried once; a second trip yields a `"status":"timeout"` row.
-    pub cell_timeout: Option<f64>,
-    /// Per-cell memory budget in bytes (`--max-memory`,
-    /// `pta_govern::parse_byte_size` syntax), enforced against the
-    /// solver's deterministic memory estimate. A tripped cell yields a
+    /// Per-cell wall-clock deadline, if any. A tripped cell is retried
+    /// once; a second trip yields a `"status":"timeout"` row.
+    pub cell_timeout: Option<Duration>,
+    /// Per-cell memory budget in bytes, enforced against the solver's
+    /// deterministic memory estimate. A tripped cell yields a
     /// `"status":"memory_cap"` row without a retry — the estimate is a
     /// model, so the trip reproduces exactly.
     pub max_memory: Option<u64>,
-    /// Where to dump the rows as JSON after the run, if anywhere.
-    pub json_out: Option<String>,
-    /// Directory receiving one Chrome trace-event JSON file per cell
-    /// (`--trace-dir`; created if missing). `None` disables tracing, which
-    /// keeps the solver's recording paths true no-ops.
+    /// Directory receiving one Chrome trace-event JSON file per cell,
+    /// `{workload}-{analysis}.trace.json`; [`run_matrix`] creates it. `None`
+    /// disables tracing, which keeps the solver's recording paths true
+    /// no-ops.
     pub trace_dir: Option<String>,
-    /// Collect a per-rule profile per cell and embed it in the JSON rows
-    /// (`--profile`). Profiling skews wall times, so profiled dumps are
-    /// for rule-cost analysis, not timing.
+    /// Collect a per-rule profile per cell and embed it in the JSON rows.
+    /// Profiling skews wall times, so profiled dumps are for rule-cost
+    /// analysis, not timing.
     pub profile: bool,
-    /// Taint-fixture groups injected into every workload
-    /// (`--taint-groups`; see `pta_workload::WorkloadConfig::taint_groups`).
-    /// With a non-zero count, each cell also runs the `pta check` client
-    /// suite against [`pta_workload::TAINT_SPEC`] (untimed, after the
-    /// measured solves) and embeds the finding counts under `"clients"`.
-    /// `0` (the default) leaves workloads and JSON rows unchanged.
+    /// Taint-fixture groups injected into every workload (see
+    /// `pta_workload::WorkloadConfig::taint_groups`). With a non-zero
+    /// count, each cell also runs the `pta check` client suite against
+    /// [`pta_workload::TAINT_SPEC`] (untimed, after the measured solves)
+    /// and embeds the finding counts under `"clients"`. `0` (the default)
+    /// leaves workloads and JSON rows unchanged.
     pub taint_groups: usize,
 }
 
@@ -325,7 +240,6 @@ impl Default for MatrixOptions {
             jobs: 0,
             cell_timeout: None,
             max_memory: None,
-            json_out: None,
             trace_dir: None,
             profile: false,
             taint_groups: 0,
@@ -334,83 +248,6 @@ impl Default for MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// Applies command-line flags on top of the current options
-    /// (`--scale`, `--workloads`, `--analyses`, `--reps`, `--jobs`,
-    /// `--cell-timeout`, `--max-memory`, `--json`, `--trace-dir`,
-    /// `--profile`, `--taint-groups`). Each option has this one way to be
-    /// set. Unknown flags are an error so typos fail loudly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message naming the offending flag or value.
-    pub fn apply_cli_args(&mut self, args: &[String]) -> Result<(), String> {
-        let mut i = 0;
-        let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    let v = value(&mut i, "--scale")?;
-                    self.scale = v.parse().map_err(|_| format!("bad --scale: {v:?}"))?;
-                }
-                "--workloads" => {
-                    let v = value(&mut i, "--workloads")?;
-                    self.workloads = v.split(',').map(|w| w.trim().to_owned()).collect();
-                }
-                "--analyses" => {
-                    let v = value(&mut i, "--analyses")?;
-                    self.analyses = v
-                        .split(',')
-                        .map(|a| a.trim().parse().map_err(|e| format!("{e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--reps" => {
-                    let v = value(&mut i, "--reps")?;
-                    self.repetitions = v.parse().map_err(|_| format!("bad --reps: {v:?}"))?;
-                }
-                "--jobs" => {
-                    let v = value(&mut i, "--jobs")?;
-                    self.jobs = v.parse().map_err(|_| format!("bad --jobs: {v:?}"))?;
-                }
-                "--cell-timeout" => {
-                    let v = value(&mut i, "--cell-timeout")?;
-                    self.cell_timeout = Some(parse_cell_timeout(&v).ok_or_else(|| {
-                        format!("bad --cell-timeout: {v:?} (expected seconds > 0)")
-                    })?);
-                }
-                "--max-memory" => {
-                    let v = value(&mut i, "--max-memory")?;
-                    self.max_memory = Some(
-                        pta_govern::parse_byte_size(&v)
-                            .map_err(|e| format!("bad --max-memory: {e}"))?,
-                    );
-                }
-                "--json" => {
-                    self.json_out = Some(value(&mut i, "--json")?);
-                }
-                "--trace-dir" => {
-                    self.trace_dir = Some(value(&mut i, "--trace-dir")?);
-                }
-                "--profile" => {
-                    self.profile = true;
-                }
-                "--taint-groups" => {
-                    let v = value(&mut i, "--taint-groups")?;
-                    self.taint_groups = v
-                        .parse()
-                        .map_err(|_| format!("bad --taint-groups: {v:?}"))?;
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-            i += 1;
-        }
-        Ok(())
-    }
-
     /// Generates one named workload at the options' scale, with the
     /// options' taint fixtures injected.
     ///
@@ -436,92 +273,57 @@ impl MatrixOptions {
     }
 }
 
-/// Parses a cell timeout: positive, finite seconds.
-fn parse_cell_timeout(s: &str) -> Option<f64> {
-    s.trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// Runs one `(program, analysis)` cell, timing the solver only (workload
-/// generation and metric computation excluded), median of `reps` runs.
-pub fn run_cell(
-    workload: &str,
-    program: &Program,
-    analysis: Analysis,
-    reps: usize,
-) -> ExperimentRow {
-    run_cell_governed(workload, program, analysis, reps, None, None)
-}
-
-/// [`run_cell`] with an optional per-repetition wall-clock deadline and an
-/// optional shared cancellation token (the matrix driver links one to
-/// SIGINT when a timeout is configured).
+/// Runs one `(program, analysis)` cell under `opts`, timing the solver
+/// only (workload generation and metric computation excluded), median of
+/// `opts.repetitions` runs.
 ///
-/// A repetition whose solve comes back partial is retried once — on a
-/// loaded box the first trip is often transient scheduling noise. If the
-/// retry is partial too, the cell stops burning repetitions and its row is
-/// tagged [`CellStatus::Timeout`], carrying the metrics of the salvaged
+/// Each repetition gets the options' deadline and memory budget, and the
+/// shared `cancel` token if any (the matrix links one to SIGINT when a
+/// timeout is configured). A repetition whose solve comes back partial is
+/// retried once — on a loaded box the first trip is often transient
+/// scheduling noise. If the retry is partial too, the cell stops burning
+/// repetitions and its row is tagged [`CellStatus::Timeout`] (or
+/// [`CellStatus::MemoryCap`]), carrying the metrics of the salvaged
 /// partial result (every count under-approximates the true fixpoint).
-pub fn run_cell_governed(
-    workload: &str,
-    program: &Program,
-    analysis: Analysis,
-    reps: usize,
-    cell_timeout: Option<f64>,
-    cancel: Option<&CancelToken>,
-) -> ExperimentRow {
-    run_cell_observed(
-        workload,
-        program,
-        analysis,
-        reps,
-        cell_timeout,
-        None,
-        cancel,
-        &pta_obs::Trace::disabled(),
-        false,
-        None,
-    )
-}
-
-/// [`run_cell_governed`] with observability attached: every repetition
-/// records into `trace` (a disabled trace keeps this a no-op), and with
-/// `profile` on the row embeds the final repetition's per-rule profile.
-/// Both instruments skew wall times, so observed rows are diagnostics.
 ///
-/// With `check_spec` set, the `pta check` client suite (taint, escape,
-/// nullness) runs against the final repetition's result — after the
-/// clock stops, like the precision metrics — and its finding counts land
-/// in the row's `clients` column.
-#[allow(clippy::too_many_arguments)] // mirrors run_cell_governed + the instruments
-pub fn run_cell_observed(
+/// With `opts.trace_dir` set, every repetition records into one timeline
+/// written to `{dir}/{workload}-{analysis}.trace.json`; with
+/// `opts.profile` the row embeds the final repetition's per-rule profile.
+/// Both instruments skew wall times, so observed rows are diagnostics.
+/// With `opts.taint_groups > 0` the `pta check` client suite runs against
+/// the final repetition's result — after the clock stops, like the
+/// precision metrics — and its finding counts land in the row's `clients`
+/// column.
+///
+/// # Errors
+///
+/// Fails if the trace file cannot be written.
+pub fn run_cell(
+    opts: &MatrixOptions,
     workload: &str,
     program: &Program,
     analysis: Analysis,
-    reps: usize,
-    cell_timeout: Option<f64>,
-    max_memory: Option<u64>,
     cancel: Option<&CancelToken>,
-    trace: &pta_obs::Trace,
-    profile: bool,
-    check_spec: Option<&CheckSpec>,
-) -> ExperimentRow {
+) -> io::Result<ExperimentRow> {
+    let trace = if opts.trace_dir.is_some() {
+        pta_obs::Trace::enabled()
+    } else {
+        pta_obs::Trace::disabled()
+    };
     let solve = || {
         let start = Instant::now();
         let mut budget = Budget::unlimited();
-        if let Some(secs) = cell_timeout {
-            budget = budget.with_deadline(Duration::from_secs_f64(secs));
+        if let Some(deadline) = opts.cell_timeout {
+            budget = budget.with_deadline(deadline);
         }
-        if let Some(bytes) = max_memory {
+        if let Some(bytes) = opts.max_memory {
             budget = budget.with_max_memory(bytes);
         }
         let mut session = AnalysisSession::open(program.clone())
             .policy(analysis)
             .budget(budget)
             .trace(trace.clone())
-            .profile(profile);
+            .profile(opts.profile);
         if let Some(token) = cancel {
             session = session.cancel(token.clone());
         }
@@ -529,11 +331,12 @@ pub fn run_cell_observed(
         (start.elapsed().as_secs_f64(), result)
     };
     pta_govern::memtrack::reset_peak();
-    let mut times = Vec::with_capacity(reps.max(1));
+    let reps = opts.repetitions.max(1);
+    let mut times = Vec::with_capacity(reps);
     let mut result = None;
     let mut status = CellStatus::Ok;
     let mut retried = false;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let (mut secs, mut r) = solve();
         // A memory-cap trip is deterministic (the estimate is a model,
         // not wall-clock luck), so retrying it would only repeat the
@@ -561,65 +364,38 @@ pub fn run_cell_observed(
     // computation below, so the figure covers exactly the solves.
     let peak = pta_govern::memtrack::peak_bytes();
     times.sort_by(f64::total_cmp);
-    let median = times[times.len() / 2];
     let result = result.expect("at least one repetition");
-    let stats = *result.solver_stats();
-    let row_profile = result.profile().cloned();
-    let metrics = precision_metrics(program, &result);
-    let clients = check_spec
-        .map(|spec| client_metrics(&run_check(program, &result, spec, ClientBackend::Direct)));
-    ExperimentRow::new(
-        workload,
-        analysis,
-        status,
-        &metrics,
-        median,
-        stats,
-        row_profile,
-        clients,
-        (peak > 0).then_some(peak),
-    )
-}
-
-/// One matrix cell with the options' observability applied: with a trace
-/// directory configured, the cell runs under a fresh recorder and its
-/// timeline is written to `{dir}/{workload}-{analysis}.trace.json`.
-///
-/// # Panics
-///
-/// Panics if the trace file cannot be written (operator-facing tool).
-fn run_matrix_cell(
-    opts: &MatrixOptions,
-    workload: &str,
-    program: &Program,
-    analysis: Analysis,
-    cancel: Option<&CancelToken>,
-) -> ExperimentRow {
-    let trace = if opts.trace_dir.is_some() {
-        pta_obs::Trace::enabled()
-    } else {
-        pta_obs::Trace::disabled()
-    };
-    let check_spec = (opts.taint_groups > 0)
-        .then(|| CheckSpec::parse(TAINT_SPEC).expect("TAINT_SPEC is well-formed"));
-    let row = run_cell_observed(
-        workload,
-        program,
-        analysis,
-        opts.repetitions,
-        opts.cell_timeout,
-        opts.max_memory,
-        cancel,
-        &trace,
-        opts.profile,
-        check_spec.as_ref(),
-    );
+    let m = precision_metrics(program, &result);
+    let clients = (opts.taint_groups > 0).then(|| {
+        let spec = CheckSpec::parse(TAINT_SPEC).expect("TAINT_SPEC is well-formed");
+        client_metrics(&run_check(program, &result, &spec, ClientBackend::Direct))
+    });
     if let Some(dir) = &opts.trace_dir {
         let path = format!("{dir}/{workload}-{}.trace.json", analysis.name());
         std::fs::write(&path, trace.to_chrome_json())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot write {path}: {e}")))?;
     }
-    row
+    Ok(ExperimentRow {
+        workload: workload.to_owned(),
+        analysis: analysis.name().to_owned(),
+        status,
+        reachable_methods: m.reachable_methods,
+        avg_objs_per_var: m.avg_var_points_to,
+        call_graph_edges: m.call_graph_edges,
+        poly_v_calls: m.poly_virtual_calls,
+        reachable_v_calls: m.reachable_virtual_calls,
+        may_fail_casts: m.may_fail_casts,
+        reachable_casts: m.reachable_casts,
+        time_secs: times[times.len() / 2],
+        sensitive_var_points_to: m.ctx_var_points_to,
+        contexts: m.contexts,
+        heap_contexts: m.heap_contexts,
+        uncaught_exception_sites: m.uncaught_exception_sites,
+        stats: *result.solver_stats(),
+        profile: result.profile().cloned(),
+        clients,
+        peak_rss_bytes: (peak > 0).then_some(peak),
+    })
 }
 
 fn log_cell(row: &ExperimentRow) {
@@ -644,11 +420,17 @@ fn log_cell(row: &ExperimentRow) {
 /// With `jobs > 1` (or `jobs == 0` on a multi-core box), `(workload,
 /// analysis)` cells are farmed out to worker threads pulling from a shared
 /// queue. Workloads are generated once up front and shared read-only; each
-/// cell is still timed with `run_cell`, and the returned rows are in
+/// cell is still timed with [`run_cell`], and the returned rows are in
 /// workload-major, analysis-minor order regardless of which worker finished
-/// first — identical to the sequential order, so `table1`, `figure3` and
-/// `summary` render the same layout either way.
-pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
+/// first — identical to the sequential order, so `pta table1`, `figure3`
+/// and `summary` render the same layout either way.
+///
+/// # Errors
+///
+/// Fails if `opts.trace_dir` cannot be created or a trace file cannot be
+/// written; the sequential driver stops at the first failure, the parallel
+/// one finishes the claimed cells and reports the first failure in order.
+pub fn run_matrix(opts: &MatrixOptions) -> io::Result<Vec<ExperimentRow>> {
     let cells: Vec<(usize, usize)> = (0..opts.workloads.len())
         .flat_map(|w| (0..opts.analyses.len()).map(move |a| (w, a)))
         .collect();
@@ -660,7 +442,8 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
         .is_some()
         .then(CancelToken::linked_to_sigint);
     if let Some(dir) = &opts.trace_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
+        std::fs::create_dir_all(dir)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot create {dir}: {e}")))?;
     }
     let jobs = opts.effective_jobs().min(cells.len()).max(1);
     if jobs == 1 {
@@ -669,12 +452,12 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
             let program = opts.generate_workload(name);
             eprintln!("[pta-bench] {name}: {}", ProgramStats::of(&program));
             for &analysis in &opts.analyses {
-                let row = run_matrix_cell(opts, name, &program, analysis, cancel.as_ref());
+                let row = run_cell(opts, name, &program, analysis, cancel.as_ref())?;
                 log_cell(&row);
                 rows.push(row);
             }
         }
-        return rows;
+        return Ok(rows);
     }
 
     let programs: Vec<Program> = opts
@@ -688,7 +471,8 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
         .collect();
     eprintln!("[pta-bench] {} cells on {jobs} workers", cells.len());
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExperimentRow>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<io::Result<ExperimentRow>>>> =
+        cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -696,14 +480,16 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
                 let Some(&(w, a)) = cells.get(i) else {
                     break;
                 };
-                let row = run_matrix_cell(
+                let row = run_cell(
                     opts,
                     &opts.workloads[w],
                     &programs[w],
                     opts.analyses[a],
                     cancel.as_ref(),
                 );
-                log_cell(&row);
+                if let Ok(row) = &row {
+                    log_cell(row);
+                }
                 *slots[i].lock().expect("no panics while holding the slot") = Some(row);
             });
         }
@@ -718,34 +504,23 @@ pub fn run_matrix(opts: &MatrixOptions) -> Vec<ExperimentRow> {
         .collect()
 }
 
-/// Writes rows as pretty JSON to `path`.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written (operator-facing tool).
-pub fn write_json(rows: &[ExperimentRow], path: &str) {
-    let json = rows_to_json(rows);
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("[pta-bench] wrote {path}");
-}
-
-/// Writes rows as pretty JSON to `opts.json_out`, if set (the `--json`
-/// flag or the `PTA_JSON` environment variable).
-pub fn maybe_dump_json(opts: &MatrixOptions, rows: &[ExperimentRow]) {
-    if let Some(path) = &opts.json_out {
-        write_json(rows, path);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pta_workload::dacapo_workload;
 
+    /// Options for a lone [`run_cell`]: `reps` repetitions, nothing else.
+    fn reps(n: usize) -> MatrixOptions {
+        MatrixOptions {
+            repetitions: n,
+            ..MatrixOptions::default()
+        }
+    }
+
     #[test]
     fn run_cell_produces_consistent_row() {
         let program = dacapo_workload("luindex", 0.15);
-        let row = run_cell("luindex", &program, Analysis::OneObj, 1);
+        let row = run_cell(&reps(1), "luindex", &program, Analysis::OneObj, None).unwrap();
         assert_eq!(row.workload, "luindex");
         assert_eq!(row.analysis, "1obj");
         assert!(row.reachable_methods > 0);
@@ -761,16 +536,11 @@ mod tests {
             scale: 0.1,
             workloads: vec!["luindex".into()],
             analyses: vec![Analysis::OneObj, Analysis::SAOneObj],
-            repetitions: 1,
             jobs: 1,
-            cell_timeout: None,
-            max_memory: None,
-            json_out: None,
-            trace_dir: None,
-            profile: false,
             taint_groups: 2,
+            ..reps(1)
         };
-        let rows = run_matrix(&opts);
+        let rows = run_matrix(&opts).unwrap();
         let pure = rows[0].clients.expect("clients column populated");
         let hybrid = rows[1].clients.expect("clients column populated");
         // The injected fixtures make the hybrid's advantage visible on
@@ -794,11 +564,13 @@ mod tests {
         assert!(dump.contains("\"clients\""), "{dump}");
         // Without fixtures the column stays absent.
         let plain = run_cell(
+            &reps(1),
             "luindex",
             &dacapo_workload("luindex", 0.1),
             Analysis::OneObj,
-            1,
-        );
+            None,
+        )
+        .unwrap();
         assert!(plain.clients.is_none());
         assert!(!plain.to_json().contains("clients"));
     }
@@ -809,16 +581,10 @@ mod tests {
             scale: 0.15,
             workloads: vec!["antlr".into()],
             analyses: vec![Analysis::Insens, Analysis::STwoObjH],
-            repetitions: 1,
             jobs: 1,
-            cell_timeout: None,
-            max_memory: None,
-            json_out: None,
-            trace_dir: None,
-            profile: false,
-            taint_groups: 0,
+            ..reps(1)
         };
-        let rows = run_matrix(&opts);
+        let rows = run_matrix(&opts).unwrap();
         assert_eq!(rows.len(), 2);
         // Context-sensitivity is more precise than insens on every metric.
         assert!(rows[1].may_fail_casts <= rows[0].may_fail_casts);
@@ -834,18 +600,12 @@ mod tests {
             scale: 0.15,
             workloads: vec!["luindex".into(), "lusearch".into()],
             analyses: vec![Analysis::Insens, Analysis::OneObj, Analysis::STwoObjH],
-            repetitions: 1,
             jobs: 1,
-            cell_timeout: None,
-            max_memory: None,
-            json_out: None,
-            trace_dir: None,
-            profile: false,
-            taint_groups: 0,
+            ..reps(1)
         };
-        let sequential = run_matrix(&opts);
+        let sequential = run_matrix(&opts).unwrap();
         opts.jobs = 4;
-        let parallel = run_matrix(&opts);
+        let parallel = run_matrix(&opts).unwrap();
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.workload, p.workload);
@@ -860,70 +620,20 @@ mod tests {
     }
 
     #[test]
-    fn cli_args_override_options() {
-        let mut opts = MatrixOptions::default();
-        let args: Vec<String> = [
-            "--scale",
-            "0.5",
-            "--workloads",
-            "antlr, chart",
-            "--analyses",
-            "insens,S-2obj+H",
-            "--reps",
-            "5",
-            "--jobs",
-            "2",
-            "--cell-timeout",
-            "2.5",
-            "--json",
-            "/tmp/out.json",
-            "--trace-dir",
-            "/tmp/traces",
-            "--profile",
-            "--taint-groups",
-            "2",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        opts.apply_cli_args(&args).unwrap();
-        assert_eq!(opts.scale, 0.5);
-        assert_eq!(opts.workloads, vec!["antlr", "chart"]);
-        assert_eq!(opts.analyses, vec![Analysis::Insens, Analysis::STwoObjH]);
-        assert_eq!(opts.repetitions, 5);
-        assert_eq!(opts.jobs, 2);
-        assert_eq!(opts.cell_timeout, Some(2.5));
-        assert_eq!(opts.json_out.as_deref(), Some("/tmp/out.json"));
-        assert_eq!(opts.trace_dir.as_deref(), Some("/tmp/traces"));
-        assert!(opts.profile);
-        assert_eq!(opts.taint_groups, 2);
-        assert_eq!(opts.effective_jobs(), 2);
-
-        assert!(opts
-            .apply_cli_args(&["--bogus".to_string()])
-            .unwrap_err()
-            .contains("--bogus"));
-        assert!(opts
-            .apply_cli_args(&["--scale".to_string()])
-            .unwrap_err()
-            .contains("needs a value"));
-        assert!(opts
-            .apply_cli_args(&["--cell-timeout".to_string(), "-1".to_string()])
-            .unwrap_err()
-            .contains("--cell-timeout"));
-    }
-
-    #[test]
     fn timed_out_cells_are_tagged_and_salvage_the_partial_run() {
         let program = dacapo_workload("hsqldb", 0.3);
         // A microsecond deadline trips on the meter's first clock read, on
         // both the initial attempt and the retry.
-        let row = run_cell_governed("hsqldb", &program, Analysis::TwoObjH, 3, Some(1e-6), None);
+        let opts = MatrixOptions {
+            cell_timeout: Some(Duration::from_micros(1)),
+            ..reps(3)
+        };
+        let row = run_cell(&opts, "hsqldb", &program, Analysis::TwoObjH, None).unwrap();
         assert_eq!(row.status, CellStatus::Timeout);
         assert!(row.to_json().contains("\"status\":\"timeout\""));
         // The timeout short-circuits the remaining repetitions, and the
         // salvaged partial numbers under-approximate a complete run.
-        let complete = run_cell("hsqldb", &program, Analysis::TwoObjH, 1);
+        let complete = run_cell(&reps(1), "hsqldb", &program, Analysis::TwoObjH, None).unwrap();
         assert_eq!(complete.status, CellStatus::Ok);
         assert!(row.reachable_methods <= complete.reachable_methods);
         assert!(row.sensitive_var_points_to <= complete.sensitive_var_points_to);
@@ -934,16 +644,26 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let program = dacapo_workload("antlr", 0.15);
-        let row = run_cell_governed("antlr", &program, Analysis::STwoObjH, 2, None, Some(&token));
+        let row = run_cell(
+            &reps(2),
+            "antlr",
+            &program,
+            Analysis::STwoObjH,
+            Some(&token),
+        )
+        .unwrap();
         assert_eq!(row.status, CellStatus::Timeout);
     }
 
     #[test]
     fn a_roomy_cell_timeout_changes_nothing() {
         let program = dacapo_workload("luindex", 0.15);
-        let governed =
-            run_cell_governed("luindex", &program, Analysis::OneObj, 1, Some(600.0), None);
-        let plain = run_cell("luindex", &program, Analysis::OneObj, 1);
+        let opts = MatrixOptions {
+            cell_timeout: Some(Duration::from_secs(600)),
+            ..reps(1)
+        };
+        let governed = run_cell(&opts, "luindex", &program, Analysis::OneObj, None).unwrap();
+        let plain = run_cell(&reps(1), "luindex", &program, Analysis::OneObj, None).unwrap();
         assert_eq!(governed.status, CellStatus::Ok);
         assert_eq!(
             governed.sensitive_var_points_to,
@@ -956,7 +676,7 @@ mod tests {
     #[test]
     fn rows_serialize_to_json() {
         let program = dacapo_workload("luindex", 0.15);
-        let row = run_cell("luindex", &program, Analysis::OneCall, 1);
+        let row = run_cell(&reps(1), "luindex", &program, Analysis::OneCall, None).unwrap();
         let json = row.to_json();
         assert!(json.contains("\"analysis\":\"1call\""));
         assert!(json.contains("\"status\":\"ok\""));
@@ -969,18 +689,11 @@ mod tests {
     #[test]
     fn profiled_cells_embed_the_rule_table() {
         let program = dacapo_workload("luindex", 0.15);
-        let row = run_cell_observed(
-            "luindex",
-            &program,
-            Analysis::OneObj,
-            1,
-            None,
-            None,
-            None,
-            &pta_obs::Trace::disabled(),
-            true,
-            None,
-        );
+        let opts = MatrixOptions {
+            profile: true,
+            ..reps(1)
+        };
+        let row = run_cell(&opts, "luindex", &program, Analysis::OneObj, None).unwrap();
         let p = row
             .profile
             .as_ref()
@@ -990,7 +703,7 @@ mod tests {
         assert!(json.contains(",\"profile\":{\"rules\":[{\"name\":\"alloc\","));
         assert!(json.ends_with("}}"));
         // An unprofiled cell stays lean.
-        let plain = run_cell("luindex", &program, Analysis::OneObj, 1);
+        let plain = run_cell(&reps(1), "luindex", &program, Analysis::OneObj, None).unwrap();
         assert!(plain.profile.is_none());
         assert!(!plain.to_json().contains("\"profile\""));
     }
@@ -1002,16 +715,11 @@ mod tests {
             scale: 0.15,
             workloads: vec!["luindex".into()],
             analyses: vec![Analysis::OneObj, Analysis::Insens],
-            repetitions: 1,
             jobs: 1,
-            cell_timeout: None,
-            max_memory: None,
-            json_out: None,
             trace_dir: Some(dir.to_string_lossy().into_owned()),
-            profile: false,
-            taint_groups: 0,
+            ..reps(1)
         };
-        let rows = run_matrix(&opts);
+        let rows = run_matrix(&opts).unwrap();
         assert_eq!(rows.len(), 2);
         for analysis in ["1obj", "insens"] {
             let path = dir.join(format!("luindex-{analysis}.trace.json"));

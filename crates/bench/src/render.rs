@@ -365,7 +365,6 @@ mod tests {
             workload: workload.into(),
             analysis: analysis.into(),
             status: CellStatus::Ok,
-            threads: 1,
             reachable_methods: 100,
             avg_objs_per_var: 2.0,
             call_graph_edges: 500,
@@ -452,7 +451,6 @@ mod edge_case_tests {
             workload: "w".into(),
             analysis: analysis.into(),
             status: crate::CellStatus::Ok,
-            threads: 1,
             reachable_methods: 1,
             avg_objs_per_var: 1.0,
             call_graph_edges: 1,

@@ -90,7 +90,7 @@ type FldProvKey = (HeapId, HCtxId, FieldId, HeapId, HCtxId);
 ///
 /// Every counter is a plain `u64` increment on the solver hot path (no
 /// branching on a "stats enabled" flag), so the numbers are available for
-/// every run: `pta analyze --stats` prints them and `pta-bench --json`
+/// every run: `pta analyze --stats` prints them and `pta table1 --json`
 /// writes them into each experiment row. Firing counters count *attempted*
 /// derivations (the tuple may already exist); `vpt_inserted` /
 /// `vpt_dup` split those attempts into new tuples and dedup hits.

@@ -4,7 +4,7 @@
 //! builds its JSON by direct string construction (field order fixed by
 //! the emitting code, which keeps outputs byte-stable) and escapes names
 //! with [`escape`]. This module reads JSON back: the daemon parses its
-//! request lines with it, `table1 --check` and `profdiff` validate bench
+//! request lines with it, `pta table1 --check` and `pta profdiff` read bench
 //! dumps with it, and the tests read Chrome traces with it. Since no
 //! emitter shares code with the reader, round-tripping an emitter's
 //! output through [`parse`] still checks the emitter independently.

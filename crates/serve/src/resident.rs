@@ -206,8 +206,9 @@ fn qualified_bytes(program: &Program, m: MethodId) -> impl Iterator<Item = u8> +
         .flat_map(str::bytes)
 }
 
-/// Everything the daemon holds hot. Built once at startup, then shared
-/// immutably (`Arc`) by every worker; answering never locks.
+/// Everything the daemon holds hot. Built once at startup and kept behind
+/// one `RwLock`: workers answer under the read lock, and `update` holds
+/// the write lock for its whole apply, so queries wait behind an edit.
 pub struct Resident {
     pub programs: Vec<ResidentProgram>,
     /// The configured policies, in flag order; `policies[0]` is the

@@ -115,6 +115,52 @@
 //!     --timeout/--max-steps/--max-memory/--watermark/--degrade
 //!                          as for analyze; a partial result tags every
 //!                          report with W023 and exits 3
+//! pta table1 [matrix flags]              regenerate the paper's Table 1 over
+//!                                        the synthetic DaCapo suite
+//! pta figure3 [matrix flags]             Figure 3: time vs may-fail casts,
+//!                                        CSV series plus ASCII scatter plots
+//! pta summary [matrix flags]             the §1/§4 aggregate claims (average
+//!                                        speedups, slowdowns), paper vs.
+//!                                        measured
+//!   matrix flags (all three):
+//!     --scale S            workload scale (default 1)
+//!     --workloads A,B      benchmark subset (default all ten)
+//!     --analyses A,B       analysis subset (default the twelve of Table 1)
+//!     --reps N             repetitions per cell, median time reported
+//!                          (default 3)
+//!     --jobs N             worker threads (default 0 = one per core); row
+//!                          order is the same either way. Use --jobs 1 for
+//!                          timing-grade runs: parallel cells contend for
+//!                          cores, and for the process-wide peak_rss_bytes
+//!     --cell-timeout SECS  per-cell deadline; a tripped cell is retried
+//!                          once, then emitted as a "status":"timeout" row
+//!                          with the partial solve's numbers. Also links
+//!                          ctrl-c to every cell, so an interrupted matrix
+//!                          still renders, its unfinished cells as timeouts
+//!     --max-memory BYTES   per-cell budget on the solver's memory
+//!                          estimate; a tripped cell is a "memory_cap" row
+//!     --json PATH          dump the rows (precision metrics, wall time,
+//!                          solver counters, peak_rss_bytes) as JSON, the
+//!                          format of BENCH_baseline.json
+//!     --trace-dir DIR      write one Chrome trace per cell to
+//!                          DIR/{workload}-{analysis}.trace.json (DIR is
+//!                          created if missing; tracing skews wall times)
+//!     --profile            embed each cell's per-rule profile in its JSON
+//!                          row under "profile" (BENCH_profile.json)
+//!     --taint-groups N     inject N taint fixture groups into every
+//!                          workload and embed the check clients' finding
+//!                          counts under "clients" (run after the clock
+//!                          stops; 0, the default, changes nothing)
+//! pta table1 --check FILE [--expect-cells N]
+//!                                        validate a --json dump without
+//!                                        running anything (exit 1 when it is
+//!                                        malformed or has another cell count)
+//! pta profdiff BASELINE CURRENT [--tolerance PCT]
+//!                                        compare the per-rule fires/derived
+//!                                        counts of two --profile --json dumps,
+//!                                        rows matched by (workload, analysis);
+//!                                        exit 1 when a count moves by more
+//!                                        than PCT percent (default 0)
 //!
 //! Exit codes (all subcommands; table also in the README):
 //!   0  success — analysis ran to completion (including degraded-complete
@@ -122,7 +168,7 @@
 //!      check found findings without --deny-findings)
 //!   1  lint diagnostics reported (errors, or warnings under
 //!      --deny-warnings); check spec errors (E020/E021) or findings under
-//!      --deny-findings
+//!      --deny-findings; a failed table1 --check; profdiff drift
 //!   2  usage, I/O or parse error (bad flag, unreadable file, invalid .jir)
 //!   3  partial analysis result — a budget tripped (or SIGINT landed) and
 //!      the run stopped early with a sound under-approximation, tagged via
@@ -134,10 +180,15 @@
 //! `pta_lint::code_description`.
 //! ```
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
+use pta_bench::{
+    render_figure3_csv, render_figure3_scatter, render_summary, render_table1, rows_to_json,
+    run_matrix, ExperimentRow, MatrixOptions,
+};
 use pta_clients::{
     context_stats, may_fail_casts, poly_virtual_calls, precision_metrics, run_check, CheckSpec,
     ClientBackend,
@@ -288,6 +339,28 @@ impl Args<'_> {
         self.value("a positive integer", |n: &T| *n > T::from(0))
     }
 
+    /// A workload scale: a finite number in `(0, 1024]`.
+    fn scale(&mut self) -> Result<f64, ExitCode> {
+        let flag = self.flag().to_owned();
+        let text = self.text("a finite number in (0, 1024]")?;
+        parse_scale(&text).map_err(|e| usage_error(format!("{flag}: {e}")))
+    }
+
+    /// A comma-separated list, each trimmed item mapped by `item`; the
+    /// first rejected item is the usage error "FLAG: why".
+    fn list<T, E: std::fmt::Display>(
+        &mut self,
+        what: &str,
+        item: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<Vec<T>, ExitCode> {
+        let flag = self.flag().to_owned();
+        let text = self.text(what)?;
+        text.split(',')
+            .map(|part| item(part.trim()))
+            .collect::<Result<_, _>>()
+            .map_err(|e| usage_error(format!("{flag}: {e}")))
+    }
+
     /// A memory budget: a positive byte size with an optional K/M/G suffix.
     fn byte_size(&mut self) -> Result<u64, ExitCode> {
         let flag = self.flag().to_owned();
@@ -409,8 +482,8 @@ impl AnalysisArgs {
     }
 }
 
-const USAGE: &str = "usage: pta <list|analyze|explain|workload|update|lint|check|serve> ...  \
-(see --help in the README)";
+const USAGE: &str = "usage: pta <list|analyze|explain|workload|update|lint|check|serve|\
+table1|figure3|summary|profdiff> ...  (see --help in the README)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -430,6 +503,16 @@ fn main() -> ExitCode {
         Some("lint") => cmd_lint(rest),
         Some("check") => cmd_check(rest),
         Some("serve") => cmd_serve(rest),
+        Some("table1") => cmd_matrix(rest, true, render_table1),
+        Some("figure3") => cmd_matrix(rest, false, |rows| {
+            format!(
+                "{}\n{}",
+                render_figure3_csv(rows),
+                render_figure3_scatter(rows)
+            )
+        }),
+        Some("summary") => cmd_matrix(rest, false, render_summary),
+        Some("profdiff") => cmd_profdiff(rest),
         Some(other) => Err(usage_with(format!("unknown subcommand {other}"), USAGE)),
         None => Err(usage_with("missing subcommand", USAGE)),
     }
@@ -1036,10 +1119,7 @@ fn cmd_workload(args: &[String]) -> Exit {
     let mut print = false;
     Args::walk(&args[1..], WORKLOAD_USAGE, |c| {
         match c.flag() {
-            "--scale" => {
-                let text = c.text("a finite number in (0, 1024]")?;
-                scale = parse_scale(&text).map_err(|e| usage_error(format!("--scale: {e}")))?;
-            }
+            "--scale" => scale = c.scale()?,
             "--taint-groups" => taint_groups = c.value("a count", |_| true)?,
             "--print" => print = true,
             _ => return Ok(false),
@@ -1261,5 +1341,131 @@ fn cmd_serve(args: &[String]) -> Exit {
         }
         Err(msg) => usage_error(msg),
         Ok(code) => ExitCode::from(u8::try_from(code).unwrap_or(EXIT_USAGE)),
+    })
+}
+
+const MATRIX_USAGE: &str = "usage: pta table1|figure3|summary [--scale S] [--workloads A,B] \
+[--analyses A,B] [--reps N] [--jobs N] [--cell-timeout SECS] [--max-memory BYTES] [--json PATH] \
+[--trace-dir DIR] [--profile] [--taint-groups N] | pta table1 --check FILE [--expect-cells N]";
+
+/// `pta table1|figure3|summary`: run the analysis × workload matrix and
+/// print the artifact `render` makes of its rows. Only table1 (`check`)
+/// takes `--check FILE [--expect-cells N]`, which validates an earlier
+/// `--json` dump instead of running anything.
+fn cmd_matrix(args: &[String], check: bool, render: fn(&[ExperimentRow]) -> String) -> Exit {
+    let mut opts = MatrixOptions::default();
+    let mut json_out: Option<String> = None;
+    let mut check_path: Option<String> = None;
+    let mut expect_cells: Option<usize> = None;
+    Args::walk(args, MATRIX_USAGE, |c| {
+        match c.flag() {
+            "--scale" => opts.scale = c.scale()?,
+            "--workloads" => {
+                opts.workloads = c.list("workload names", |w| check_name(w).map(str::to_owned))?;
+            }
+            "--analyses" => opts.analyses = c.list("analysis names", str::parse::<Analysis>)?,
+            "--reps" => opts.repetitions = c.positive()?,
+            "--jobs" => opts.jobs = c.value("a count in [0, 1024]", |&n| n <= 1024)?,
+            "--cell-timeout" => opts.cell_timeout = Some(c.seconds()?),
+            "--max-memory" => opts.max_memory = Some(c.byte_size()?),
+            "--json" => json_out = Some(c.text("an output file path")?),
+            "--trace-dir" => opts.trace_dir = Some(c.text("a directory path")?),
+            "--profile" => opts.profile = true,
+            "--taint-groups" => opts.taint_groups = c.value("a count", |_| true)?,
+            "--check" if check => check_path = Some(c.text("a --json dump path")?),
+            "--expect-cells" if check => expect_cells = Some(c.value("a cell count", |_| true)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if let Some(path) = check_path {
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| io_error(format!("cannot read {path}: {e}")))?;
+        return Ok(match pta_bench::json::check_dump(&source, expect_cells) {
+            Ok(verdict) => {
+                println!("{path}: {verdict}");
+                ExitCode::SUCCESS
+            }
+            Err(why) => {
+                eprintln!("{path}: {why}");
+                ExitCode::from(1)
+            }
+        });
+    }
+    if expect_cells.is_some() {
+        return Err(usage_with(
+            "--expect-cells needs --check FILE",
+            MATRIX_USAGE,
+        ));
+    }
+    // Open the dump before the run, so an unwritable path fails up front
+    // rather than after the whole matrix.
+    let mut dump = json_out
+        .map(|path| {
+            std::fs::File::create(&path)
+                .map_err(|e| io_error(format!("cannot write {path}: {e}")))
+                .map(|file| (path, file))
+        })
+        .transpose()?;
+    let rows = run_matrix(&opts).map_err(|e| io_error(e.to_string()))?;
+    print!("{}", render(&rows));
+    if let Some((path, file)) = &mut dump {
+        file.write_all(rows_to_json(&rows).as_bytes())
+            .map_err(|e| io_error(format!("cannot write {path}: {e}")))?;
+        eprintln!("[pta-bench] wrote {path}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+const PROFDIFF_USAGE: &str = "usage: pta profdiff BASELINE CURRENT [--tolerance PCT]";
+
+/// `pta profdiff`: compare the per-rule profiles of two `--profile --json`
+/// dumps (see `pta_bench::json::diff_profiles`). Exit 0 when every
+/// compared counter is within the tolerance, 1 on drift or when no rows
+/// compare, 2 on usage errors and unreadable or malformed dumps.
+fn cmd_profdiff(args: &[String]) -> Exit {
+    let mut paths: Vec<String> = Vec::new();
+    let mut tolerance = 0.0f64;
+    Args::walk(args, PROFDIFF_USAGE, |c| {
+        match c.flag() {
+            "--tolerance" => {
+                tolerance =
+                    c.value("a percentage >= 0", |p: &f64| p.is_finite() && *p >= 0.0)? / 100.0;
+            }
+            flag if flag.starts_with("--") => return Ok(false),
+            path => paths.push(path.to_owned()),
+        }
+        Ok(true)
+    })?;
+    let [baseline, current] = paths.as_slice() else {
+        return Err(usage_with(
+            format!("expected BASELINE and CURRENT, got {} path(s)", paths.len()),
+            PROFDIFF_USAGE,
+        ));
+    };
+    let load = |path: &str| {
+        let source = std::fs::read_to_string(path)
+            .map_err(|e| io_error(format!("cannot read {path}: {e}")))?;
+        pta_bench::json::parse_dump(&source)
+            .map(|(doc, _)| doc)
+            .map_err(|e| io_error(format!("{path}: {e}")))
+    };
+    let diff = pta_bench::json::diff_profiles(&load(baseline)?, &load(current)?, tolerance);
+    for line in &diff.drifts {
+        println!("{line}");
+    }
+    Ok(if diff.compared == 0 {
+        eprintln!("[profdiff] no comparable profiled rows between the two dumps");
+        ExitCode::from(1)
+    } else if !diff.drifts.is_empty() {
+        println!(
+            "[profdiff] {} drifted counters across {} compared rules",
+            diff.drifts.len(),
+            diff.compared
+        );
+        ExitCode::from(1)
+    } else {
+        println!("[profdiff] {} rule profiles match", diff.compared);
+        ExitCode::SUCCESS
     })
 }

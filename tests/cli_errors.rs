@@ -28,6 +28,12 @@ fn unknown_flags_are_e030_usage_errors() {
         &["explain", "x.jir", "v", "o", "--frobnicate"],
         &["update", "x.jir", "--frobnicate"],
         &["lint", "x.jir", "--frobnicate"],
+        &["table1", "--frobnicate"],
+        &["figure3", "--frobnicate"],
+        &["summary", "--frobnicate"],
+        &["profdiff", "a.json", "b.json", "--frobnicate"],
+        // Only table1 checks dumps.
+        &["figure3", "--check"],
         // Removed flags are unknown like any other.
         &["analyze", "x.jir", "--no-share"],
         &["serve", "--no-share"],
@@ -80,6 +86,16 @@ fn missing_and_extra_arguments_are_e030_followed_by_the_usage_line() {
         ),
         (&["workload"], "expected NAME", "usage: pta workload"),
         (&["serve"], "at least one program", "usage: pta serve"),
+        (
+            &["profdiff", "a.json"],
+            "got 1 path(s)",
+            "usage: pta profdiff",
+        ),
+        (
+            &["table1", "--expect-cells", "3"],
+            "--expect-cells needs --check FILE",
+            "usage: pta table1|figure3|summary",
+        ),
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -109,6 +125,7 @@ fn bad_flag_values_say_the_same_on_every_subcommand() {
             "--solve-max-memory",
             "12Q",
         ],
+        &["table1", "--max-memory", "12Q"],
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -121,6 +138,9 @@ fn bad_flag_values_say_the_same_on_every_subcommand() {
         &["workload", "antlr", "--scale", "2000"] as &[&str],
         &["update", "--workload", "antlr:2000"],
         &["serve", "--workload", "antlr:2000"],
+        &["table1", "--scale", "2000"],
+        &["figure3", "--scale", "2000"],
+        &["summary", "--scale", "2000"],
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -128,6 +148,36 @@ fn bad_flag_values_say_the_same_on_every_subcommand() {
         assert!(err.contains("error[E030]"), "{args:?}: {err}");
         assert!(
             err.contains("\"2000\" is not a finite number in (0, 1024]"),
+            "{args:?}: {err}"
+        );
+    }
+    // Negative and NaN scales used to generate the same small workload.
+    for scale in ["-1", "nan"] {
+        let out = pta(&["table1", "--scale", scale]);
+        assert_eq!(out.status.code(), Some(2), "{scale}");
+        let err = stderr(&out);
+        assert!(err.contains("error[E030]"), "{scale}: {err}");
+        assert!(
+            err.contains(&format!("\"{scale}\" is not a finite number")),
+            "{scale}: {err}"
+        );
+    }
+    // One name check behind every workload name; the harness used to
+    // panic (exit 101) on an unknown one.
+    for args in [
+        &["workload", "nosuch"] as &[&str],
+        &["update", "--workload", "nosuch:1"],
+        &["serve", "--workload", "nosuch:1"],
+        &["table1", "--workloads", "nosuch"],
+        &["summary", "--workloads", "antlr,nosuch"],
+    ] {
+        let out = pta(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("error[E030]"), "{args:?}: {err}");
+        assert!(
+            err.contains("unknown workload \"nosuch\""),
             "{args:?}: {err}"
         );
     }
@@ -156,6 +206,8 @@ fn unreadable_inputs_are_e031_io_errors() {
         &["analyze", "/nonexistent/prog.jir"] as &[&str],
         &["lint", "/nonexistent/prog.jir"],
         &["check", "/nonexistent/prog.jir"],
+        &["table1", "--check", "/nonexistent/dump.json"],
+        &["profdiff", "/nonexistent/a.json", "/nonexistent/b.json"],
     ] {
         let out = pta(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
