@@ -91,7 +91,10 @@ type FldProvKey = (HeapId, HCtxId, FieldId, HeapId, HCtxId);
 /// Every counter is a plain `u64` increment on the solver hot path (no
 /// branching on a "stats enabled" flag), so the numbers are available for
 /// every run: `pta analyze --stats` prints them and `pta table1 --json`
-/// writes them into each experiment row. Firing counters count *attempted*
+/// writes them into each experiment row. They are the one count of each
+/// solver event: `--profile`'s per-rule `fires`, the trace's rule spans
+/// (through [`crate::solver::RULES`]) and the `pta_solver_*_total`
+/// metrics all read them. Firing counters count *attempted*
 /// derivations (the tuple may already exist); `vpt_inserted` /
 /// `vpt_dup` split those attempts into new tuples and dedup hits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,6 +122,10 @@ pub struct SolverStats {
     pub fire_this_binding: u64,
     /// Virtual-dispatch attempts (one per new receiver object per site).
     pub fire_vcall_dispatch: u64,
+    /// Static-call firings (one per call site per new method context).
+    pub fire_scall: u64,
+    /// Thrown objects arriving at their throwing method.
+    pub fire_throw: u64,
     /// Exception tuples bound by catch clauses.
     pub fire_caught: u64,
     /// `ThrowPointsTo` tuples (exceptions escaping a method+context).
@@ -196,6 +203,8 @@ impl SolverStats {
             ("fire_static_store", self.fire_static_store),
             ("fire_this_binding", self.fire_this_binding),
             ("fire_vcall_dispatch", self.fire_vcall_dispatch),
+            ("fire_scall", self.fire_scall),
+            ("fire_throw", self.fire_throw),
             ("fire_caught", self.fire_caught),
             ("throw_tuples", self.throw_tuples),
             ("fld_inserted", self.fld_inserted),

@@ -106,19 +106,21 @@ pub struct SolverConfig {
     pub retain: bool,
 }
 
-/// Stable rule order for solver profiles and per-rule trace spans: the
-/// paper's nine Figure 2 rule groups plus the exception extension.
-const RULE_NAMES: [&str; 10] = [
-    "alloc",
-    "move",
-    "interproc",
-    "load",
-    "store",
-    "sload",
-    "sstore",
-    "vcall",
-    "scall",
-    "exception",
+/// The rules in stable profile order — the paper's nine Figure 2 rule
+/// groups plus the exception extension — each with the [`SolverStats`]
+/// counters whose sum is its `fires` in profiles and trace rule spans,
+/// which so agree with `--stats` and `pta_solver_*_total` by construction.
+pub const RULES: [(&str, &[&str]); 10] = [
+    ("alloc", &["fire_alloc"]),
+    ("move", &["fire_assign"]),
+    ("interproc", &["fire_interproc"]),
+    ("load", &["fire_load"]),
+    ("store", &["fire_store"]),
+    ("sload", &["fire_static_load"]),
+    ("sstore", &["fire_static_store"]),
+    ("vcall", &["fire_vcall_dispatch"]),
+    ("scall", &["fire_scall"]),
+    ("exception", &["fire_throw", "fire_caught"]),
 ];
 const R_ALLOC: usize = 0;
 const R_MOVE: usize = 1;
@@ -131,28 +133,37 @@ const R_VCALL: usize = 7;
 const R_SCALL: usize = 8;
 const R_EXC: usize = 9;
 
-/// Per-rule profile accumulators (fixed arrays, allocated once behind the
-/// `profile`/`trace` opt-in — `None` keeps the hot loop allocation-free
-/// and clock-free).
+/// Per-rule fires of `stats`, in [`RULES`] order.
+fn rule_fires(stats: &SolverStats) -> [u64; RULES.len()] {
+    let fields = stats.fields();
+    let get = |c: &&str| fields.iter().find(|f| f.0 == *c).expect("a stats field").1;
+    RULES.map(|(_, counters)| counters.iter().map(get).sum())
+}
+
+/// The profiling-only per-rule accumulators (fixed arrays, allocated once
+/// behind the `profile`/`trace` opt-in — `None` keeps the hot loop
+/// allocation-free and clock-free). Fires are not among them: they are
+/// always counted, in [`SolverStats`].
 #[derive(Default)]
 struct RuleProf {
-    fires: [u64; RULE_NAMES.len()],
-    derived: [u64; RULE_NAMES.len()],
-    ns: [u64; RULE_NAMES.len()],
+    derived: [u64; RULES.len()],
+    ns: [u64; RULES.len()],
     set_promotions: u64,
 }
 
 impl RuleProf {
     /// Converts the accumulators into the shared profile type, attaching
-    /// the hottest variables (computed by the caller).
-    fn into_profile(self, hot_vars: Vec<pta_obs::HotVar>) -> pta_obs::Profile {
+    /// the fires from `stats` and the hottest variables (computed by the
+    /// caller).
+    fn into_profile(self, stats: &SolverStats, hot_vars: Vec<pta_obs::HotVar>) -> pta_obs::Profile {
+        let fires = rule_fires(stats);
         pta_obs::Profile {
-            rules: RULE_NAMES
+            rules: RULES
                 .iter()
                 .enumerate()
-                .map(|(i, &name)| pta_obs::RuleStat {
+                .map(|(i, &(name, _))| pta_obs::RuleStat {
                     name: name.to_owned(),
-                    fires: self.fires[i],
+                    fires: fires[i],
                     derived: self.derived[i],
                     ns: self.ns[i],
                 })
@@ -723,9 +734,10 @@ impl<P: ContextPolicy> Solver<P> {
         let Some(prof) = self.prof.as_deref() else {
             return;
         };
+        let fires = rule_fires(&self.stats);
         let mut at = base_ns;
-        for (i, &name) in RULE_NAMES.iter().enumerate() {
-            if prof.fires[i] == 0 && prof.ns[i] == 0 {
+        for (i, &(name, _)) in RULES.iter().enumerate() {
+            if fires[i] == 0 && prof.ns[i] == 0 {
                 continue;
             }
             self.ts.complete(
@@ -733,7 +745,7 @@ impl<P: ContextPolicy> Solver<P> {
                 "rule",
                 at,
                 prof.ns[i],
-                &[("fires", prof.fires[i]), ("derived", prof.derived[i])],
+                &[("fires", fires[i]), ("derived", prof.derived[i])],
             );
             at += prof.ns[i];
         }
@@ -762,14 +774,6 @@ impl<P: ContextPolicy> Solver<P> {
     fn tock(&mut self, rule: usize, t: Option<std::time::Instant>) {
         if let (Some(p), Some(t)) = (self.prof.as_deref_mut(), t) {
             p.ns[rule] += t.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Counts `n` firings of `rule` (profiling only).
-    #[inline]
-    fn prof_fire(&mut self, rule: usize, n: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.fires[rule] += n;
         }
     }
 
@@ -1092,7 +1096,6 @@ impl<P: ContextPolicy> Solver<P> {
             return;
         }
         self.stats.fire_store += vals.len() as u64;
-        self.prof_fire(R_STORE, vals.len() as u64);
         let fe = self.fld_id(base_obj, field);
         let mut fresh = std::mem::take(&mut self.buf2);
         fresh.clear();
@@ -1120,7 +1123,6 @@ impl<P: ContextPolicy> Solver<P> {
             for wi in 0..self.fentries[fe as usize].witnesses.len() {
                 let (to_key, base_key) = self.fentries[fe as usize].witnesses[wi];
                 self.stats.fire_load += fresh.len() as u64;
-                self.prof_fire(R_LOAD, fresh.len() as u64);
                 self.insert_batch(
                     to_key,
                     &fresh,
@@ -1142,7 +1144,6 @@ impl<P: ContextPolicy> Solver<P> {
             return;
         }
         self.stats.fire_static_store += vals.len() as u64;
-        self.prof_fire(R_SSTORE, vals.len() as u64);
         let mut fresh = std::mem::take(&mut self.buf2);
         fresh.clear();
         {
@@ -1165,7 +1166,6 @@ impl<P: ContextPolicy> Solver<P> {
             for wi in 0..self.statics[field as usize].witnesses.len() {
                 let to_key = self.statics[field as usize].witnesses[wi];
                 self.stats.fire_static_load += fresh.len() as u64;
-                self.prof_fire(R_SLOAD, fresh.len() as u64);
                 self.insert_batch(to_key, &fresh, Reason::StaticLoad { field });
             }
         }
@@ -1271,7 +1271,6 @@ impl<P: ContextPolicy> Solver<P> {
             if program.is_subtype(heap_ty, ty) {
                 let bkey = self.key_id(binder.raw(), ctx);
                 self.stats.fire_caught += 1;
-                self.prof_fire(R_EXC, 1);
                 self.insert_batch(bkey, &[obj], Reason::Caught);
                 caught = true;
             }
@@ -1305,7 +1304,6 @@ impl<P: ContextPolicy> Solver<P> {
                 .set
                 .extend_into(&mut existing);
             self.stats.fire_interproc += existing.len() as u64;
-            self.prof_fire(R_INTERPROC, existing.len() as u64);
             self.insert_batch(to_key, &existing, Reason::InterProc { src_key: from_key });
             self.ipa_buf = existing;
         }
@@ -1325,7 +1323,6 @@ impl<P: ContextPolicy> Solver<P> {
                     // VarPointsTo(var, ctx, heap, Record(heap, ctx)).
                     let t = self.tick();
                     self.stats.fire_alloc += 1;
-                    self.prof_fire(R_ALLOC, 1);
                     let elem = self.policy.record(heap, ctx_val, &program);
                     let hctx = self.hctxs.intern(elem);
                     let obj = self.obj_id(heap.raw(), hctx.raw());
@@ -1338,7 +1335,7 @@ impl<P: ContextPolicy> Solver<P> {
                     // Demoted targets skip the constructor so no unused
                     // context is interned on their behalf.
                     let t = self.tick();
-                    self.prof_fire(R_SCALL, 1);
+                    self.stats.fire_scall += 1;
                     let callee_ctx = match self.demote_ctx[target.index()] {
                         NOT_DEMOTED => {
                             let v = self.policy.merge_static(invo, ctx_val, &program);
@@ -1361,7 +1358,6 @@ impl<P: ContextPolicy> Solver<P> {
                         existing.clear();
                         self.statics[fld].set.extend_into(&mut existing);
                         self.stats.fire_static_load += existing.len() as u64;
-                        self.prof_fire(R_SLOAD, existing.len() as u64);
                         self.insert_batch(
                             to_key,
                             &existing,
@@ -1396,7 +1392,6 @@ impl<P: ContextPolicy> Solver<P> {
             match filter {
                 None => {
                     self.stats.fire_assign += delta.len() as u64;
-                    self.prof_fire(R_MOVE, delta.len() as u64);
                     self.insert_batch(to_key, &delta, Reason::Assign { src_key: key });
                 }
                 Some(ty) => {
@@ -1411,7 +1406,6 @@ impl<P: ContextPolicy> Solver<P> {
                         }
                     }
                     self.stats.fire_assign += buf.len() as u64;
-                    self.prof_fire(R_MOVE, buf.len() as u64);
                     self.insert_batch(to_key, &buf, Reason::Assign { src_key: key });
                     self.buf = buf;
                 }
@@ -1424,7 +1418,6 @@ impl<P: ContextPolicy> Solver<P> {
         for i in 0..self.ipa_out[key as usize].len() {
             let to_key = self.ipa_out[key as usize][i];
             self.stats.fire_interproc += delta.len() as u64;
-            self.prof_fire(R_INTERPROC, delta.len() as u64);
             self.insert_batch(to_key, &delta, Reason::InterProc { src_key: key });
         }
         self.tock(R_INTERPROC, t);
@@ -1443,7 +1436,6 @@ impl<P: ContextPolicy> Solver<P> {
                     buf.clear();
                     self.fentries[fe as usize].set.extend_into(&mut buf);
                     self.stats.fire_load += buf.len() as u64;
-                    self.prof_fire(R_LOAD, buf.len() as u64);
                     self.insert_batch(
                         to_key,
                         &buf,
@@ -1504,7 +1496,7 @@ impl<P: ContextPolicy> Solver<P> {
             let t = self.tick();
             let meth = self.program.var_method(VarId::from_raw(var)).raw();
             for &obj in &delta {
-                self.prof_fire(R_EXC, 1);
+                self.stats.fire_throw += 1;
                 self.handle_incoming_exception(meth, ctx, obj);
             }
             self.tock(R_EXC, t);
@@ -1528,7 +1520,6 @@ impl<P: ContextPolicy> Solver<P> {
                 let (sig, invo) = self.index.vcalls_on[i];
                 for &obj in &delta {
                     self.stats.fire_vcall_dispatch += 1;
-                    self.prof_fire(R_VCALL, 1);
                     let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
                     if let Some(callee) = self.program.lookup(heap_ty, sig) {
                         let (heap, hctx) = self.objs.resolve(obj);
@@ -1713,10 +1704,9 @@ impl<P: ContextPolicy> Solver<P> {
         }
 
         // Rule-level profile plus the hottest variables.
-        let profile = self
-            .prof
-            .take()
-            .map(|p| Box::new(p.into_profile(hot_vars(&self.program, &var_points_to))));
+        let profile = self.prof.take().map(|p| {
+            Box::new(p.into_profile(&self.stats, hot_vars(&self.program, &var_points_to)))
+        });
 
         let tuples = if self.config.keep_tuples {
             let mut out = Vec::with_capacity(ctx_vpt_count as usize);

@@ -103,8 +103,8 @@ pub struct PolicyEntry {
     pub policy: Analysis,
     /// The owned session behind `result`. Kept alive between requests so
     /// `update` can maintain the fixpoint incrementally instead of
-    /// re-solving from scratch.
-    session: AnalysisSession<Analysis>,
+    /// re-solving from scratch; it also says how the last `update` ran.
+    pub(crate) session: AnalysisSession<Analysis>,
     /// The result queries are answered from. When `partial`, this is the
     /// context-insensitive fallback, not the tripped primary solve.
     pub result: PointsToResult,
@@ -119,12 +119,6 @@ pub struct PolicyEntry {
     pub solve_ms: u64,
     /// Primary solve step count.
     pub steps: u64,
-    /// `true` when the most recent `update` was absorbed by incremental
-    /// maintenance rather than a from-scratch re-solve.
-    pub incremental: bool,
-    /// Why the most recent `update` fell back to a from-scratch
-    /// re-solve (`None` at startup and after incremental updates).
-    pub last_fallback: Option<&'static str>,
 }
 
 impl PolicyEntry {
@@ -346,7 +340,12 @@ impl Resident {
         let mut entries = Vec::with_capacity(rp.entries.len());
         for e in &mut rp.entries {
             e.apply(&delta, solve)?;
-            entries.push((e.policy, e.incremental, e.solve_ms, e.last_fallback));
+            entries.push((
+                e.policy,
+                e.session.last_apply_was_incremental(),
+                e.solve_ms,
+                e.session.last_fallback(),
+            ));
         }
         rp.names = NameIndex::build(&new_program);
         rp.program = new_program;
@@ -450,8 +449,6 @@ fn solve_entry(program: &Arc<Program>, policy: Analysis, solve: &SolveConfig) ->
         termination,
         solve_ms: started.elapsed().as_millis() as u64,
         steps,
-        incremental: false,
-        last_fallback: None,
     }
 }
 
@@ -461,8 +458,6 @@ impl PolicyEntry {
     fn apply(&mut self, delta: &ProgramDelta, solve: &SolveConfig) -> Result<(), String> {
         let started = Instant::now();
         let primary = self.session.apply(delta).map_err(|e| e.to_string())?;
-        self.incremental = self.session.last_apply_was_incremental();
-        self.last_fallback = self.session.last_fallback();
         let program = Arc::clone(self.session.program());
         let (result, report, partial, termination, steps) =
             resolve_primary(primary, &program, solve);

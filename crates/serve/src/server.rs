@@ -139,10 +139,6 @@ struct Shared {
     /// for forced drain.
     active: Mutex<Vec<Option<CancelToken>>>,
     shutdown: AtomicBool,
-    served: AtomicU64,
-    shed: AtomicU64,
-    errors: AtomicU64,
-    faulted: AtomicU64,
     last_request_peak: AtomicU64,
     max_request_peak: AtomicU64,
     trace: Trace,
@@ -177,13 +173,19 @@ impl<T> Family<T> {
             .expect("label values come from the family's fixed set");
         slot.get_or_init(|| register(value))
     }
+
+    /// `read` summed over the series registered so far.
+    fn sum(&self, read: impl Fn(&T) -> u64) -> u64 {
+        self.0.iter().filter_map(|(_, s)| s.get()).map(read).sum()
+    }
 }
 
 /// The handles the request path updates. Resolving a handle through
 /// [`Metrics`] builds label strings and locks the registry, so each
 /// series is resolved once, on its first use (series no request has
 /// touched stay out of the exposition), and later requests only touch
-/// its atomics.
+/// its atomics. These series are the daemon's only count of request
+/// outcomes: the `stats` op and the `shutdown` event sum them.
 struct RequestSeries {
     requests: Family<Counter>,
     latency: Family<Histogram>,
@@ -196,6 +198,16 @@ struct RequestSeries {
 }
 
 impl RequestSeries {
+    /// Requests answered by a worker (one latency observation each).
+    fn served(&self) -> u64 {
+        self.latency.sum(Histogram::count)
+    }
+
+    /// Requests shed by the full admission queue.
+    fn shed(&self) -> u64 {
+        self.shed.get().map_or(0, Counter::get)
+    }
+
     fn new() -> RequestSeries {
         let codes = ErrorCode::ALL.map(ErrorCode::as_str);
         RequestSeries {
@@ -293,8 +305,8 @@ impl Shared {
                     e.termination.as_str(),
                     e.steps,
                     e.solve_ms,
-                    e.incremental,
-                    match e.last_fallback {
+                    e.session.last_apply_was_incremental(),
+                    match e.session.last_fallback() {
                         Some(reason) => format!("\"{}\"", crate::json::escape(reason)),
                         None => "null".to_string(),
                     }
@@ -310,10 +322,10 @@ impl Shared {
             self.cfg.queue_capacity,
             self.cfg.workers,
             self.in_flight.load(Ordering::SeqCst),
-            self.served.load(Ordering::SeqCst),
-            self.shed.load(Ordering::SeqCst),
-            self.errors.load(Ordering::SeqCst),
-            self.faulted.load(Ordering::SeqCst),
+            self.series.served(),
+            self.series.shed(),
+            self.series.errors.sum(Counter::get),
+            self.series.faulted.sum(Counter::get),
             memtrack::current_bytes(),
             self.last_request_peak.load(Ordering::SeqCst),
             self.max_request_peak.load(Ordering::SeqCst),
@@ -344,7 +356,6 @@ impl Shared {
         let req = match parse_request(line) {
             Ok(req) => req,
             Err((id, code, msg)) => {
-                self.errors.fetch_add(1, Ordering::SeqCst);
                 self.count_error(code.as_str());
                 Shared::write_line(reply, error_line(id, code, &msg));
                 return false;
@@ -413,7 +424,6 @@ impl Shared {
             Some(code) => {
                 self.count_error(code.as_str());
                 let message = if code == ErrorCode::Overloaded {
-                    self.shed.fetch_add(1, Ordering::SeqCst);
                     self.series
                         .shed
                         .get_or_init(|| self.metrics.counter("pta_requests_shed_total", &[]))
@@ -464,7 +474,6 @@ impl Shared {
         let deadline = deadline_ms.map(|ms| job.admitted + Duration::from_millis(ms));
         let mut max_steps = None;
         if let Some(kind) = job.fault {
-            self.faulted.fetch_add(1, Ordering::SeqCst);
             self.series
                 .faulted
                 .get(kind.as_str(), |kind| {
@@ -561,7 +570,6 @@ impl Shared {
         self.active.lock().unwrap()[slot] = None;
         let code = error_code_of(&line);
         if line.contains("\"ok\":false") {
-            self.errors.fetch_add(1, Ordering::SeqCst);
             self.count_error(code.unwrap_or("unknown"));
         }
         if code == Some(ErrorCode::DeadlineExceeded.as_str()) {
@@ -596,8 +604,7 @@ impl Shared {
             line
         };
         Shared::write_line(&job.reply, out);
-        let served = self.served.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.trace.is_enabled() && served.is_multiple_of(TRACE_DRAIN_STRIDE) {
+        if self.trace.is_enabled() && self.series.served().is_multiple_of(TRACE_DRAIN_STRIDE) {
             self.cap_trace();
         }
     }
@@ -687,10 +694,6 @@ pub fn launch(mut cfg: ServeConfig) -> Result<ServerHandle, String> {
         in_flight: AtomicUsize::new(0),
         active: Mutex::new(vec![None; workers]),
         shutdown: AtomicBool::new(false),
-        served: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        faulted: AtomicU64::new(0),
         last_request_peak: AtomicU64::new(0),
         max_request_peak: AtomicU64::new(0),
         trace,
@@ -836,11 +839,8 @@ impl ServerHandle {
             "shutdown",
             &[
                 ("forced", Field::Bool(forced)),
-                (
-                    "served",
-                    Field::U64(self.shared.served.load(Ordering::SeqCst)),
-                ),
-                ("shed", Field::U64(self.shared.shed.load(Ordering::SeqCst))),
+                ("served", Field::U64(self.shared.series.served())),
+                ("shed", Field::U64(self.shared.series.shed())),
             ],
         );
         if forced {
@@ -1042,7 +1042,7 @@ fn read_loop<R: BufRead>(shared: &Arc<Shared>, mut reader: R, reply: &Reply) {
                 }
             }
             Ok(LineRead::Oversized) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
+                shared.count_error(ErrorCode::Oversized.as_str());
                 Shared::write_line(
                     reply,
                     error_line(

@@ -40,8 +40,9 @@ fn text<'a>(row: &'a Value, key: &str) -> &'a str {
 
 /// The smoke matrix, then the rule-profile drift gate: rerun the
 /// configuration behind the checked-in `BENCH_profile.json` and hold every
-/// rule's `fires` and `derived` counts within 5% of it. The solver is
-/// deterministic, so on an unchanged tree they agree exactly. When a change
+/// rule's `fires` and `derived` counts exactly to it (`--tolerance 0`):
+/// the solver is deterministic, and `fires` is read from `SolverStats`
+/// through the solver's rule table, so any drift is a change. When a change
 /// to rule behaviour is intended, regenerate the baseline in the same
 /// commit and review its diff with the code change:
 ///
@@ -95,7 +96,7 @@ fn table1_smoke_matrix_dumps_checks_and_measures_every_row() {
         "BENCH_profile.json",
         profiled,
         "--tolerance",
-        "5",
+        "0",
     ]);
     assert_eq!(
         out.status.code(),

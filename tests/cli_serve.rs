@@ -70,6 +70,27 @@ fn line_for(stdout: &str, id: u64) -> Option<&str> {
 
 const WORKLOAD: &[&str] = &["--workload", "luindex:0.2"];
 
+/// The `stats` reply's counter `key` for request `id`.
+fn stats_count(stdout: &str, id: u64, key: &str) -> u64 {
+    let line = line_for(stdout, id).unwrap_or_else(|| panic!("no stats reply {id}: {stdout}"));
+    let v = parse(line).expect("stats reply is JSON");
+    v.get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no {key:?} in {line}"))
+}
+
+/// The sum of every series of counter `family` in the Prometheus text of
+/// `metrics` reply `id`.
+fn scraped_sum(stdout: &str, id: u64, family: &str) -> u64 {
+    let line = line_for(stdout, id).unwrap_or_else(|| panic!("no metrics reply {id}: {stdout}"));
+    let v = parse(line).expect("metrics reply is JSON");
+    let prom = v.get("prometheus").and_then(Value::as_str).unwrap();
+    prom.lines()
+        .filter(|l| l.split(['{', ' ']).next() == Some(family))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
 #[test]
 fn answers_all_four_query_kinds_then_drains_on_eof() {
     // `r` exists in every generated workload (field-load results);
@@ -165,6 +186,7 @@ fn hostile_protocol_input_answers_errors_and_keeps_serving() {
     input.push_str(&"[".repeat(20_000));
     input.push('\n');
     input.push_str("{\"id\":35,\"op\":\"stats\"}\n");
+    input.push_str("{\"id\":36,\"op\":\"metrics\"}\n");
     let out = serve_stdio(&[WORKLOAD, &["--queue", "2"]].concat(), &input);
     assert_eq!(out.status.code(), Some(0), "hostile input must not crash");
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -187,6 +209,15 @@ fn hostile_protocol_input_answers_errors_and_keeps_serving() {
         .filter(|l| l.contains("\"error\":\"parse\"") && l.contains("nesting deeper"))
         .count();
     assert_eq!(deep, 1, "{stdout}");
+    // Every error reply is counted once, in the registry, and the `stats`
+    // op reads that count: the oversized line included.
+    let failed = stdout.matches("\"ok\":false").count() as u64;
+    assert_eq!(stats_count(&stdout, 35, "errors"), failed, "{stdout}");
+    assert_eq!(
+        scraped_sum(&stdout, 36, "pta_request_errors_total"),
+        failed,
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -198,6 +229,9 @@ fn full_queue_sheds_with_overloaded_instead_of_buffering() {
     for id in 1..=60 {
         input.push_str(&format!("{{\"id\":{id},\"op\":\"devirt\",\"invo\":0}}\n"));
     }
+    // Answered inline once every query above has been admitted or shed.
+    input.push_str("{\"id\":61,\"op\":\"stats\"}\n");
+    input.push_str("{\"id\":62,\"op\":\"metrics\"}\n");
     let out = serve_stdio(
         &[
             WORKLOAD,
@@ -218,12 +252,22 @@ fn full_queue_sheds_with_overloaded_instead_of_buffering() {
     let shed = stdout.matches("\"error\":\"overloaded\"").count();
     let ok = stdout.matches("\"ok\":true").count();
     assert!(shed > 0, "nothing shed — queue not bounded? {stdout}");
-    assert!(ok > 0, "nothing served: {stdout}");
+    assert!(ok > 2, "nothing served: {stdout}");
     assert_eq!(
         shed + ok,
-        60,
+        62,
         "every request answered exactly once: {stdout}"
     );
+    // The `stats` op, the scrape and the replies agree on the shed count,
+    // and every shed reply is an error.
+    let shed = shed as u64;
+    assert_eq!(stats_count(&stdout, 61, "shed"), shed, "{stdout}");
+    assert_eq!(
+        scraped_sum(&stdout, 62, "pta_requests_shed_total"),
+        shed,
+        "{stdout}"
+    );
+    assert_eq!(stats_count(&stdout, 61, "errors"), shed, "{stdout}");
 }
 
 #[test]

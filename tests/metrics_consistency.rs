@@ -317,10 +317,8 @@ fn check_cli_exits_3_on_partial_results() {
     std::fs::remove_file(&spec_path).ok();
 }
 
-/// Writes the luindex workload at scale 0.3 to a temp file tagged `tag`
-/// and runs `pta analyze` on it under 2obj+H with a 1000-step budget plus
-/// `extra` flags.
-fn analyze_starved(tag: &str, extra: &[&str]) -> std::process::Output {
+/// Writes the luindex workload at scale 0.3 to a temp file tagged `tag`.
+fn luindex_jir(tag: &str) -> std::path::PathBuf {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
         .args(["workload", "luindex", "--scale", "0.3", "--print"])
         .output()
@@ -328,6 +326,91 @@ fn analyze_starved(tag: &str, extra: &[&str]) -> std::process::Output {
     assert!(out.status.success());
     let path = std::env::temp_dir().join(format!("pta-analyze-{tag}-{}.jir", std::process::id()));
     std::fs::write(&path, &out.stdout).unwrap();
+    path
+}
+
+/// One solve reads the same in three places: `pta analyze --stats`, the
+/// `--profile` fires of all ten rules (through the solver's rule table),
+/// and a one-policy daemon's `pta_solver_*_total` scrape. Checks that do
+/// not read the firing counters pin them too: the workload fires every
+/// counter, a rule derives no tuple it did not fire for (except that an
+/// escaping exception is derived again in each caller), and every
+/// context-sensitive call edge comes from one static-call firing or one
+/// virtual dispatch.
+#[test]
+fn solver_counters_read_the_same_in_stats_profile_and_scrape() {
+    use hybrid_pta::core::solver::RULES;
+    use pta_obs::json::{parse, Value};
+    use pta_serve::{launch, ProgramSource, ServeConfig};
+
+    let path = luindex_jir("counters");
+    for policy in ["insens", "S-2obj+H"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
+            .args(["analyze", path.to_str().unwrap(), "--analysis", policy])
+            .args(["--stats", "--profile", "--format", "json"])
+            .output()
+            .expect("spawn pta analyze");
+        assert!(out.status.success(), "{policy}: {out:?}");
+        let report = parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        let row = &report.as_array().unwrap()[0];
+        let Some(Value::Object(stats)) = row.get("stats") else {
+            panic!("{policy}: no stats object");
+        };
+        let stat = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap();
+
+        let rules = row
+            .get("profile")
+            .and_then(|p| p.get("rules"))
+            .and_then(Value::as_array)
+            .unwrap();
+        assert_eq!(rules.len(), RULES.len(), "{policy}");
+        for (rule, (name, counters)) in rules.iter().zip(RULES) {
+            assert_eq!(rule.get("name").and_then(Value::as_str), Some(name));
+            let fires = rule.get("fires").and_then(Value::as_u64).unwrap();
+            let derived = rule.get("derived").and_then(Value::as_u64).unwrap();
+            assert_eq!(
+                fires,
+                counters.iter().map(|&c| stat(c)).sum(),
+                "{policy} {name}"
+            );
+            assert!(counters.iter().all(|&c| stat(c) > 0), "{policy} {name}");
+            assert!(name == "exception" || derived <= fires, "{policy} {rule:?}");
+        }
+        assert!(
+            stat("call_edges") <= stat("fire_scall") + stat("fire_vcall_dispatch"),
+            "{policy}: {stats:?}"
+        );
+
+        let daemon = launch(ServeConfig {
+            sources: vec![ProgramSource::parse_workload("luindex:0.3").unwrap()],
+            policies: vec![policy.into()],
+            use_stdin: false,
+            ..ServeConfig::default()
+        })
+        .expect("launch daemon");
+        let prom = daemon.metrics().to_prometheus();
+        daemon.request_shutdown();
+        assert_eq!(daemon.wait(), 0);
+        assert!(prom.contains("\npta_solve_total 1\n"), "{policy}: {prom}");
+        for (name, value) in stats.iter().filter(|(name, _)| *name != "dedup_hit_rate") {
+            let series = match name.as_str() {
+                "peak_worklist" => "pta_solver_peak_worklist".to_string(),
+                _ => format!("pta_solver_{name}_total"),
+            };
+            let scraped = prom
+                .lines()
+                .find_map(|l| l.strip_prefix(&series)?.strip_prefix(' '))
+                .and_then(|v| v.parse::<u64>().ok());
+            assert_eq!(scraped, value.as_u64(), "{policy}: {series}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Runs `pta analyze` on the luindex s0.3 workload under 2obj+H with a
+/// 1000-step budget plus `extra` flags.
+fn analyze_starved(tag: &str, extra: &[&str]) -> std::process::Output {
+    let path = luindex_jir(tag);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
         .args(["analyze", path.to_str().unwrap(), "--analysis", "2obj+H"])
         .args(["--max-steps", "1000"])

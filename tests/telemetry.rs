@@ -33,6 +33,8 @@ const FIXPOINT_COUNTERS: &[&str] = &[
     "pta_solver_contexts_total",
     "pta_solver_heap_contexts_total",
     "pta_solver_throw_tuples_total",
+    "pta_solver_fire_scall_total",
+    "pta_solver_fire_throw_total",
 ];
 
 fn solve_with_metrics(program: &Program, analysis: Analysis) -> Metrics {
