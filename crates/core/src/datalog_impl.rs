@@ -165,6 +165,8 @@ where
             // `PtsSet` stage promotions are a dense-solver concept; the
             // generic engine's relations have no staged representation.
             set_promotions: 0,
+            // Datalog rule ns are not self time; no span to reconcile.
+            solve_ns: 0,
         })
     });
 

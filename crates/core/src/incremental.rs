@@ -109,6 +109,12 @@ impl<P: ContextPolicy> Solver<P> {
         }
     }
 
+    /// The context value of `frame`.
+    fn ctx_of(&self, frame: u32) -> crate::Ctx {
+        self.ctxs
+            .resolve(CtxId::from_raw(self.reachable.resolve(frame).1))
+    }
+
     /// Snapshot of a key's points-to set.
     fn pts_vec(&self, key: u32) -> Vec<u32> {
         let mut v = Vec::new();
@@ -132,14 +138,14 @@ impl<P: ContextPolicy> Solver<P> {
             return;
         }
 
-        // Pairs already queued will have their whole (new) body processed;
-        // skip reachability-driven seeds for them.
-        let queued: FxHashSet<(u32, u32)> = self.reach_queue.iter().copied().collect();
+        // Frames already queued will have their whole (new) body
+        // processed; skip reachability-driven seeds for them.
+        let queued: FxHashSet<u32> = self.reach_queue.iter().copied().collect();
 
         // Both prep maps are restricted to the entities the delta actually
-        // names: the scans below are over solver-global tables (every live
-        // (method, ctx) pair, every variable key), and an unfiltered build
-        // costs more than the rest of a small apply combined.
+        // names: the scans below are over solver-global tables (every
+        // frame, every variable key), and an unfiltered build costs more
+        // than the rest of a small apply combined.
         let mut need_methods: FxHashSet<u32> = FxHashSet::default();
         let mut need_vars: FxHashSet<u32> = FxHashSet::default();
         for &(m, instr) in delta.appended_instrs() {
@@ -162,21 +168,21 @@ impl<P: ContextPolicy> Solver<P> {
                 Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {}
             }
         }
-        let mut live_ctxs: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for &(m, ctx) in self.reachable.keys() {
-            if need_methods.contains(&m) {
-                live_ctxs.entry(m).or_default().push(ctx);
+        let mut live_frames: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+        for (frame, &(m, _ctx)) in self.reachable.keys().iter().enumerate() {
+            if need_methods.contains(&m) && !queued.contains(&(frame as u32)) {
+                live_frames.entry(m).or_default().push(frame as u32);
             }
         }
         let mut keys_of_var: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
         if !need_vars.is_empty() {
-            for (k, &(var, _ctx)) in self.vkeys.keys().iter().enumerate() {
+            for (k, &(var, _frame)) in self.keys.iter().enumerate() {
                 if need_vars.contains(&var) {
                     keys_of_var.entry(var).or_default().push(k as u32);
                 }
             }
         }
-        let no_ctxs: Vec<u32> = Vec::new();
+        let no_frames: Vec<u32> = Vec::new();
         let no_keys: Vec<u32> = Vec::new();
 
         for &(m, instr) in delta.appended_instrs() {
@@ -185,38 +191,26 @@ impl<P: ContextPolicy> Solver<P> {
                 // Reachability-driven rules: fire under every live context
                 // of the enclosing method.
                 Instr::Alloc { var, heap } => {
-                    let ctxs = live_ctxs.get(&m_raw).unwrap_or(&no_ctxs).clone();
-                    for ctx in ctxs {
-                        if queued.contains(&(m_raw, ctx)) {
-                            continue;
-                        }
-                        let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
-                        let elem = self.policy.record(heap, ctx_val, &program);
+                    for &frame in live_frames.get(&m_raw).unwrap_or(&no_frames) {
+                        let ctx = self.ctx_of(frame);
+                        let elem = self.policy.record(heap, ctx, &program);
                         let hctx = self.hctxs.intern(elem);
                         let obj = self.obj_id(heap.raw(), hctx.raw());
-                        let vkey = self.key_id(var.raw(), ctx);
+                        let vkey = self.key_id(frame, var.raw());
                         self.insert_batch(vkey, &[obj], Reason::Alloc);
                     }
                 }
                 Instr::SCall { target, invo } => {
-                    let ctxs = live_ctxs.get(&m_raw).unwrap_or(&no_ctxs).clone();
-                    for ctx in ctxs {
-                        if queued.contains(&(m_raw, ctx)) {
-                            continue;
-                        }
-                        let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
-                        let v = self.policy.merge_static(invo, ctx_val, &program);
+                    for &frame in live_frames.get(&m_raw).unwrap_or(&no_frames) {
+                        let ctx = self.ctx_of(frame);
+                        let v = self.policy.merge_static(invo, ctx, &program);
                         let cctx = self.ctxs.intern(v).raw();
-                        self.add_call_edge(invo, ctx, target, cctx);
+                        self.add_call_edge(invo, frame, target, cctx);
                     }
                 }
                 Instr::SLoad { to, field } => {
-                    let ctxs = live_ctxs.get(&m_raw).unwrap_or(&no_ctxs).clone();
-                    for ctx in ctxs {
-                        if queued.contains(&(m_raw, ctx)) {
-                            continue;
-                        }
-                        let to_key = self.key_id(to.raw(), ctx);
+                    for &frame in live_frames.get(&m_raw).unwrap_or(&no_frames) {
+                        let to_key = self.key_id(frame, to.raw());
                         let fld = field.raw() as usize;
                         self.statics[fld].witnesses.push(to_key);
                         let mut vals = Vec::new();
@@ -238,9 +232,8 @@ impl<P: ContextPolicy> Solver<P> {
                         Instr::Cast { ty, .. } => Some(ty),
                         _ => None,
                     };
-                    let fks = keys_of_var.get(&from.raw()).unwrap_or(&no_keys).clone();
-                    for fk in fks {
-                        let (_var, ctx) = self.vkeys.resolve(fk);
+                    for &fk in keys_of_var.get(&from.raw()).unwrap_or(&no_keys) {
+                        let frame = self.keys[fk as usize].1;
                         let mut vals = self.pts_vec(fk);
                         if let Some(ty) = filter {
                             let obj_type = &self.obj_type;
@@ -251,19 +244,18 @@ impl<P: ContextPolicy> Solver<P> {
                         if vals.is_empty() {
                             continue;
                         }
-                        let tk = self.key_id(to.raw(), ctx);
+                        let tk = self.key_id(frame, to.raw());
                         self.insert_batch(tk, &vals, Reason::Assign { src_key: fk });
                     }
                 }
                 Instr::Load { to, base, field } => {
-                    let bks = keys_of_var.get(&base.raw()).unwrap_or(&no_keys).clone();
-                    for bk in bks {
-                        let (_var, ctx) = self.vkeys.resolve(bk);
+                    for &bk in keys_of_var.get(&base.raw()).unwrap_or(&no_keys) {
+                        let frame = self.keys[bk as usize].1;
                         let bases = self.pts_vec(bk);
                         if bases.is_empty() {
                             continue;
                         }
-                        let tk = self.key_id(to.raw(), ctx);
+                        let tk = self.key_id(frame, to.raw());
                         for base_obj in bases {
                             let fe = self.fld_id(base_obj, field.raw());
                             self.fentries[fe as usize].witnesses.push((tk, bk));
@@ -284,10 +276,9 @@ impl<P: ContextPolicy> Solver<P> {
                     }
                 }
                 Instr::Store { base, field, from } => {
-                    let bks = keys_of_var.get(&base.raw()).unwrap_or(&no_keys).clone();
-                    for bk in bks {
-                        let (_var, ctx) = self.vkeys.resolve(bk);
-                        let Some(fk) = self.vkeys.get((from.raw(), ctx)) else {
+                    for &bk in keys_of_var.get(&base.raw()).unwrap_or(&no_keys) {
+                        let frame = self.keys[bk as usize].1;
+                        let Some(fk) = self.key_get(frame, from.raw()) else {
                             continue;
                         };
                         let vals = self.pts_vec(fk);
@@ -300,8 +291,7 @@ impl<P: ContextPolicy> Solver<P> {
                     }
                 }
                 Instr::SStore { field, from } => {
-                    let fks = keys_of_var.get(&from.raw()).unwrap_or(&no_keys).clone();
-                    for fk in fks {
+                    for &fk in keys_of_var.get(&from.raw()).unwrap_or(&no_keys) {
                         let vals = self.pts_vec(fk);
                         if !vals.is_empty() {
                             self.insert_static_batch(field.raw(), &vals, fk);
@@ -309,23 +299,21 @@ impl<P: ContextPolicy> Solver<P> {
                     }
                 }
                 Instr::Throw { var } => {
-                    let vks = keys_of_var.get(&var.raw()).unwrap_or(&no_keys).clone();
-                    for vk in vks {
-                        let (_var, ctx) = self.vkeys.resolve(vk);
+                    for &vk in keys_of_var.get(&var.raw()).unwrap_or(&no_keys) {
+                        let frame = self.keys[vk as usize].1;
                         for obj in self.pts_vec(vk) {
-                            self.handle_incoming_exception(m_raw, ctx, obj);
+                            self.throw_into(frame, obj);
                         }
                     }
                 }
                 Instr::VCall { base, sig, invo } => {
-                    let bks = keys_of_var.get(&base.raw()).unwrap_or(&no_keys).clone();
-                    for bk in bks {
-                        let (_var, ctx) = self.vkeys.resolve(bk);
+                    for &bk in keys_of_var.get(&base.raw()).unwrap_or(&no_keys) {
+                        let frame = self.keys[bk as usize].1;
                         let objs = self.pts_vec(bk);
                         if objs.is_empty() {
                             continue;
                         }
-                        let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
+                        let ctx_val = self.ctx_of(frame);
                         for obj in objs {
                             let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
                             let Some(callee) = program.lookup(heap_ty, sig) else {
@@ -341,9 +329,9 @@ impl<P: ContextPolicy> Solver<P> {
                                 &program,
                             );
                             let cctx = self.ctxs.intern(v).raw();
-                            self.add_call_edge(invo, ctx, callee, cctx);
+                            let cframe = self.add_call_edge(invo, frame, callee, cctx);
                             if let Some(this) = program.this_var(callee) {
-                                let tkey = self.key_id(this.raw(), cctx);
+                                let tkey = self.key_id(cframe, this.raw());
                                 self.insert_batch(
                                     tkey,
                                     &[obj],

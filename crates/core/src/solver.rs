@@ -29,6 +29,9 @@
 //!   check is a key-local binary search or bit test instead of a global
 //!   5-tuple hash probe, and iterating a variable's points-to set is a
 //!   linear scan;
+//! - the key IDs and call sites of a method under a context live in
+//!   slots of its **frame** (its `Reachable` fact), so finding one is an
+//!   array read;
 //! - the static input relations live in CSR-style per-variable tables
 //!   ([`VarTable`]), one flat allocation per relation.
 //!
@@ -95,8 +98,9 @@ pub struct SolverConfig {
     /// a disabled handle is a compiled-in no-op on every hot path.
     pub trace: pta_obs::Trace,
     /// Collect a rule-level [`pta_obs::Profile`] (per-rule fires, derived
-    /// tuples, cumulative ns; hottest variables) into the result. Off by
-    /// default; enabling it adds two clock reads per rule batch.
+    /// tuples, self-time ns, the fixpoint span; hottest variables) into
+    /// the result. Off by default; enabling it adds two clock reads per
+    /// rule batch.
     pub profile: bool,
     /// Keep the solver state alive after the fixpoint so a later
     /// [`ProgramDelta`](pta_ir::ProgramDelta) can be applied incrementally
@@ -144,14 +148,34 @@ fn rule_fires(stats: &SolverStats) -> [u64; RULES.len()] {
 /// behind the `profile`/`trace` opt-in — `None` keeps the hot loop
 /// allocation-free and clock-free). Fires are not among them: they are
 /// always counted, in [`SolverStats`].
+///
+/// Rule time is self time: a rule timed inside another (the interproc
+/// propagation of an edge a call rule installs) is charged to the inner
+/// rule only, so the rules' ns add up to at most the solve span.
 #[derive(Default)]
 struct RuleProf {
     derived: [u64; RULES.len()],
     ns: [u64; RULES.len()],
     set_promotions: u64,
+    /// Wall time of the fixpoint runs, in ns.
+    solve_ns: u64,
+    /// The rules being timed, innermost last.
+    running: Vec<usize>,
+    /// When the innermost running rule last started or resumed.
+    since: Option<std::time::Instant>,
 }
 
 impl RuleProf {
+    /// Charges the time since the last switch to the innermost running
+    /// rule and restarts the clock.
+    fn switch(&mut self) {
+        let now = std::time::Instant::now();
+        if let (Some(&rule), Some(since)) = (self.running.last(), self.since) {
+            self.ns[rule] += now.duration_since(since).as_nanos() as u64;
+        }
+        self.since = Some(now);
+    }
+
     /// Converts the accumulators into the shared profile type, attaching
     /// the fires from `stats` and the hottest variables (computed by the
     /// caller).
@@ -170,6 +194,7 @@ impl RuleProf {
                 .collect(),
             hot_vars,
             set_promotions: self.set_promotions,
+            solve_ns: self.solve_ns,
         }
     }
 }
@@ -251,6 +276,15 @@ struct StaticIndex {
     sstores_of: Vec<FieldId>,
     /// `base -> [(sig, invo)]` for `VCall`.
     vcalls_on: Vec<(SigId, InvoId)>,
+    /// Variable -> its index among its method's variables: the offset of
+    /// its key slot in every frame of the method.
+    var_slot: Vec<u32>,
+    /// Invocation -> its index among its method's invocations: the offset
+    /// of its call-site slot in every frame of the method.
+    invo_slot: Vec<u32>,
+    /// Method -> `(variables, invocations)` it declares: the lengths of
+    /// the two slot ranges of each of its frames.
+    frame_shape: Vec<(u32, u32)>,
 }
 
 impl StaticIndex {
@@ -302,7 +336,7 @@ impl StaticIndex {
                 u32::from(v < n && thrown[v]),
             ];
         }
-        StaticIndex {
+        let mut index = StaticIndex {
             rows,
             assigns,
             loads_on,
@@ -310,6 +344,28 @@ impl StaticIndex {
             stores_of,
             sstores_of,
             vcalls_on,
+            var_slot: Vec::new(),
+            invo_slot: Vec::new(),
+            frame_shape: Vec::new(),
+        };
+        index.number_locals(program);
+        index
+    }
+
+    /// Numbers the variables and invocations the slot tables do not cover
+    /// yet (all of them on a fresh index, the delta's on an additive
+    /// apply) within their methods, in ID order.
+    fn number_locals(&mut self, program: &Program) {
+        self.frame_shape.resize(program.method_count(), (0, 0));
+        for v in self.var_slot.len()..program.var_count() {
+            let m = program.var_method(VarId::from_index(v)).index();
+            self.var_slot.push(self.frame_shape[m].0);
+            self.frame_shape[m].0 += 1;
+        }
+        for i in self.invo_slot.len()..program.invo_count() {
+            let m = program.invo_method(InvoId::from_index(i)).index();
+            self.invo_slot.push(self.frame_shape[m].1);
+            self.frame_shape[m].1 += 1;
         }
     }
 
@@ -367,6 +423,7 @@ impl StaticIndex {
         splice_table(rows, ROW_STORE_OF, &mut self.stores_of, stores_of_new);
         splice_table(rows, ROW_SSTORE_OF, &mut self.sstores_of, sstores_new);
         splice_table(rows, ROW_VCALL_ON, &mut self.vcalls_on, vcalls_new);
+        self.number_locals(program);
     }
 }
 
@@ -456,6 +513,25 @@ struct StaticEntry {
     witnesses: Vec<u32>,
 }
 
+/// Where a frame's slots live in `Solver::slots`: `nvars` key slots from
+/// `base`, then `ninvos` call-site slots. A slot holds `id + 1`, or 0
+/// while its key or site is not interned.
+#[derive(Clone, Copy)]
+struct Frame {
+    base: u32,
+    nvars: u32,
+    ninvos: u32,
+}
+
+/// `ThrowPointsTo` of one frame, kept from its first escape on.
+#[derive(Default)]
+struct Escapes {
+    /// The exception objects escaping the frame.
+    objs: PtsSet,
+    /// The frame's distinct callers (the members of its caller list).
+    callers: FxHashSet<u32>,
+}
+
 pub(crate) struct Solver<P: ContextPolicy> {
     program: Arc<Program>,
     policy: P,
@@ -468,8 +544,9 @@ pub(crate) struct Solver<P: ContextPolicy> {
     objs: DenseMap<(u32, u32)>,
     /// Object ID -> raw dynamic type (cached `heap_type`).
     obj_type: Vec<u32>,
-    /// `(var, ctx) -> key ID`.
-    vkeys: DenseMap<(u32, u32)>,
+    /// Key ID -> `(var, frame)`. A `VarPointsTo(var, ctx)` key belongs to
+    /// the frame `(method of var, ctx)`, where it is interned in a slot.
+    keys: Vec<(u32, u32)>,
     /// Key ID -> points-to state.
     entries: Vec<VarEntry>,
     /// Key ID -> `InterProcAssign` successor keys. Deduplication scans the
@@ -483,19 +560,27 @@ pub(crate) struct Solver<P: ContextPolicy> {
     /// Static-field cells, indexed by raw field ID.
     statics: Vec<StaticEntry>,
 
-    /// `CallGraph(invo, callerCtx, meth, calleeCtx)`, factored through a
-    /// dense `(invo, callerCtx)` site interner: per site the distinct
-    /// `(callee, calleeCtx)` targets are a short list (virtual sites are
-    /// overwhelmingly monomorphic), so edge dedup is a linear scan instead
-    /// of a 4-tuple hash probe.
-    cg_sites: DenseMap<(u32, u32)>,
-    cg_targets: Vec<Vec<(u32, u32)>>,
+    /// `CallGraph(invo, callerCtx, meth, calleeCtx)`: site ID -> callee
+    /// frames. An `(invo, callerCtx)` site is interned in a slot of the
+    /// caller's frame; its distinct targets are a short list (virtual
+    /// sites are overwhelmingly monomorphic), so edge dedup is a linear
+    /// scan instead of a 4-tuple hash probe.
+    cg_targets: Vec<Vec<u32>>,
     ctx_cg_edges: u64,
     /// Context-insensitive call-graph projection.
     cg_insens: FxHashSet<(InvoId, MethodId)>,
-    /// `Reachable(meth, ctx)`, as a dense interner (IDs unused; newness is
-    /// detected by length growth).
+    /// `Reachable(meth, ctx)`: the frame interner. A frame is the
+    /// `(method, context)` record that owns the method's keys and call
+    /// sites under that context.
     reachable: DenseMap<(u32, u32)>,
+    /// Frame ID -> its slot ranges.
+    frames: Vec<Frame>,
+    /// Key and call-site slots of every frame (see [`Frame`]).
+    slots: Vec<u32>,
+    /// Frame ID -> the caller frames of its call edges, in registration
+    /// order: the frames an escaping exception propagates to. Append-only
+    /// with repeats until the frame first throws, distinct from then on.
+    callers: Vec<Vec<u32>>,
     /// `true` once any exception fact (escape or catch binding) has been
     /// derived. An incremental apply that adds a catch clause under live
     /// exception flow falls back to a full re-solve: the new clause can
@@ -505,15 +590,11 @@ pub(crate) struct Solver<P: ContextPolicy> {
 
     /// Keys with non-empty deltas, FIFO.
     dirty: VecDeque<u32>,
-    reach_queue: VecDeque<(u32, u32)>,
+    /// Newly reachable frames, FIFO.
+    reach_queue: VecDeque<u32>,
 
-    /// `ThrowPointsTo(meth, ctx) -> objects` — exceptions escaping a
-    /// method under a context.
-    throw_pts: FxHashMap<(u32, u32), PtsSet>,
-    /// `(callee, calleeCtx) -> [(callerMeth, callerCtx)]` — who to notify
-    /// when an exception escapes the callee.
-    throw_listeners: FxHashMap<(u32, u32), Vec<(u32, u32)>>,
-    throw_listener_set: FxHashSet<(u32, u32, u32, u32)>,
+    /// Frame ID -> exceptions escaping it, for frames that ever threw.
+    throws: FxHashMap<u32, Escapes>,
 
     /// First derivation of each `(key, object)` tuple (provenance mode).
     provenance: FxHashMap<(u32, u32), Reason>,
@@ -581,12 +662,12 @@ struct ProjCache {
     /// Insens field view as of the last build; each build re-derives the
     /// dirty base heaps and splices them in.
     field_points_to: FieldView,
-    /// Reverse index: variable -> its interned `(var, ctx)` key IDs.
-    /// Appended by [`Solver::key_id`] while the cache is live.
-    var_keys: Vec<Vec<u32>>,
-    /// Reverse index: base heap -> its field entry IDs, ordered by field.
-    /// Appended by [`Solver::fld_id`] while the cache is live.
-    heap_fes: Vec<Vec<u32>>,
+    /// Reverse index: variable -> its interned `(var, ctx)` key IDs
+    /// (new ones pushed by [`Solver::key_id`]).
+    var_keys: RevIndex,
+    /// Reverse index: base heap -> its field entry IDs, ordered by field
+    /// (new ones pushed by [`Solver::fld_id`]).
+    heap_fes: RevIndex,
     /// Variables whose context-sensitive sets grew since the last build.
     dirty_vars: FxHashSet<u32>,
     /// Base heaps whose field cells grew since the last build.
@@ -596,6 +677,55 @@ struct ProjCache {
     /// Running context-sensitive tuple count (matches the sum of all
     /// entry set sizes; valid because additive applies never remove).
     ctx_vpt: u64,
+}
+
+/// A reverse index of [`ProjCache`]: `base` holds the elements the first
+/// retained build grouped by row; elements minted later wait in `new`
+/// until they outgrow a 32nd of `base` and are spliced in. A build reads
+/// only its dirty rows, so it pays for the new elements, not for a copy
+/// of the whole index.
+#[derive(Default)]
+struct RevIndex {
+    base: Csr<u32>,
+    /// `(row, element)` pairs minted since `base` was built; sorted by row
+    /// at each build, each row in minting order.
+    new: Vec<(u32, u32)>,
+}
+
+impl RevIndex {
+    /// Rows `dirty` (ascending) of the index, as a CSR over positions in
+    /// `dirty`, each stably sorted by `order` (older elements first among
+    /// equals).
+    fn rows(&mut self, n_rows: usize, dirty: &[u32], order: impl Fn(u32) -> u32) -> Csr<u32> {
+        let merge = |old: &[u32], run: &[(u32, u32)], out: &mut Vec<u32>| {
+            let at = out.len();
+            out.extend_from_slice(old);
+            out.extend(run.iter().map(|&(_, e)| e));
+            out[at..].sort_by_key(|&e| order(e));
+        };
+        // Stable, and mostly sorted already: only the pairs pushed since
+        // the last build move.
+        self.new.sort_by_key(|&(r, _)| r);
+        if self.new.len() * 32 > self.base.items().len() {
+            let mut grown: Vec<u32> = self.new.iter().map(|&(r, _)| r).collect();
+            grown.dedup();
+            let new = std::mem::take(&mut self.new);
+            let mut rest = new.as_slice();
+            self.base = self.base.splice(n_rows, &grown, |r, old, out| {
+                let (run, tail) = rest.split_at(rest.partition_point(|p| p.0 as usize <= r));
+                merge(old, run, out);
+                rest = tail;
+            });
+        }
+        let mut rest = self.new.as_slice();
+        Csr::build(dirty.len(), |i, out| {
+            let r = dirty[i];
+            rest = &rest[rest.partition_point(|p| p.0 < r)..];
+            let (run, tail) = rest.split_at(rest.partition_point(|p| p.0 == r));
+            merge(self.base.row(r as usize), run, out);
+            rest = tail;
+        })
+    }
 }
 
 /// Appends the sorted, distinct heaps of one variable's `(var, ctx)`
@@ -645,23 +775,23 @@ impl<P: ContextPolicy> Solver<P> {
             hctxs: HCtxInterner::with_capacity(hints.heap_contexts),
             objs: DenseMap::with_capacity(hints.objects),
             obj_type: Vec::with_capacity(hints.objects),
-            vkeys: DenseMap::with_capacity(hints.var_ctx_keys),
+            keys: Vec::with_capacity(hints.var_ctx_keys),
             entries: Vec::with_capacity(hints.var_ctx_keys),
             ipa_out: Vec::with_capacity(hints.var_ctx_keys),
             fkeys: DenseMap::with_capacity(hints.objects),
             fentries: Vec::new(),
             statics: (0..n_fields).map(|_| StaticEntry::default()).collect(),
-            cg_sites: DenseMap::with_capacity(hints.contexts),
             cg_targets: Vec::with_capacity(hints.contexts),
             ctx_cg_edges: 0,
             cg_insens: FxHashSet::default(),
             reachable: DenseMap::with_capacity(hints.contexts),
+            frames: Vec::with_capacity(hints.contexts),
+            slots: Vec::new(),
+            callers: Vec::with_capacity(hints.contexts),
             exc_seen: false,
             dirty: VecDeque::new(),
             reach_queue: VecDeque::new(),
-            throw_pts: FxHashMap::default(),
-            throw_listeners: FxHashMap::default(),
-            throw_listener_set: FxHashSet::default(),
+            throws: FxHashMap::default(),
             provenance: FxHashMap::default(),
             fld_provenance: FxHashMap::default(),
             static_fld_provenance: FxHashMap::default(),
@@ -683,6 +813,7 @@ impl<P: ContextPolicy> Solver<P> {
     /// later incremental applies.
     pub(crate) fn solve_fix(&mut self) -> Termination {
         let t0 = self.ts.now_ns();
+        let started = std::time::Instant::now();
         // Entry points are reachable under the initial context.
         let entries: Vec<u32> = self
             .program
@@ -694,6 +825,9 @@ impl<P: ContextPolicy> Solver<P> {
             self.mark_reachable(entry, CtxId::INITIAL.raw());
         }
         let termination = self.run_loop();
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.solve_ns += started.elapsed().as_nanos() as u64;
+        }
         if self.ts.is_enabled() {
             self.ts.complete(
                 "solve",
@@ -758,22 +892,23 @@ impl<P: ContextPolicy> Solver<P> {
         }
     }
 
-    /// Starts a rule timer — a clock read only when profiling is on.
+    /// Starts timing `rule`, pausing the rule it runs inside — a clock
+    /// read only when profiling is on.
     #[inline]
-    fn tick(&self) -> Option<std::time::Instant> {
-        if self.prof.is_some() {
-            Some(std::time::Instant::now())
-        } else {
-            None
+    fn tick(&mut self, rule: usize) {
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.switch();
+            p.running.push(rule);
         }
     }
 
-    /// Stops a [`Solver::tick`] timer, attributing the elapsed time to
-    /// `rule`.
+    /// Stops the innermost [`Solver::tick`] timer, charging its time to its
+    /// rule and resuming the rule it ran inside.
     #[inline]
-    fn tock(&mut self, rule: usize, t: Option<std::time::Instant>) {
-        if let (Some(p), Some(t)) = (self.prof.as_deref_mut(), t) {
-            p.ns[rule] += t.elapsed().as_nanos() as u64;
+    fn tock(&mut self) {
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.switch();
+            p.running.pop();
         }
     }
 
@@ -806,8 +941,8 @@ impl<P: ContextPolicy> Solver<P> {
     /// allocations and static calls.
     fn run_loop(&mut self) -> Termination {
         loop {
-            if let Some((m, ctx)) = self.reach_queue.pop_front() {
-                self.process_reachable(m, ctx);
+            if let Some(frame) = self.reach_queue.pop_front() {
+                self.process_reachable(frame);
             } else if let Some(key) = self.dirty.pop_front() {
                 self.process_key(key);
             } else {
@@ -943,7 +1078,7 @@ impl<P: ContextPolicy> Solver<P> {
             method: meth_id,
             fanout: self.method_fanout[meth as usize],
         });
-        self.mark_reachable(meth, dctx);
+        let dframe = self.mark_reachable(meth, dctx);
         // One linear scan over the interned keys per demotion; a method
         // is demoted at most once, so this stays O(methods × keys) even
         // under full degradation. The scan bound is taken before the
@@ -954,23 +1089,25 @@ impl<P: ContextPolicy> Solver<P> {
         // keeps pre-demotion call edges live (their return edges read
         // fine keys, which would otherwise go stale while new facts
         // accrue only under the demoted context).
-        for k in 0..self.vkeys.len() as u32 {
-            let (var, c) = self.vkeys.resolve(k);
-            if c != dctx && self.program.var_method(VarId::from_raw(var)) == meth_id {
-                self.add_ipa_edge(var, c, var, dctx);
-                self.add_ipa_edge(var, dctx, var, c);
+        for k in 0..self.keys.len() {
+            let (var, frame) = self.keys[k];
+            if frame != dframe && self.reachable.resolve(frame).0 == meth {
+                self.add_ipa_edge(var, frame, var, dframe);
+                self.add_ipa_edge(var, dframe, var, frame);
             }
         }
     }
 
     /// Coarse bytes held by the dense stores the budget memory cap
-    /// governs: interned keys (objects, var keys, field keys, call
-    /// sites, reachability pairs, contexts) plus the points-to tuples.
+    /// governs: interned keys (objects, var keys, field keys, frames and
+    /// their key and call-site slots, contexts) plus the points-to tuples.
     fn mem_estimate(&self) -> u64 {
+        let frames = self.keys.capacity() * 8
+            + self.frames.capacity() * std::mem::size_of::<Frame>()
+            + self.slots.capacity() * 4;
         self.objs.mem_bytes()
-            + self.vkeys.mem_bytes()
+            + frames as u64
             + self.fkeys.mem_bytes()
-            + self.cg_sites.mem_bytes()
             + self.reachable.mem_bytes()
             + self.ctxs.mem_bytes()
             + self.hctxs.mem_bytes()
@@ -990,7 +1127,63 @@ impl<P: ContextPolicy> Solver<P> {
         id
     }
 
-    /// Interns a `(var, ctx)` pair, materializing its entry.
+    /// The slot of `var` (a variable of `frame`'s method) in `frame`.
+    #[inline]
+    fn var_slot(&mut self, frame: u32, var: u32) -> usize {
+        let at = self.index.var_slot[var as usize];
+        if at >= self.frames[frame as usize].nvars {
+            self.relocate(frame);
+        }
+        (self.frames[frame as usize].base + at) as usize
+    }
+
+    /// The slot of `invo` (an invocation in `frame`'s method) in `frame`.
+    #[inline]
+    fn invo_slot(&mut self, frame: u32, invo: u32) -> usize {
+        let at = self.index.invo_slot[invo as usize];
+        if at >= self.frames[frame as usize].ninvos {
+            self.relocate(frame);
+        }
+        let f = self.frames[frame as usize];
+        (f.base + f.nvars + at) as usize
+    }
+
+    /// Moves `frame`'s slots to the end of the slot array, with ranges as
+    /// long as its method's current variable and invocation counts: an
+    /// additive delta declared locals or calls in a method that already
+    /// had frames. The old range is left unused.
+    #[cold]
+    fn relocate(&mut self, frame: u32) {
+        let f = self.frames[frame as usize];
+        let meth = self.reachable.resolve(frame).0 as usize;
+        let (nvars, ninvos) = self.index.frame_shape[meth];
+        let base = self.slots.len();
+        let (vars, invos) = (f.base as usize, (f.base + f.nvars) as usize);
+        self.slots.extend_from_within(vars..invos);
+        self.slots.resize(base + nvars as usize, 0);
+        self.slots
+            .extend_from_within(invos..invos + f.ninvos as usize);
+        self.slots.resize(base + (nvars + ninvos) as usize, 0);
+        self.frames[frame as usize] = Frame {
+            base: base as u32,
+            nvars,
+            ninvos,
+        };
+    }
+
+    /// The key of `var` in `frame`, if interned.
+    #[inline]
+    fn key_get(&self, frame: u32, var: u32) -> Option<u32> {
+        let f = self.frames[frame as usize];
+        let at = self.index.var_slot[var as usize];
+        (at < f.nvars)
+            .then(|| self.slots[(f.base + at) as usize])
+            .filter(|&s| s != 0)
+            .map(|s| s - 1)
+    }
+
+    /// Interns the key of `var` (a variable of `frame`'s method) in
+    /// `frame`, materializing its entry.
     ///
     /// A key minted under a fine context for an already-demoted method is
     /// bridged into the method's demoted key on the spot (see
@@ -998,26 +1191,31 @@ impl<P: ContextPolicy> Solver<P> {
     /// demotion — a queued reachability event firing its allocations, a
     /// return edge landing at a fine caller context — and every one of
     /// them must forward into the coarse pipeline or its facts split off.
-    fn key_id(&mut self, var: u32, ctx: u32) -> u32 {
-        let id = self.vkeys.intern((var, ctx));
-        if id as usize == self.entries.len() {
-            self.entries.push(VarEntry::default());
-            self.ipa_out.push(Vec::new());
-            if let Some(cache) = self.proj_cache.as_deref_mut() {
-                if cache.var_keys.len() <= var as usize {
-                    cache.var_keys.resize_with(var as usize + 1, Vec::new);
-                }
-                cache.var_keys[var as usize].push(id);
-            }
-            if self.config.degrade {
-                let m = self.program.var_method(VarId::from_raw(var)).index();
-                let d = self.demote_ctx[m];
-                if d != NOT_DEMOTED && ctx != d {
-                    // Recursion bottoms out immediately: the bridge target
-                    // is the (var, d) key itself.
-                    self.add_ipa_edge(var, ctx, var, d);
-                    self.add_ipa_edge(var, d, var, ctx);
-                }
+    fn key_id(&mut self, frame: u32, var: u32) -> u32 {
+        let slot = self.var_slot(frame, var);
+        if self.slots[slot] != 0 {
+            return self.slots[slot] - 1;
+        }
+        let id = self.keys.len() as u32;
+        self.slots[slot] = id + 1;
+        self.keys.push((var, frame));
+        self.entries.push(VarEntry::default());
+        self.ipa_out.push(Vec::new());
+        if let Some(cache) = self.proj_cache.as_deref_mut() {
+            cache.var_keys.new.push((var, id));
+        }
+        if self.config.degrade {
+            let (m, ctx) = self.reachable.resolve(frame);
+            let d = self.demote_ctx[m as usize];
+            if d != NOT_DEMOTED && ctx != d {
+                // Recursion bottoms out immediately: the bridge target
+                // is the key of var in the demoted frame itself.
+                let dframe = self
+                    .reachable
+                    .get((m, d))
+                    .expect("demotion marks its frame");
+                self.add_ipa_edge(var, frame, var, dframe);
+                self.add_ipa_edge(var, dframe, var, frame);
             }
         }
         id
@@ -1029,13 +1227,8 @@ impl<P: ContextPolicy> Solver<P> {
         if id as usize == self.fentries.len() {
             self.fentries.push(FldEntry::default());
             if let Some(cache) = self.proj_cache.as_deref_mut() {
-                let base = self.objs.resolve(base_obj).0 as usize;
-                if cache.heap_fes.len() <= base {
-                    cache.heap_fes.resize_with(base + 1, Vec::new);
-                }
-                let fes = &mut cache.heap_fes[base];
-                let at = fes.partition_point(|&fe| self.fkeys.resolve(fe).1 <= field);
-                fes.insert(at, id);
+                let base = self.objs.resolve(base_obj).0;
+                cache.heap_fes.new.push((base, id));
             }
         }
         id
@@ -1077,7 +1270,7 @@ impl<P: ContextPolicy> Solver<P> {
         if newly > 0 {
             if let Some(cache) = self.proj_cache.as_deref_mut() {
                 cache.ctx_vpt += newly;
-                cache.dirty_vars.insert(self.vkeys.resolve(key).0);
+                cache.dirty_vars.insert(self.keys[key as usize].0);
             }
         }
         let entry = &mut self.entries[key as usize];
@@ -1172,15 +1365,24 @@ impl<P: ContextPolicy> Solver<P> {
         self.buf2 = fresh;
     }
 
-    /// Marks `(meth, ctx)` reachable; enqueues its body processing if new.
-    /// New pairs grow the method's context fan-out; in degrade mode a
-    /// method crossing the watermark is demoted proactively, before any
-    /// budget limit trips.
-    fn mark_reachable(&mut self, meth: u32, ctx: u32) {
-        let before = self.reachable.len();
-        self.reachable.intern((meth, ctx));
-        if self.reachable.len() > before {
-            self.reach_queue.push_back((meth, ctx));
+    /// Marks `(meth, ctx)` reachable and returns its frame; a new frame
+    /// gets empty slot ranges and its body processing enqueued. New frames
+    /// grow the method's context fan-out; in degrade mode a method
+    /// crossing the watermark is demoted proactively, before any budget
+    /// limit trips.
+    fn mark_reachable(&mut self, meth: u32, ctx: u32) -> u32 {
+        let frame = self.reachable.intern((meth, ctx));
+        if frame as usize == self.frames.len() {
+            let (nvars, ninvos) = self.index.frame_shape[meth as usize];
+            let base = self.slots.len();
+            self.slots.resize(base + (nvars + ninvos) as usize, 0);
+            self.frames.push(Frame {
+                base: base as u32,
+                nvars,
+                ninvos,
+            });
+            self.callers.push(Vec::new());
+            self.reach_queue.push_back(frame);
             self.method_fanout[meth as usize] += 1;
             if self.config.degrade
                 && self.demote_ctx[meth as usize] == NOT_DEMOTED
@@ -1189,18 +1391,20 @@ impl<P: ContextPolicy> Solver<P> {
                 self.demote_method(meth);
             }
         }
+        frame
     }
 
-    /// Installs a call-graph edge with its parameter/return
+    /// Installs a call-graph edge from `invo` in `caller` (a frame of the
+    /// method containing `invo`) with its parameter/return
     /// `InterProcAssign` edges (first two rules of Figure 2) and marks the
-    /// callee reachable.
+    /// callee reachable. Returns the callee's frame.
     fn add_call_edge(
         &mut self,
         invo: InvoId,
-        caller_ctx: u32,
+        caller: u32,
         callee: MethodId,
         mut callee_ctx: u32,
-    ) {
+    ) -> u32 {
         // Demoted callees take their fallback context regardless of what
         // the policy's constructors produced (the single interception
         // point through which every call edge flows).
@@ -1208,15 +1412,20 @@ impl<P: ContextPolicy> Solver<P> {
         if demoted != NOT_DEMOTED {
             callee_ctx = demoted;
         }
-        let site = self.cg_sites.intern((invo.raw(), caller_ctx));
-        if site as usize == self.cg_targets.len() {
+        let slot = self.invo_slot(caller, invo.raw());
+        if self.slots[slot] == 0 {
             self.cg_targets.push(Vec::new());
+            self.slots[slot] = self.cg_targets.len() as u32;
         }
-        let targets = &mut self.cg_targets[site as usize];
-        if targets.contains(&(callee.raw(), callee_ctx)) {
-            return;
+        let site = self.slots[slot] as usize - 1;
+        let reachable = &self.reachable;
+        let target = (callee.raw(), callee_ctx);
+        if let Some(&frame) = self.cg_targets[site]
+            .iter()
+            .find(|&&f| reachable.resolve(f) == target)
+        {
+            return frame;
         }
-        targets.push((callee.raw(), callee_ctx));
         self.ctx_cg_edges += 1;
         self.stats.call_edges += 1;
         if self.cg_insens.insert((invo, callee)) {
@@ -1224,80 +1433,98 @@ impl<P: ContextPolicy> Solver<P> {
                 cache.cg_new.push((invo, callee));
             }
         }
-        self.mark_reachable(callee.raw(), callee_ctx);
+        let frame = self.mark_reachable(callee.raw(), callee_ctx);
+        self.cg_targets[site].push(frame);
         let program = Arc::clone(&self.program);
         let formals = program.formals(callee);
         let actuals = program.actual_args(invo);
         for (&formal, &actual) in formals.iter().zip(actuals.iter()) {
-            self.add_ipa_edge(actual.raw(), caller_ctx, formal.raw(), callee_ctx);
+            self.add_ipa_edge(actual.raw(), caller, formal.raw(), frame);
         }
         if let (Some(fret), Some(aret)) =
             (program.formal_return(callee), program.actual_return(invo))
         {
-            self.add_ipa_edge(fret.raw(), callee_ctx, aret.raw(), caller_ctx);
+            self.add_ipa_edge(fret.raw(), frame, aret.raw(), caller);
         }
 
-        // Exceptions escaping the callee propagate to the caller.
-        let caller_meth = program.invo_method(invo).raw();
-        if self
-            .throw_listener_set
-            .insert((callee.raw(), callee_ctx, caller_meth, caller_ctx))
-        {
-            self.throw_listeners
-                .entry((callee.raw(), callee_ctx))
-                .or_default()
-                .push((caller_meth, caller_ctx));
-            if let Some(existing) = self.throw_pts.get(&(callee.raw(), callee_ctx)) {
-                let mut objs = Vec::with_capacity(existing.len());
-                existing.extend_into(&mut objs);
-                for obj in objs {
-                    self.handle_incoming_exception(caller_meth, caller_ctx, obj);
+        // Exceptions escaping the callee propagate to the caller. Until
+        // the callee throws, registering is one push; after, a repeat
+        // registration re-fires nothing.
+        match self.throws.get_mut(&frame) {
+            None => self.callers[frame as usize].push(caller),
+            Some(escapes) => {
+                if escapes.callers.insert(caller) {
+                    self.callers[frame as usize].push(caller);
+                    let mut objs = Vec::with_capacity(escapes.objs.len());
+                    escapes.objs.extend_into(&mut objs);
+                    self.tick(R_EXC);
+                    for obj in objs {
+                        self.throw_into(caller, obj);
+                    }
+                    self.tock();
                 }
             }
         }
+        frame
     }
 
-    /// An exception object has arrived at `(meth, ctx)` — from the
-    /// method's own `throw` or from a callee. Any matching catch clause
-    /// binds it; if none matches it escapes to `ThrowPointsTo` and
-    /// propagates to registered callers.
-    fn handle_incoming_exception(&mut self, meth: u32, ctx: u32, obj: u32) {
+    /// An exception object has arrived at `frame` — from the method's own
+    /// `throw` or from a callee. Any matching catch clause binds it; if
+    /// none matches it escapes to `ThrowPointsTo` and propagates to the
+    /// frame's callers, depth first in registration order. The frames
+    /// still to visit live on an explicit stack, so a deep call chain
+    /// cannot overflow the thread's stack.
+    fn throw_into(&mut self, frame: u32, obj: u32) {
         self.exc_seen = true;
         let program = Arc::clone(&self.program);
-        let meth_id = MethodId::from_raw(meth);
         let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
-        let mut caught = false;
-        for &(ty, binder) in program.catches(meth_id) {
-            if program.is_subtype(heap_ty, ty) {
-                let bkey = self.key_id(binder.raw(), ctx);
-                self.stats.fire_caught += 1;
-                self.insert_batch(bkey, &[obj], Reason::Caught);
-                caught = true;
-            }
-        }
-        if !caught && self.throw_pts.entry((meth, ctx)).or_default().insert(obj) {
-            self.stats.throw_tuples += 1;
-            self.prof_derive(R_EXC, 1);
-            if let Some(listeners) = self.throw_listeners.get(&(meth, ctx)) {
-                let listeners = listeners.clone();
-                for (caller, caller_ctx) in listeners {
-                    self.handle_incoming_exception(caller, caller_ctx, obj);
+        let mut stack = vec![frame];
+        while let Some(frame) = stack.pop() {
+            let meth = MethodId::from_raw(self.reachable.resolve(frame).0);
+            let mut caught = false;
+            for &(ty, binder) in program.catches(meth) {
+                if program.is_subtype(heap_ty, ty) {
+                    let bkey = self.key_id(frame, binder.raw());
+                    self.stats.fire_caught += 1;
+                    self.insert_batch(bkey, &[obj], Reason::Caught);
+                    caught = true;
                 }
+            }
+            if caught {
+                continue;
+            }
+            let callers = &mut self.callers[frame as usize];
+            let escapes = self.throws.entry(frame).or_insert_with(|| {
+                // First escape: the caller list becomes distinct, keeping
+                // each caller's first registration.
+                let mut seen = FxHashSet::default();
+                callers.retain(|&c| seen.insert(c));
+                Escapes {
+                    objs: PtsSet::default(),
+                    callers: seen,
+                }
+            });
+            if escapes.objs.insert(obj) {
+                stack.extend(callers.iter().rev());
+                self.stats.throw_tuples += 1;
+                self.prof_derive(R_EXC, 1);
             }
         }
     }
 
-    /// Installs an `InterProcAssign` edge and propagates existing facts
-    /// across it.
-    fn add_ipa_edge(&mut self, from: u32, from_ctx: u32, to: u32, to_ctx: u32) {
-        let from_key = self.key_id(from, from_ctx);
-        let to_key = self.key_id(to, to_ctx);
+    /// Installs an `InterProcAssign` edge from `from` in frame `from_frame`
+    /// to `to` in frame `to_frame`, and propagates existing facts across
+    /// it.
+    fn add_ipa_edge(&mut self, from: u32, from_frame: u32, to: u32, to_frame: u32) {
+        let from_key = self.key_id(from_frame, from);
+        let to_key = self.key_id(to_frame, to);
         if self.ipa_out[from_key as usize].contains(&to_key) {
             return;
         }
         self.stats.ipa_edges += 1;
         self.ipa_out[from_key as usize].push(to_key);
         if !self.entries[from_key as usize].set.is_empty() {
+            self.tick(R_INTERPROC);
             let mut existing = std::mem::take(&mut self.ipa_buf);
             existing.clear();
             self.entries[from_key as usize]
@@ -1306,14 +1533,16 @@ impl<P: ContextPolicy> Solver<P> {
             self.stats.fire_interproc += existing.len() as u64;
             self.insert_batch(to_key, &existing, Reason::InterProc { src_key: from_key });
             self.ipa_buf = existing;
+            self.tock();
         }
     }
 
     // ----- rule firing ------------------------------------------------------
 
     /// Fires the allocation and static-call rules for a newly reachable
-    /// `(meth, ctx)` pair.
-    fn process_reachable(&mut self, meth: u32, ctx: u32) {
+    /// frame.
+    fn process_reachable(&mut self, frame: u32) {
+        let (meth, ctx) = self.reachable.resolve(frame);
         let program = Arc::clone(&self.program);
         let meth_id = MethodId::from_raw(meth);
         let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
@@ -1321,20 +1550,20 @@ impl<P: ContextPolicy> Solver<P> {
             match *instr {
                 Instr::Alloc { var, heap } => {
                     // VarPointsTo(var, ctx, heap, Record(heap, ctx)).
-                    let t = self.tick();
+                    self.tick(R_ALLOC);
                     self.stats.fire_alloc += 1;
                     let elem = self.policy.record(heap, ctx_val, &program);
                     let hctx = self.hctxs.intern(elem);
                     let obj = self.obj_id(heap.raw(), hctx.raw());
-                    let vkey = self.key_id(var.raw(), ctx);
+                    let vkey = self.key_id(frame, var.raw());
                     self.insert_batch(vkey, &[obj], Reason::Alloc);
-                    self.tock(R_ALLOC, t);
+                    self.tock();
                 }
                 Instr::SCall { target, invo } => {
                     // CallGraph(invo, ctx, target, MergeStatic(invo, ctx)).
                     // Demoted targets skip the constructor so no unused
                     // context is interned on their behalf.
-                    let t = self.tick();
+                    self.tick(R_SCALL);
                     self.stats.fire_scall += 1;
                     let callee_ctx = match self.demote_ctx[target.index()] {
                         NOT_DEMOTED => {
@@ -1343,14 +1572,14 @@ impl<P: ContextPolicy> Solver<P> {
                         }
                         demoted => demoted,
                     };
-                    self.add_call_edge(invo, ctx, target, callee_ctx);
-                    self.tock(R_SCALL, t);
+                    self.add_call_edge(invo, frame, target, callee_ctx);
+                    self.tock();
                 }
                 Instr::SLoad { to, field } => {
                     // Static loads fire once the enclosing (method, ctx) is
                     // reachable: register a witness and pull current facts.
-                    let t = self.tick();
-                    let to_key = self.key_id(to.raw(), ctx);
+                    self.tick(R_SLOAD);
+                    let to_key = self.key_id(frame, to.raw());
                     let fld = field.raw() as usize;
                     self.statics[fld].witnesses.push(to_key);
                     if !self.statics[fld].set.is_empty() {
@@ -1365,7 +1594,7 @@ impl<P: ContextPolicy> Solver<P> {
                         );
                         self.buf = existing;
                     }
-                    self.tock(R_SLOAD, t);
+                    self.tock();
                 }
                 _ => {}
             }
@@ -1375,7 +1604,7 @@ impl<P: ContextPolicy> Solver<P> {
     /// Drains a key's pending delta and fires every rule that joins on it,
     /// once per `(edge, batch)`.
     fn process_key(&mut self, key: u32) {
-        let (var, ctx) = self.vkeys.resolve(key);
+        let (var, frame) = self.keys[key as usize];
         let delta = std::mem::take(&mut self.entries[key as usize].delta);
         self.entries[key as usize].queued = false;
         self.stats.batches += 1;
@@ -1385,10 +1614,10 @@ impl<P: ContextPolicy> Solver<P> {
 
         // Move / Cast: VarPointsTo(to, ctx, obj) <- Move(to, var).
         // Casts filter by subtyping (Doop's AssignCast).
-        let t = self.tick();
+        self.tick(R_MOVE);
         for i in row[ROW_ASSIGN] as usize..next[ROW_ASSIGN] as usize {
             let (to, filter) = self.index.assigns[i];
-            let to_key = self.key_id(to.raw(), ctx);
+            let to_key = self.key_id(frame, to.raw());
             match filter {
                 None => {
                     self.stats.fire_assign += delta.len() as u64;
@@ -1411,23 +1640,23 @@ impl<P: ContextPolicy> Solver<P> {
                 }
             }
         }
-        self.tock(R_MOVE, t);
+        self.tock();
 
         // InterProcAssign propagation.
-        let t = self.tick();
+        self.tick(R_INTERPROC);
         for i in 0..self.ipa_out[key as usize].len() {
             let to_key = self.ipa_out[key as usize][i];
             self.stats.fire_interproc += delta.len() as u64;
             self.insert_batch(to_key, &delta, Reason::InterProc { src_key: key });
         }
-        self.tock(R_INTERPROC, t);
+        self.tock();
 
         // Loads where `var` is the base: register a witness per new base
         // object and pull existing field facts.
-        let t = self.tick();
+        self.tick(R_LOAD);
         for i in row[ROW_LOAD_ON] as usize..next[ROW_LOAD_ON] as usize {
             let (to, field) = self.index.loads_on[i];
-            let to_key = self.key_id(to.raw(), ctx);
+            let to_key = self.key_id(frame, to.raw());
             for &base_obj in &delta {
                 let fe = self.fld_id(base_obj, field.raw());
                 self.fentries[fe as usize].witnesses.push((to_key, key));
@@ -1449,14 +1678,14 @@ impl<P: ContextPolicy> Solver<P> {
                 }
             }
         }
-        self.tock(R_LOAD, t);
+        self.tock();
 
         // Stores where `var` is the base:
         // FldPointsTo(baseObj, fld, *pts(from, ctx)).
-        let t = self.tick();
+        self.tick(R_STORE);
         for i in row[ROW_STORE_ON] as usize..next[ROW_STORE_ON] as usize {
             let (field, from) = self.index.stores_on[i];
-            let Some(from_key) = self.vkeys.get((from.raw(), ctx)) else {
+            let Some(from_key) = self.key_get(frame, from.raw()) else {
                 continue;
             };
             if self.entries[from_key as usize].set.is_empty() {
@@ -1475,7 +1704,7 @@ impl<P: ContextPolicy> Solver<P> {
         // FldPointsTo(*pts(base, ctx), fld, delta).
         for i in row[ROW_STORE_OF] as usize..next[ROW_STORE_OF] as usize {
             let (base, field) = self.index.stores_of[i];
-            let Some(base_key) = self.vkeys.get((base.raw(), ctx)) else {
+            let Some(base_key) = self.key_get(frame, base.raw()) else {
                 continue;
             };
             if self.entries[base_key as usize].set.is_empty() {
@@ -1489,32 +1718,32 @@ impl<P: ContextPolicy> Solver<P> {
             }
             self.buf = bases;
         }
-        self.tock(R_STORE, t);
+        self.tock();
 
-        // Throws of `var`: the exception arrives at the enclosing method.
+        // Throws of `var`: the exception arrives at the enclosing frame.
         if row[ROW_THROWN] != 0 {
-            let t = self.tick();
-            let meth = self.program.var_method(VarId::from_raw(var)).raw();
+            self.tick(R_EXC);
             for &obj in &delta {
                 self.stats.fire_throw += 1;
-                self.handle_incoming_exception(meth, ctx, obj);
+                self.throw_into(frame, obj);
             }
-            self.tock(R_EXC, t);
+            self.tock();
         }
 
         // Static-field stores where `var` is the source.
-        let t = self.tick();
+        self.tick(R_SSTORE);
         for i in row[ROW_SSTORE_OF] as usize..next[ROW_SSTORE_OF] as usize {
             let field = self.index.sstores_of[i];
             self.insert_static_batch(field.raw(), &delta, key);
         }
-        self.tock(R_SSTORE, t);
+        self.tock();
 
         // Virtual calls where `var` is the receiver: dispatch, Merge, and
         // derive CallGraph + this-points-to + Reachable.
         let vcall_rng = row[ROW_VCALL_ON] as usize..next[ROW_VCALL_ON] as usize;
         if !vcall_rng.is_empty() {
-            let t = self.tick();
+            self.tick(R_VCALL);
+            let ctx = self.reachable.resolve(frame).1;
             let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
             for i in vcall_rng {
                 let (sig, invo) = self.index.vcalls_on[i];
@@ -1539,12 +1768,12 @@ impl<P: ContextPolicy> Solver<P> {
                             }
                             demoted => demoted,
                         };
-                        self.add_call_edge(invo, ctx, callee, callee_ctx);
+                        let cframe = self.add_call_edge(invo, frame, callee, callee_ctx);
                         if let Some(this) = self.program.this_var(callee) {
                             // VarPointsTo(this, calleeCtx, obj) — per
                             // receiver object, even when the call-graph
                             // edge existed.
-                            let tkey = self.key_id(this.raw(), callee_ctx);
+                            let tkey = self.key_id(cframe, this.raw());
                             self.stats.fire_this_binding += 1;
                             self.insert_batch(
                                 tkey,
@@ -1555,7 +1784,7 @@ impl<P: ContextPolicy> Solver<P> {
                     }
                 }
             }
-            self.tock(R_VCALL, t);
+            self.tock();
         }
     }
 
@@ -1571,6 +1800,7 @@ impl<P: ContextPolicy> Solver<P> {
         termination: Termination,
         retain: bool,
     ) -> PointsToResult {
+        let (keys, frames) = (&self.keys, self.reachable.keys());
         self.stats.contexts = self.ctxs.len() as u64;
         self.stats.heap_contexts = self.hctxs.len() as u64;
         self.stats.objects = self.objs.len() as u64;
@@ -1579,17 +1809,16 @@ impl<P: ContextPolicy> Solver<P> {
         self.demoted_sites.sort_unstable_by_key(|d| d.method);
 
         // Resolves a dense (key, object) pair to the public tuple form.
-        let tuple =
-            |vkeys: &DenseMap<(u32, u32)>, objs: &DenseMap<(u32, u32)>, key: u32, obj: u32| {
-                let (var, ctx) = vkeys.resolve(key);
-                let (heap, hctx) = objs.resolve(obj);
-                CtxVarPointsTo {
-                    var: VarId::from_raw(var),
-                    ctx: CtxId::from_raw(ctx),
-                    heap: HeapId::from_raw(heap),
-                    hctx: HCtxId::from_raw(hctx),
-                }
-            };
+        let tuple = |objs: &DenseMap<(u32, u32)>, key: u32, obj: u32| {
+            let (var, frame) = keys[key as usize];
+            let (heap, hctx) = objs.resolve(obj);
+            CtxVarPointsTo {
+                var: VarId::from_raw(var),
+                ctx: CtxId::from_raw(frames[frame as usize].1),
+                heap: HeapId::from_raw(heap),
+                hctx: HCtxId::from_raw(hctx),
+            }
+        };
 
         // Context-insensitive projections into flat views (see
         // `crate::project`). A retained build after the first re-derives
@@ -1608,9 +1837,10 @@ impl<P: ContextPolicy> Solver<P> {
         if let Some(cache) = self.proj_cache.as_deref_mut().filter(|_| retain) {
             let mut dirty: Vec<u32> = cache.dirty_vars.drain().collect();
             dirty.sort_unstable();
-            let var_keys = &cache.var_keys;
-            cache.var_points_to = cache.var_points_to.splice(n_vars, &dirty, |v, _, out| {
-                let keys = var_keys.get(v).map_or(&[][..], Vec::as_slice);
+            let var_keys = cache.var_keys.rows(n_vars, &dirty, |k| k);
+            let mut rows = 0..;
+            cache.var_points_to = cache.var_points_to.splice(n_vars, &dirty, |_, _, out| {
+                let keys = var_keys.row(rows.next().expect("one row per dirty var"));
                 var_row(&mut union, entries, objs, keys, out);
             });
             projected = dirty.len();
@@ -1628,14 +1858,17 @@ impl<P: ContextPolicy> Solver<P> {
             cache.cg_new.clear();
             let mut dirty: Vec<u32> = cache.dirty_bases.drain().collect();
             dirty.sort_unstable();
-            let heap_fes = &cache.heap_fes;
-            let elems = |b: usize| heap_fes.get(b).map_or(&[][..], Vec::as_slice);
+            let heap_fes = cache.heap_fes.rows(n_heaps, &dirty, field_of);
+            let elems = |b: usize| {
+                let at = dirty.binary_search(&(b as u32)).expect("a dirty base heap");
+                heap_fes.row(at)
+            };
             cache.field_points_to = cache
                 .field_points_to
                 .splice(n_heaps, &dirty, elems, field_of, fe_len, fe_heaps);
         } else {
             let by_var = Csr::group(n_vars, 0..entries.len() as u32, |k| {
-                self.vkeys.resolve(k).0 as usize
+                keys[k as usize].0 as usize
             });
             let raw = |&(i, m): &(InvoId, MethodId)| (i.raw(), m.raw());
             let pairs: Vec<_> = self.cg_insens.iter().map(raw).collect();
@@ -1647,19 +1880,25 @@ impl<P: ContextPolicy> Solver<P> {
                 fe_len,
                 fe_heaps,
             );
+            let var_points_to = Csr::build(n_vars, |v, out| {
+                var_row(&mut union, entries, objs, by_var.row(v), out);
+            });
             // The reverse indexes serve only later retained builds.
-            let index = |csr: &Csr<u32>, n: usize| -> Vec<Vec<u32>> {
-                let n = if retain { n } else { 0 };
-                (0..n).map(|i| csr.row(i).to_vec()).collect()
+            let (var_keys, heap_fes) = if retain {
+                let index = |base| RevIndex {
+                    base,
+                    new: Vec::new(),
+                };
+                (index(by_var), index(by_base))
+            } else {
+                Default::default()
             };
             self.proj_cache = Some(Box::new(ProjCache {
-                var_points_to: Csr::build(n_vars, |v, out| {
-                    var_row(&mut union, entries, objs, by_var.row(v), out);
-                }),
+                var_points_to,
                 call_targets: Csr::from_pairs(n_invos, &pairs, MethodId::from_raw),
                 field_points_to,
-                var_keys: index(&by_var, n_vars),
-                heap_fes: index(&by_base, n_heaps),
+                var_keys,
+                heap_fes,
                 dirty_vars: FxHashSet::default(),
                 dirty_bases: FxHashSet::default(),
                 cg_new: Vec::new(),
@@ -1685,10 +1924,8 @@ impl<P: ContextPolicy> Solver<P> {
                 cache.ctx_vpt,
             )
         };
-        let reachable = project::bitset(
-            self.program.method_count(),
-            self.reachable.keys().iter().map(|&(m, _)| m),
-        );
+        let reachable =
+            project::bitset(self.program.method_count(), frames.iter().map(|&(m, _)| m));
         let static_points_to = Csr::build(self.statics.len(), |f, out| {
             let set = &self.statics[f].set;
             let heaps = set.iter().map(|o| objs.resolve(o).0);
@@ -1712,7 +1949,7 @@ impl<P: ContextPolicy> Solver<P> {
             let mut out = Vec::with_capacity(ctx_vpt_count as usize);
             for (key, entry) in self.entries.iter().enumerate() {
                 for obj in entry.set.iter() {
-                    out.push(tuple(&self.vkeys, &self.objs, key as u32, obj));
+                    out.push(tuple(&self.objs, key as u32, obj));
                 }
             }
             Some(out)
@@ -1728,17 +1965,17 @@ impl<P: ContextPolicy> Solver<P> {
                         let d = match r {
                             Reason::Alloc => Derivation::Alloc,
                             Reason::Assign { src_key } => Derivation::Assign {
-                                from: tuple(&self.vkeys, &self.objs, src_key, obj),
+                                from: tuple(&self.objs, src_key, obj),
                             },
                             Reason::InterProc { src_key } => Derivation::InterProc {
-                                from: tuple(&self.vkeys, &self.objs, src_key, obj),
+                                from: tuple(&self.objs, src_key, obj),
                             },
                             Reason::Load {
                                 base_key,
                                 base_obj,
                                 field,
                             } => Derivation::Load {
-                                base: tuple(&self.vkeys, &self.objs, base_key, base_obj),
+                                base: tuple(&self.objs, base_key, base_obj),
                                 field: FieldId::from_raw(field),
                             },
                             Reason::ThisBinding { invo } => Derivation::ThisBinding {
@@ -1749,7 +1986,7 @@ impl<P: ContextPolicy> Solver<P> {
                             },
                             Reason::Caught => Derivation::Caught,
                         };
-                        (tuple(&self.vkeys, &self.objs, key, obj), d)
+                        (tuple(&self.objs, key, obj), d)
                     })
                     .collect(),
             )
@@ -1765,9 +2002,9 @@ impl<P: ContextPolicy> Solver<P> {
                 .map(|m| m.raw())
                 .collect();
             let mut set: FxHashSet<HeapId> = FxHashSet::default();
-            for (&(m, _ctx), escaping) in &self.throw_pts {
-                if entries.contains(&m) {
-                    for obj in escaping.iter() {
+            for (&frame, escapes) in &self.throws {
+                if entries.contains(&frames[frame as usize].0) {
+                    for obj in escapes.objs.iter() {
                         set.insert(HeapId::from_raw(self.objs.resolve(obj).0));
                     }
                 }
@@ -1792,7 +2029,7 @@ impl<P: ContextPolicy> Solver<P> {
                                 HeapId::from_raw(h),
                                 HCtxId::from_raw(hc),
                             ),
-                            tuple(&self.vkeys, &self.objs, src_key, val_obj),
+                            tuple(&self.objs, src_key, val_obj),
                         )
                     })
                     .collect(),
@@ -1812,7 +2049,7 @@ impl<P: ContextPolicy> Solver<P> {
                                 HeapId::from_raw(h),
                                 HCtxId::from_raw(hc),
                             ),
-                            tuple(&self.vkeys, &self.objs, src_key, val_obj),
+                            tuple(&self.objs, src_key, val_obj),
                         )
                     })
                     .collect(),

@@ -541,3 +541,40 @@ fn static_field_provenance_chains_through_the_cell() {
     assert!(joined.contains("static field Reg.cell"), "{joined}");
     assert!(joined.contains("= new"), "{joined}");
 }
+
+/// An exception thrown at the bottom of a 100,000-deep static call chain
+/// escapes every frame on the way up. Propagation keeps its pending frames
+/// on the heap, so the solve fits the 2 MiB stack of a daemon worker
+/// thread.
+#[test]
+fn exceptions_escape_a_deep_call_chain_on_a_small_stack() {
+    const DEPTH: usize = 100_000;
+    let mut b = ProgramBuilder::new();
+    let object = b.class("Object", None);
+    let err = b.class("Err", Some(object));
+    let main = b.method(err, "main", &[], true);
+    b.entry_point(main);
+    let mut caller = main;
+    for i in 0..DEPTH {
+        let callee = b.method(err, &format!("m{i}"), &[], true);
+        b.scall(caller, callee, &[], None, &format!("call m{i}"));
+        caller = callee;
+    }
+    let e = b.var(caller, "e");
+    b.alloc(caller, e, err, "the error");
+    b.throw(caller, e);
+    let program = b.finish().unwrap();
+    let stats = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let r = AnalysisSession::open(program)
+                .policy(Analysis::TwoObjH)
+                .solve();
+            assert_eq!(r.uncaught_exceptions().len(), 1);
+            *r.solver_stats()
+        })
+        .unwrap()
+        .join()
+        .expect("the solve must not overflow its stack");
+    assert_eq!(stats.throw_tuples, DEPTH as u64 + 1);
+}

@@ -28,7 +28,7 @@
 //! # Profiles
 //!
 //! [`Profile`] aggregates per-rule cost ([`RuleStat`]: fires, derived
-//! tuples, cumulative ns) and the hottest variables by final points-to
+//! tuples, ns) and the hottest variables by final points-to
 //! set size ([`HotVar`]). Both back ends produce one; the CLI renders it
 //! as a text table (`--profile`) or embeds it in JSON reports and bench
 //! rows.
@@ -431,6 +431,9 @@ pub struct Profile {
     pub hot_vars: Vec<HotVar>,
     /// PtsSet small→bitmap stage promotions (dense solver only).
     pub set_promotions: u64,
+    /// Wall time of the fixpoint, in ns (dense solver only; 0 when not
+    /// measured). Rule ns are self time, so they add up to at most this.
+    pub solve_ns: u64,
 }
 
 impl Profile {
@@ -449,8 +452,18 @@ impl Profile {
         sorted
     }
 
-    /// Renders the profile as an aligned text table (top `k` rules plus
-    /// the hot-variable list).
+    /// The part of [`Profile::solve_ns`] that no rule's self time covers
+    /// (worklist pops, batch setup, entry seeding): with it, the rule ns
+    /// column sums to the solve span.
+    #[must_use]
+    pub fn unattributed_ns(&self) -> u64 {
+        let rules: u64 = self.rules.iter().map(|r| r.ns).sum();
+        self.solve_ns.saturating_sub(rules)
+    }
+
+    /// Renders the profile as an aligned text table (top `k` rules, the
+    /// unattributed row when the solve span is known, and the
+    /// hot-variable list).
     #[must_use]
     pub fn render_text(&self, k: usize) -> String {
         let mut out = String::new();
@@ -467,6 +480,15 @@ impl Profile {
                 r.ns as f64 / 1e6
             ));
         }
+        if self.solve_ns > 0 {
+            out.push_str(&format!(
+                "{:<22} {:>12} {:>12} {:>12.3}\n",
+                "(unattributed)",
+                "-",
+                "-",
+                self.unattributed_ns() as f64 / 1e6
+            ));
+        }
         if self.set_promotions > 0 {
             out.push_str(&format!("set promotions: {}\n", self.set_promotions));
         }
@@ -480,7 +502,8 @@ impl Profile {
     }
 
     /// Renders the profile as a JSON object (hand-rolled, stable key
-    /// order): `{"rules":[...],"hot_vars":[...],"set_promotions":N}`.
+    /// order): `{"rules":[...],"hot_vars":[...],"set_promotions":N}`, plus
+    /// `"solve_ns"` and `"unattributed_ns"` when the solve span is known.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"rules\":[");
@@ -507,7 +530,15 @@ impl Profile {
                 hv.size
             ));
         }
-        out.push_str(&format!("],\"set_promotions\":{}}}", self.set_promotions));
+        out.push_str(&format!("],\"set_promotions\":{}", self.set_promotions));
+        if self.solve_ns > 0 {
+            out.push_str(&format!(
+                ",\"solve_ns\":{},\"unattributed_ns\":{}",
+                self.solve_ns,
+                self.unattributed_ns()
+            ));
+        }
+        out.push('}');
         out
     }
 }
@@ -647,6 +678,7 @@ mod tests {
             ],
             hot_vars: Vec::new(),
             set_promotions: 0,
+            solve_ns: 0,
         };
         let order = |p: &Profile| {
             p.top_rules(10)
@@ -704,6 +736,7 @@ mod tests {
                 size: 12,
             }],
             set_promotions: 1,
+            solve_ns: 0,
         };
         let top = p.top_rules(1);
         assert_eq!(top[0].name, "vcall");
@@ -716,5 +749,16 @@ mod tests {
              {\"name\":\"vcall\",\"fires\":3,\"derived\":2,\"ns\":9000}],\
              \"hot_vars\":[{\"name\":\"Main.main::r\",\"size\":12}],\"set_promotions\":1}"
         );
+        assert!(!text.contains("(unattributed)"));
+        // With the solve span known, the rest of it is one more row.
+        let spanned = Profile {
+            solve_ns: 12_500,
+            ..p
+        };
+        assert_eq!(spanned.unattributed_ns(), 2_500);
+        assert!(spanned.render_text(5).contains("(unattributed)"));
+        assert!(spanned
+            .to_json()
+            .ends_with("\"set_promotions\":1,\"solve_ns\":12500,\"unattributed_ns\":2500}"));
     }
 }

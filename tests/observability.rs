@@ -197,6 +197,25 @@ fn profile_and_trace_agree_on_rule_activity() {
     }
 }
 
+/// Rule ns are self time: an edge a call rule installs charges its
+/// interproc propagation to `interproc`, not to the call rule as well, so
+/// the rules plus the unattributed rest add up to the solve span.
+#[test]
+fn rule_self_times_add_up_to_the_solve_span() {
+    let program = hybrid_pta::workload::dacapo_workload("luindex", 0.3);
+    let result = AnalysisSession::open(program)
+        .policy(Analysis::STwoObjH)
+        .profile(true)
+        .solve();
+    let profile = result.profile().expect("profiled run records a profile");
+    let rules: u64 = profile.rules.iter().map(|r| r.ns).sum();
+    assert!(profile.solve_ns > 0);
+    assert_eq!(rules + profile.unattributed_ns(), profile.solve_ns);
+    assert!(profile.unattributed_ns() < profile.solve_ns);
+    assert!(profile.render_text(10).contains("(unattributed)"));
+    assert!(profile.to_json().contains("\"unattributed_ns\":"));
+}
+
 /// The CLI surface of the same features: `pta analyze --trace` writes a
 /// Chrome timeline with the session's `solve` span and per-rule spans on
 /// a DaCapo-shaped workload, and `pta explain` prints a derivation chain
