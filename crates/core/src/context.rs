@@ -243,8 +243,9 @@ impl InternKey for HeapCtx {
 
 /// An open-addressing interner: maps keys to dense `u32` IDs in insertion
 /// order. Replaces the previous `FxHashMap<K, Id>` + `Vec<K>` pair — one
-/// flat probe array, no per-entry overhead, and capacity pre-sizing from
-/// program statistics so the hot interning path almost never rehashes.
+/// flat probe array, no per-entry overhead. It starts small and doubles
+/// its probe table as keys arrive, so it holds what was interned, not a
+/// guess at it.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseMap<K: InternKey> {
     /// Keys in insertion (= ID) order.
@@ -255,20 +256,14 @@ pub(crate) struct DenseMap<K: InternKey> {
 
 impl<K: InternKey> Default for DenseMap<K> {
     fn default() -> DenseMap<K> {
-        DenseMap::with_capacity(0)
+        DenseMap {
+            keys: Vec::new(),
+            slots: vec![0; 16],
+        }
     }
 }
 
 impl<K: InternKey> DenseMap<K> {
-    /// Creates a map pre-sized for about `cap` keys.
-    pub(crate) fn with_capacity(cap: usize) -> DenseMap<K> {
-        let slots = (cap.max(8) * 2).next_power_of_two();
-        DenseMap {
-            keys: Vec::with_capacity(cap),
-            slots: vec![0; slots],
-        }
-    }
-
     /// Number of interned keys.
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -369,14 +364,8 @@ impl Default for CtxInterner {
 impl CtxInterner {
     /// Creates an interner with [`CtxId::INITIAL`] pre-interned.
     pub fn new() -> CtxInterner {
-        CtxInterner::with_capacity(0)
-    }
-
-    /// Creates an interner pre-sized for about `cap` contexts, with
-    /// [`CtxId::INITIAL`] pre-interned.
-    pub fn with_capacity(cap: usize) -> CtxInterner {
         let mut i = CtxInterner {
-            map: DenseMap::with_capacity(cap),
+            map: DenseMap::default(),
         };
         let id = i.intern(CTX_EMPTY);
         debug_assert_eq!(id, CtxId::INITIAL);
@@ -426,14 +415,8 @@ impl Default for HCtxInterner {
 impl HCtxInterner {
     /// Creates an interner with [`HCtxId::EMPTY`] pre-interned.
     pub fn new() -> HCtxInterner {
-        HCtxInterner::with_capacity(0)
-    }
-
-    /// Creates an interner pre-sized for about `cap` heap contexts, with
-    /// [`HCtxId::EMPTY`] pre-interned.
-    pub fn with_capacity(cap: usize) -> HCtxInterner {
         let mut i = HCtxInterner {
-            map: DenseMap::with_capacity(cap),
+            map: DenseMap::default(),
         };
         let id = i.intern(HCTX_EMPTY);
         debug_assert_eq!(id, HCtxId::EMPTY);

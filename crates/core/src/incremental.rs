@@ -127,7 +127,9 @@ impl<P: ContextPolicy> Solver<P> {
     /// Seeds the rule instances an additive delta introduces:
     /// new entry points, and each appended instruction joined against the
     /// facts that already exist. Bodies of delta-declared methods need no
-    /// seeding — they are processed wholesale when first reached.
+    /// seeding — they are processed wholesale when first reached. Each
+    /// seeded instance bumps the `fire_*` counter of its rule, as it would
+    /// in the worklist.
     fn seed_additive(&mut self, delta: &ProgramDelta) {
         let program = Arc::clone(&self.program);
         let entries: Vec<u32> = program.entry_points().iter().map(|m| m.raw()).collect();
@@ -192,6 +194,7 @@ impl<P: ContextPolicy> Solver<P> {
                 // of the enclosing method.
                 Instr::Alloc { var, heap } => {
                     for &frame in live_frames.get(&m_raw).unwrap_or(&no_frames) {
+                        self.stats.fire_alloc += 1;
                         let ctx = self.ctx_of(frame);
                         let elem = self.policy.record(heap, ctx, &program);
                         let hctx = self.hctxs.intern(elem);
@@ -202,6 +205,7 @@ impl<P: ContextPolicy> Solver<P> {
                 }
                 Instr::SCall { target, invo } => {
                     for &frame in live_frames.get(&m_raw).unwrap_or(&no_frames) {
+                        self.stats.fire_scall += 1;
                         let ctx = self.ctx_of(frame);
                         let v = self.policy.merge_static(invo, ctx, &program);
                         let cctx = self.ctxs.intern(v).raw();
@@ -216,6 +220,7 @@ impl<P: ContextPolicy> Solver<P> {
                         let mut vals = Vec::new();
                         self.statics[fld].set.extend_into(&mut vals);
                         if !vals.is_empty() {
+                            self.stats.fire_static_load += vals.len() as u64;
                             self.insert_batch(
                                 to_key,
                                 &vals,
@@ -244,6 +249,7 @@ impl<P: ContextPolicy> Solver<P> {
                         if vals.is_empty() {
                             continue;
                         }
+                        self.stats.fire_assign += vals.len() as u64;
                         let tk = self.key_id(frame, to.raw());
                         self.insert_batch(tk, &vals, Reason::Assign { src_key: fk });
                     }
@@ -262,6 +268,7 @@ impl<P: ContextPolicy> Solver<P> {
                             let mut vals = Vec::new();
                             self.fentries[fe as usize].set.extend_into(&mut vals);
                             if !vals.is_empty() {
+                                self.stats.fire_load += vals.len() as u64;
                                 self.insert_batch(
                                     tk,
                                     &vals,
@@ -302,6 +309,7 @@ impl<P: ContextPolicy> Solver<P> {
                     for &vk in keys_of_var.get(&var.raw()).unwrap_or(&no_keys) {
                         let frame = self.keys[vk as usize].1;
                         for obj in self.pts_vec(vk) {
+                            self.stats.fire_throw += 1;
                             self.throw_into(frame, obj);
                         }
                     }
@@ -315,6 +323,7 @@ impl<P: ContextPolicy> Solver<P> {
                         }
                         let ctx_val = self.ctx_of(frame);
                         for obj in objs {
+                            self.stats.fire_vcall_dispatch += 1;
                             let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
                             let Some(callee) = program.lookup(heap_ty, sig) else {
                                 continue;
@@ -332,6 +341,7 @@ impl<P: ContextPolicy> Solver<P> {
                             let cframe = self.add_call_edge(invo, frame, callee, cctx);
                             if let Some(this) = program.this_var(callee) {
                                 let tkey = self.key_id(cframe, this.raw());
+                                self.stats.fire_this_binding += 1;
                                 self.insert_batch(
                                     tkey,
                                     &[obj],

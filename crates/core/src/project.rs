@@ -28,10 +28,13 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T: Copy> Csr<T> {
-    /// Builds rows `0..n_rows`; `fill(i, items)` appends row `i`.
-    pub fn build(n_rows: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Csr<T> {
+    /// Builds rows `0..n_rows`; `fill(i, items)` appends row `i`. The item
+    /// vector is allocated for `bound` items up front, so a bound at or
+    /// above the item count builds it without regrowing.
+    pub fn build(n_rows: usize, bound: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Csr<T> {
         let mut csr = Csr::default();
         csr.starts.reserve(n_rows);
+        csr.items.reserve_exact(bound);
         for i in 0..n_rows {
             fill(i, &mut csr.items);
             csr.starts.push(csr.items.len() as u32);
@@ -152,7 +155,7 @@ impl Csr<u32> {
             pairs[i as usize].0 as usize
         });
         let mut union = Union::default();
-        Csr::build(n_rows, |r, out| {
+        Csr::build(n_rows, pairs.len(), |r, out| {
             let row = groups.row(r);
             let values = row.iter().map(|&i| pairs[i as usize].1);
             union.append(out, row.len(), values, &wrap);

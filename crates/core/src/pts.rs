@@ -165,6 +165,9 @@ impl PtsSet {
             Repr::Bitmap { words, len } => {
                 let w = (v >> 6) as usize;
                 if w >= words.len() {
+                    // Exactly to the new highest word: a bitmap spans the
+                    // objects it holds, without doubling's slack.
+                    words.reserve_exact(w + 1 - words.len());
                     words.resize(w + 1, 0);
                 }
                 let bit = 1u64 << (v & 63);

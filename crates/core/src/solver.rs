@@ -55,8 +55,7 @@ use std::sync::Arc;
 use pta_govern::{Budget, BudgetMeter, CancelToken, Termination};
 use pta_ir::hash::{FxHashMap, FxHashSet};
 use pta_ir::{
-    FieldId, HeapId, Instr, InvoId, MethodId, Program, ProgramDelta, SigId, SizeHints, TypeId,
-    VarId,
+    FieldId, HeapId, Instr, InvoId, MethodId, Program, ProgramDelta, SigId, TypeId, VarId,
 };
 
 use crate::context::{CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner};
@@ -491,11 +490,16 @@ enum Reason {
 #[derive(Default)]
 struct VarEntry {
     set: PtsSet,
-    /// Objects inserted since this key was last processed.
-    delta: Vec<u32>,
-    /// `true` while the key sits in the dirty queue.
-    queued: bool,
+    /// `slot + 1` of the objects inserted since this key was last
+    /// processed, a slot of `Solver::deltas`; 0 while there are none. A key
+    /// sits in the dirty queue exactly while it holds a slot.
+    pending: u32,
 }
+
+/// Capacity up to which a drained delta buffer goes back to the pool; a
+/// longer one is dropped, so a few large batches do not pin their
+/// buffers for the rest of the solve.
+const DELTA_KEEP: usize = 64;
 
 /// Per-(base object, field) state: the field's points-to set plus the load
 /// destinations waiting for new facts (`(to_key, base_key)`; the base key
@@ -549,6 +553,11 @@ pub(crate) struct Solver<P: ContextPolicy> {
     keys: Vec<(u32, u32)>,
     /// Key ID -> points-to state.
     entries: Vec<VarEntry>,
+    /// Pending deltas of the queued keys, by slot. A drained buffer stays
+    /// in its slot for reuse (see [`DELTA_KEEP`]).
+    deltas: Vec<Vec<u32>>,
+    /// Slots of `deltas` no queued key holds.
+    free_deltas: Vec<u32>,
     /// Key ID -> `InterProcAssign` successor keys. Deduplication scans the
     /// list directly: per-key fan-out is small (one entry per distinct
     /// callee binding of the variable), so a linear probe beats a global
@@ -718,7 +727,7 @@ impl RevIndex {
             });
         }
         let mut rest = self.new.as_slice();
-        Csr::build(dirty.len(), |i, out| {
+        Csr::build(dirty.len(), 0, |i, out| {
             let r = dirty[i];
             rest = &rest[rest.partition_point(|p| p.0 < r)..];
             let (run, tail) = rest.split_at(rest.partition_point(|p| p.0 == r));
@@ -745,7 +754,6 @@ fn var_row(
 
 impl<P: ContextPolicy> Solver<P> {
     pub(crate) fn new(program: Arc<Program>, policy: P, config: SolverConfig) -> Solver<P> {
-        let hints = SizeHints::of_program(&program);
         let meter = BudgetMeter::new(&config.budget);
         let governed =
             !config.budget.is_unlimited() || config.cancel.is_some() || config.fault.is_some();
@@ -771,23 +779,25 @@ impl<P: ContextPolicy> Solver<P> {
             policy,
             config,
             index,
-            ctxs: CtxInterner::with_capacity(hints.contexts),
-            hctxs: HCtxInterner::with_capacity(hints.heap_contexts),
-            objs: DenseMap::with_capacity(hints.objects),
-            obj_type: Vec::with_capacity(hints.objects),
-            keys: Vec::with_capacity(hints.var_ctx_keys),
-            entries: Vec::with_capacity(hints.var_ctx_keys),
-            ipa_out: Vec::with_capacity(hints.var_ctx_keys),
-            fkeys: DenseMap::with_capacity(hints.objects),
+            ctxs: CtxInterner::new(),
+            hctxs: HCtxInterner::new(),
+            objs: DenseMap::default(),
+            obj_type: Vec::new(),
+            keys: Vec::new(),
+            entries: Vec::new(),
+            deltas: Vec::new(),
+            free_deltas: Vec::new(),
+            ipa_out: Vec::new(),
+            fkeys: DenseMap::default(),
             fentries: Vec::new(),
             statics: (0..n_fields).map(|_| StaticEntry::default()).collect(),
-            cg_targets: Vec::with_capacity(hints.contexts),
+            cg_targets: Vec::new(),
             ctx_cg_edges: 0,
             cg_insens: FxHashSet::default(),
-            reachable: DenseMap::with_capacity(hints.contexts),
-            frames: Vec::with_capacity(hints.contexts),
+            reachable: DenseMap::default(),
+            frames: Vec::new(),
             slots: Vec::new(),
-            callers: Vec::with_capacity(hints.contexts),
+            callers: Vec::new(),
             exc_seen: false,
             dirty: VecDeque::new(),
             reach_queue: VecDeque::new(),
@@ -1099,10 +1109,14 @@ impl<P: ContextPolicy> Solver<P> {
     }
 
     /// Coarse bytes held by the dense stores the budget memory cap
-    /// governs: interned keys (objects, var keys, field keys, frames and
-    /// their key and call-site slots, contexts) plus the points-to tuples.
+    /// governs: interned keys (objects, var keys and their entry records,
+    /// field keys, frames and their key and call-site slots, contexts),
+    /// the delta pool (each buffer at its kept capacity) and the
+    /// points-to tuples.
     fn mem_estimate(&self) -> u64 {
         let frames = self.keys.capacity() * 8
+            + self.entries.capacity() * std::mem::size_of::<VarEntry>()
+            + self.deltas.len() * (std::mem::size_of::<Vec<u32>>() + DELTA_KEEP * 4)
             + self.frames.capacity() * std::mem::size_of::<Frame>()
             + self.slots.capacity() * 4;
         self.objs.mem_bytes()
@@ -1237,8 +1251,9 @@ impl<P: ContextPolicy> Solver<P> {
     // ----- tuple insertion -------------------------------------------------
 
     /// Inserts a batch of objects into `key`'s points-to set; new objects
-    /// join the key's delta and the key is (re)queued. `reason` applies to
-    /// every object in the batch (batch joins are object-invariant).
+    /// join the key's delta, and the first one queues the key if it is not
+    /// queued. `reason` applies to every object in the batch (batch joins
+    /// are object-invariant).
     fn insert_batch(&mut self, key: u32, objs: &[u32], reason: Reason) {
         if objs.is_empty() {
             return;
@@ -1250,7 +1265,16 @@ impl<P: ContextPolicy> Solver<P> {
         let mut newly = 0u64;
         for &obj in objs {
             if entry.set.insert(obj) {
-                entry.delta.push(obj);
+                if entry.pending == 0 {
+                    entry.pending = 1 + self.free_deltas.pop().unwrap_or_else(|| {
+                        self.deltas.push(Vec::new());
+                        self.deltas.len() as u32 - 1
+                    });
+                    self.dirty.push_back(key);
+                    let depth = self.dirty.len() as u64;
+                    self.stats.peak_worklist = self.stats.peak_worklist.max(depth);
+                }
+                self.deltas[entry.pending as usize - 1].push(obj);
                 self.stats.vpt_inserted += 1;
                 newly += 1;
                 if self.config.track_provenance {
@@ -1272,12 +1296,6 @@ impl<P: ContextPolicy> Solver<P> {
                 cache.ctx_vpt += newly;
                 cache.dirty_vars.insert(self.keys[key as usize].0);
             }
-        }
-        let entry = &mut self.entries[key as usize];
-        if !entry.queued && !entry.delta.is_empty() {
-            entry.queued = true;
-            self.dirty.push_back(key);
-            self.stats.peak_worklist = self.stats.peak_worklist.max(self.dirty.len() as u64);
         }
     }
 
@@ -1605,8 +1623,8 @@ impl<P: ContextPolicy> Solver<P> {
     /// once per `(edge, batch)`.
     fn process_key(&mut self, key: u32) {
         let (var, frame) = self.keys[key as usize];
-        let delta = std::mem::take(&mut self.entries[key as usize].delta);
-        self.entries[key as usize].queued = false;
+        let slot = std::mem::take(&mut self.entries[key as usize].pending) as usize - 1;
+        let mut delta = std::mem::take(&mut self.deltas[slot]);
         self.stats.batches += 1;
         let v = var as usize;
         let row = self.index.rows[v];
@@ -1786,6 +1804,12 @@ impl<P: ContextPolicy> Solver<P> {
             }
             self.tock();
         }
+
+        if delta.capacity() <= DELTA_KEEP {
+            delta.clear();
+            self.deltas[slot] = delta;
+        }
+        self.free_deltas.push(slot as u32);
     }
 
     // ----- result construction ----------------------------------------------
@@ -1880,7 +1904,9 @@ impl<P: ContextPolicy> Solver<P> {
                 fe_len,
                 fe_heaps,
             );
-            let var_points_to = Csr::build(n_vars, |v, out| {
+            // Each variable's row holds at most the objects of its keys.
+            let ctx_vpt: usize = entries.iter().map(|e| e.set.len()).sum();
+            let var_points_to = Csr::build(n_vars, ctx_vpt, |v, out| {
                 var_row(&mut union, entries, objs, by_var.row(v), out);
             });
             // The reverse indexes serve only later retained builds.
@@ -1902,7 +1928,7 @@ impl<P: ContextPolicy> Solver<P> {
                 dirty_vars: FxHashSet::default(),
                 dirty_bases: FxHashSet::default(),
                 cg_new: Vec::new(),
-                ctx_vpt: entries.iter().map(|e| e.set.len() as u64).sum(),
+                ctx_vpt: ctx_vpt as u64,
             }));
             projected = n_vars;
         }
@@ -1926,7 +1952,8 @@ impl<P: ContextPolicy> Solver<P> {
         };
         let reachable =
             project::bitset(self.program.method_count(), frames.iter().map(|&(m, _)| m));
-        let static_points_to = Csr::build(self.statics.len(), |f, out| {
+        let statics_len = self.statics.iter().map(|e| e.set.len()).sum();
+        let static_points_to = Csr::build(self.statics.len(), statics_len, |f, out| {
             let set = &self.statics[f].set;
             let heaps = set.iter().map(|o| objs.resolve(o).0);
             union.append(out, set.len(), heaps, HeapId::from_raw);
@@ -2066,8 +2093,8 @@ impl<P: ContextPolicy> Solver<P> {
             )
         } else {
             (
-                std::mem::replace(&mut self.ctxs, CtxInterner::with_capacity(0)),
-                std::mem::replace(&mut self.hctxs, HCtxInterner::with_capacity(0)),
+                std::mem::take(&mut self.ctxs),
+                std::mem::take(&mut self.hctxs),
                 std::mem::take(&mut self.demoted_sites),
             )
         };

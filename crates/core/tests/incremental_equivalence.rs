@@ -606,11 +606,9 @@ fn assert_additive_apply_exact(base: &Program, delta: &ProgramDelta, analysis: A
     );
 }
 
-/// A method live under three receiver contexts gains a local and a call
-/// passing it, then an allocation into it: every existing frame of the
-/// method grows a variable and an invocation after it was laid out.
-#[test]
-fn new_locals_and_calls_in_a_many_context_method_match_scratch() {
+/// A method live under three receiver contexts, and a delta that gives it
+/// a local and a call passing it, then an allocation into it.
+fn many_context_method_gains_a_call_and_an_alloc() -> (Program, ProgramDelta) {
     let mut b = ProgramBuilder::new();
     let object = b.class("Object", None);
     let cell = b.class("Cell", Some(object));
@@ -635,9 +633,41 @@ fn new_locals_and_calls_in_a_many_context_method_match_scratch() {
     let out = delta.var(get, "out");
     delta.scall(get, id, &[fresh], Some(out), "id(fresh)");
     delta.alloc(get, fresh, cell, "fresh cell");
+    (base, delta)
+}
+
+/// Every existing frame of the method grows a variable and an invocation
+/// after it was laid out.
+#[test]
+fn new_locals_and_calls_in_a_many_context_method_match_scratch() {
+    let (base, delta) = many_context_method_gains_a_call_and_an_alloc();
     for analysis in Analysis::ALL {
         assert_additive_apply_exact(&base, &delta, analysis);
     }
+}
+
+/// The rule instances an additive apply seeds are counted: the allocation
+/// and the static call added to a reachable method fire once each, as they
+/// do in a scratch solve of the edited program.
+#[test]
+fn seeded_rule_instances_are_counted() {
+    let (base, delta) = many_context_method_gains_a_call_and_an_alloc();
+    let mut session = AnalysisSession::open(base.clone())
+        .policy(Analysis::Insens)
+        .incremental(true);
+    let before = *session.solve().solver_stats();
+    let inc = session.apply(&delta).unwrap();
+    assert!(session.last_apply_was_incremental());
+    let fresh = AnalysisSession::open(base.apply_delta(&delta).unwrap())
+        .policy(Analysis::Insens)
+        .solve();
+    let (inc, fresh) = (inc.solver_stats(), fresh.solver_stats());
+    assert_eq!((before.fire_alloc, before.fire_scall), (4, 0));
+    assert_eq!((inc.fire_alloc, inc.fire_scall), (5, 1));
+    assert_eq!(
+        (inc.fire_alloc, inc.fire_scall),
+        (fresh.fire_alloc, fresh.fire_scall)
+    );
 }
 
 /// Two new call sites in one caller reach a callee frame that has already

@@ -76,7 +76,7 @@ impl Facts {
 
     fn build(&self, n_rows: usize) -> Csr<HeapId> {
         let (by_row, mut union) = (self.by_row(n_rows), Union::default());
-        Csr::build(n_rows, |r, out| self.row(&mut union, by_row.row(r), out))
+        Csr::build(n_rows, 0, |r, out| self.row(&mut union, by_row.row(r), out))
     }
 }
 

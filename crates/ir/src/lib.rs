@@ -64,5 +64,5 @@ pub use ids::{FieldId, HeapId, InvoId, MethodId, SigId, TypeId, VarId};
 pub use interp::{DynamicFacts, InterpConfig, Interpreter};
 pub use program::{Instr, InvoKind, Program};
 pub use srcloc::SrcLoc;
-pub use stats::{ProgramStats, SizeHints};
+pub use stats::ProgramStats;
 pub use validate::{FieldAccess, ValidateError};

@@ -247,9 +247,8 @@ impl Program {
         self.vars.len()
     }
 
-    /// Total instruction count across all method bodies. Used by solvers to
-    /// pre-size worklists, indices and interners before the first tuple is
-    /// derived.
+    /// Total instruction count across all method bodies. The dense
+    /// solver's static index sizes its instruction tables from it.
     pub fn instr_count(&self) -> usize {
         self.methods.iter().map(|m| m.instrs.len()).sum()
     }

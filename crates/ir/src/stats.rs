@@ -78,44 +78,6 @@ impl ProgramStats {
     }
 }
 
-/// Capacity hints for solver-side data structures, derived from program
-/// statistics. These are heuristics, not bounds: consumers must tolerate
-/// growth past every hint. The multipliers were calibrated on the synthetic
-/// DaCapo suite (contexts scale with methods and invocation sites, objects
-/// with allocation sites) and exist so the hot paths start near their final
-/// sizes instead of rehashing their way up from empty tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SizeHints {
-    /// Expected distinct calling contexts.
-    pub contexts: usize,
-    /// Expected distinct heap contexts.
-    pub heap_contexts: usize,
-    /// Expected distinct `(heap, heap-context)` objects.
-    pub objects: usize,
-    /// Expected distinct `(variable, context)` points-to keys.
-    pub var_ctx_keys: usize,
-}
-
-impl SizeHints {
-    /// Derives hints from precomputed statistics.
-    #[must_use]
-    pub fn of(stats: &ProgramStats) -> SizeHints {
-        let invos = stats.vcalls + stats.scalls;
-        SizeHints {
-            contexts: stats.methods * 2 + invos / 2,
-            heap_contexts: stats.allocs / 2 + 8,
-            objects: stats.allocs * 2 + 8,
-            var_ctx_keys: stats.vars * 2 + 8,
-        }
-    }
-
-    /// Convenience: computes statistics and derives hints in one call.
-    #[must_use]
-    pub fn of_program(program: &Program) -> SizeHints {
-        SizeHints::of(&ProgramStats::of(program))
-    }
-}
-
 impl std::fmt::Display for ProgramStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

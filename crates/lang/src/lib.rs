@@ -80,5 +80,8 @@ use pta_ir::Program;
 pub fn parse_program(source: &str) -> Result<Program, LangError> {
     let tokens = lexer::lex(source)?;
     let module = parser::parse(&tokens)?;
+    // The AST borrows from the source, not the tokens: free them before
+    // lowering allocates the program.
+    drop(tokens);
     lower::lower(&module)
 }

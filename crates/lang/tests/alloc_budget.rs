@@ -26,24 +26,34 @@ thread_local! {
     /// `Cell` has no destructor and needs no lazy setup, so touching it
     /// from inside the allocator cannot allocate or recurse.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread allocated minus the bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// High-water mark of `LIVE` since the last [`peak_above`] began.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+/// Counts one allocation (`grow` > 0) or resize of `grow` live bytes.
+fn count_alloc(grow: i64) {
     // `try_with` fails only during thread teardown; those allocations
     // belong to no measured call.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grow);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,6 +67,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the peak bytes this thread held
+/// live above its level at the call.
+fn peak_above<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base) as u64)
 }
 
 /// luindex at scale 1, printed to `.jir` text.
@@ -94,4 +113,20 @@ fn program_clone_allocates_per_method_not_per_name() {
         program.method_count()
     );
     assert_eq!(copy.var_count(), program.var_count());
+}
+
+#[test]
+fn parse_program_frees_the_tokens_before_lowering() {
+    let source = luindex_source();
+    let (program, peak) = peak_above(|| parse_program(&source).expect("printed programs parse"));
+    let per_byte = peak as f64 / source.len() as f64;
+    // About 15 with the token vector freed once the AST is built: the AST
+    // and the program under construction set the peak. Keeping the tokens
+    // alive through lowering put it at 20.
+    assert!(
+        per_byte < 17.5,
+        "parse_program peaked at {peak} bytes for {} bytes of source ({per_byte:.2} each)",
+        source.len()
+    );
+    assert!(program.instr_count() > 0);
 }
