@@ -387,7 +387,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                     let mut solver =
                         Solver::new(Arc::clone(&self.program), self.policy.clone(), config);
                     let termination = solver.solve_fix();
-                    let keep = termination == Termination::Complete && !solver.has_demotions();
+                    let keep = termination == Termination::Complete;
                     let result = solver.build_result(termination, keep);
                     if keep {
                         self.retained = Some(solver);
@@ -426,7 +426,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                 ApplyOutcome::Done(termination, apply_stats) => {
                     self.program = new_program;
                     self.version += 1;
-                    let keep = termination == Termination::Complete && !solver.has_demotions();
+                    let keep = termination == Termination::Complete;
                     let result = solver.build_result(termination, keep);
                     if keep {
                         self.retained = Some(solver);

@@ -9,13 +9,19 @@
 //! |---|---|
 //! | `InterProcAssign <- CallGraph, FormalArg, ActualArg` | `Solver::add_call_edge` installs parameter edges |
 //! | `InterProcAssign <- CallGraph, FormalReturn, ActualReturn` | `Solver::add_call_edge` installs the return edge |
-//! | `VarPointsTo <- Reachable, Alloc` (+ `Record`) | `Solver::process_reachable` |
-//! | `VarPointsTo <- Move, VarPointsTo` | assignment edges in `Solver::process_key` (casts are filtered moves) |
+//! | `VarPointsTo <- Reachable, Alloc` (+ `Record`) | `Solver::alloc` |
+//! | `VarPointsTo <- Move, VarPointsTo` | `Solver::assign` (casts are filtered moves) |
 //! | `VarPointsTo <- InterProcAssign, VarPointsTo` | inter-procedural edges in `Solver::process_key` |
-//! | `VarPointsTo <- Load, VarPointsTo, FldPointsTo` | load witnesses in `Solver::process_key` / `Solver::insert_fld_batch` |
-//! | `FldPointsTo <- Store, VarPointsTo, VarPointsTo` | store handling in `Solver::process_key` |
-//! | virtual-call rule (+ `Merge`) | `Solver::process_key` receiver dispatch |
-//! | static-call rule (+ `MergeStatic`) | `Solver::process_reachable` |
+//! | `VarPointsTo <- Load, VarPointsTo, FldPointsTo` | `Solver::load` registers witnesses, `Solver::insert_fld_batch` wakes them |
+//! | `FldPointsTo <- Store, VarPointsTo, VarPointsTo` | `Solver::store_on` (base side), `Solver::store_of` (source side) |
+//! | virtual-call rule (+ `Merge`) | `Solver::vcall` |
+//! | static-call rule (+ `MergeStatic`) | `Solver::scall` |
+//!
+//! Static loads and stores (`Solver::sload`, `Solver::sstore`) and
+//! exceptions (`Solver::throw`) extend the table. `Solver::process_reachable`
+//! fires a new frame's reachability rules and `Solver::process_key` a
+//! key's join rules, both through these functions; an additive apply
+//! seeds through them too (module `incremental`).
 //!
 //! ## Hot-path representation
 //!
@@ -33,7 +39,7 @@
 //!   slots of its **frame** (its `Reachable` fact), so finding one is an
 //!   array read;
 //! - the static input relations live in CSR-style per-variable tables
-//!   ([`VarTable`]), one flat allocation per relation.
+//!   (`StaticIndex`), one flat allocation per relation.
 //!
 //! ## Batched semi-naive evaluation
 //!
@@ -58,7 +64,7 @@ use pta_ir::{
     FieldId, HeapId, Instr, InvoId, MethodId, Program, ProgramDelta, SigId, TypeId, VarId,
 };
 
-use crate::context::{CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner};
+use crate::context::{Ctx, CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner};
 use crate::fault::FaultPlan;
 use crate::policy::ContextPolicy;
 use crate::project::{self, Csr, FieldView, Union};
@@ -220,27 +226,23 @@ pub(crate) fn solve_sequential<P: ContextPolicy + Clone>(
 #[path = "incremental.rs"]
 pub(crate) mod incremental;
 
-/// Builds one CSR-style `variable -> [items]` table from unsorted
-/// `(var, item)` pairs: a flat, sorted, deduplicated item array plus
-/// per-variable segment offsets. Replaces the previous `Vec<Vec<T>>` (one
-/// heap allocation and one unconditional sort per variable, even for the
-/// empty/singleton common case) with a single pre-sized allocation and one
-/// global sort, which orders every per-var segment as a side effect. Tables
-/// whose collection pass already visits instructions in variable order
-/// arrive sorted and skip the sort outright.
-fn build_csr<T: Copy + Ord>(n_vars: usize, mut pairs: Vec<(u32, T)>) -> (Vec<u32>, Vec<T>) {
+/// Builds table `t` of the static index from unsorted `(var, item)`
+/// pairs into zeroed `rows`: a flat, sorted, deduplicated item array plus
+/// per-variable segment offsets in column `t`. One global sort orders every
+/// per-var segment as a side effect; pairs collected in variable order
+/// arrive sorted and skip it.
+fn build_table<T: Copy + Ord>(rows: &mut [[u32; 7]], t: usize, mut pairs: Vec<(u32, T)>) -> Vec<T> {
     if !pairs.is_sorted() {
         pairs.sort_unstable();
     }
     pairs.dedup();
-    let mut starts = vec![0u32; n_vars + 1];
     for &(v, _) in &pairs {
-        starts[v as usize + 1] += 1;
+        rows[v as usize + 1][t] += 1;
     }
-    for i in 0..n_vars {
-        starts[i + 1] += starts[i];
+    for v in 1..rows.len() {
+        rows[v][t] += rows[v - 1][t];
     }
-    (starts, pairs.into_iter().map(|(_, item)| item).collect())
+    pairs.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Row layout of [`StaticIndex::rows`]: segment starts of the six item
@@ -286,54 +288,58 @@ struct StaticIndex {
     frame_shape: Vec<(u32, u32)>,
 }
 
-impl StaticIndex {
-    fn build(program: &Program) -> StaticIndex {
-        let n = program.var_count();
-        let instrs = program.instr_count();
-        // Pre-size the pair collections from the total instruction count;
-        // each instruction contributes at most two pairs (stores).
-        let mut assigns = Vec::with_capacity(instrs / 4);
-        let mut loads_on = Vec::with_capacity(instrs / 4);
-        let mut stores_on = Vec::with_capacity(instrs / 8);
-        let mut stores_of = Vec::with_capacity(instrs / 8);
-        let mut sstores_of = Vec::with_capacity(instrs / 16);
-        let mut vcalls_on = Vec::with_capacity(instrs / 4);
-        let mut thrown = vec![false; n];
-        for m in program.methods() {
-            for instr in program.instrs(m) {
-                match *instr {
-                    Instr::Move { to, from } => assigns.push((from.raw(), (to, None))),
-                    Instr::Cast { to, from, ty } => assigns.push((from.raw(), (to, Some(ty)))),
-                    Instr::Load { to, base, field } => loads_on.push((base.raw(), (to, field))),
-                    Instr::Store { base, field, from } => {
-                        stores_on.push((base.raw(), (field, from)));
-                        stores_of.push((from.raw(), (base, field)));
-                    }
-                    Instr::VCall { base, sig, invo } => vcalls_on.push((base.raw(), (sig, invo))),
-                    Instr::SStore { field, from } => sstores_of.push((from.raw(), field)),
-                    Instr::Throw { var } => thrown[var.index()] = true,
-                    // SLoad fires on reachability, handled by the solver.
-                    Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {}
+/// The `(var, item)` pairs of the six [`StaticIndex`] tables, each under
+/// the variable its rule joins on, plus the thrown variables.
+#[derive(Default)]
+struct IndexPairs {
+    assigns: Vec<(u32, (VarId, Option<TypeId>))>,
+    loads_on: Vec<(u32, (VarId, FieldId))>,
+    stores_on: Vec<(u32, (FieldId, VarId))>,
+    stores_of: Vec<(u32, (VarId, FieldId))>,
+    sstores_of: Vec<(u32, FieldId)>,
+    vcalls_on: Vec<(u32, (SigId, InvoId))>,
+    thrown: Vec<VarId>,
+}
+
+impl IndexPairs {
+    /// The pairs of `instrs`, in instruction order.
+    fn collect(instrs: impl Iterator<Item = Instr>) -> IndexPairs {
+        let mut p = IndexPairs::default();
+        for instr in instrs {
+            match instr {
+                Instr::Move { to, from } => p.assigns.push((from.raw(), (to, None))),
+                Instr::Cast { to, from, ty } => p.assigns.push((from.raw(), (to, Some(ty)))),
+                Instr::Load { to, base, field } => p.loads_on.push((base.raw(), (to, field))),
+                Instr::Store { base, field, from } => {
+                    p.stores_on.push((base.raw(), (field, from)));
+                    p.stores_of.push((from.raw(), (base, field)));
                 }
+                Instr::VCall { base, sig, invo } => p.vcalls_on.push((base.raw(), (sig, invo))),
+                Instr::SStore { field, from } => p.sstores_of.push((from.raw(), field)),
+                Instr::Throw { var } => p.thrown.push(var),
+                // These fire on reachability, not on a variable's facts.
+                Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {}
             }
         }
-        let (s_assign, assigns) = build_csr(n, assigns);
-        let (s_load, loads_on) = build_csr(n, loads_on);
-        let (s_store_on, stores_on) = build_csr(n, stores_on);
-        let (s_store_of, stores_of) = build_csr(n, stores_of);
-        let (s_sstore, sstores_of) = build_csr(n, sstores_of);
-        let (s_vcall, vcalls_on) = build_csr(n, vcalls_on);
-        let mut rows = vec![[0u32; 7]; n + 1];
-        for (v, row) in rows.iter_mut().enumerate() {
-            *row = [
-                s_assign[v],
-                s_load[v],
-                s_store_on[v],
-                s_store_of[v],
-                s_sstore[v],
-                s_vcall[v],
-                u32::from(v < n && thrown[v]),
-            ];
+        p
+    }
+}
+
+impl StaticIndex {
+    fn build(program: &Program) -> StaticIndex {
+        let instrs = program
+            .methods()
+            .flat_map(|m| program.instrs(m).iter().copied());
+        let pairs = IndexPairs::collect(instrs);
+        let mut rows = vec![[0u32; 7]; program.var_count() + 1];
+        let assigns = build_table(&mut rows, ROW_ASSIGN, pairs.assigns);
+        let loads_on = build_table(&mut rows, ROW_LOAD_ON, pairs.loads_on);
+        let stores_on = build_table(&mut rows, ROW_STORE_ON, pairs.stores_on);
+        let stores_of = build_table(&mut rows, ROW_STORE_OF, pairs.stores_of);
+        let sstores_of = build_table(&mut rows, ROW_SSTORE_OF, pairs.sstores_of);
+        let vcalls_on = build_table(&mut rows, ROW_VCALL_ON, pairs.vcalls_on);
+        for v in pairs.thrown {
+            rows[v.index()][ROW_THROWN] = 1;
         }
         let mut index = StaticIndex {
             rows,
@@ -376,59 +382,33 @@ impl StaticIndex {
     /// re-sort of every instruction in the program. Retracting deltas
     /// never get here: they re-solve, building a fresh index.
     fn append_additive(&mut self, program: &Program, delta: &ProgramDelta) {
-        let n_new = program.var_count();
-        let mut assigns_new: Vec<(u32, (VarId, Option<TypeId>))> = Vec::new();
-        let mut loads_new: Vec<(u32, (VarId, FieldId))> = Vec::new();
-        let mut stores_on_new: Vec<(u32, (FieldId, VarId))> = Vec::new();
-        let mut stores_of_new: Vec<(u32, (VarId, FieldId))> = Vec::new();
-        let mut sstores_new: Vec<(u32, FieldId)> = Vec::new();
-        let mut vcalls_new: Vec<(u32, (SigId, InvoId))> = Vec::new();
-        let mut thrown_new: Vec<VarId> = Vec::new();
         let new_method_instrs = (delta.base_method_count()..program.method_count())
             .flat_map(|i| program.instrs(MethodId::from_index(i)).iter().copied());
-        for instr in delta
-            .appended_instrs()
-            .iter()
-            .map(|&(_, i)| i)
-            .chain(new_method_instrs)
-        {
-            match instr {
-                Instr::Move { to, from } => assigns_new.push((from.raw(), (to, None))),
-                Instr::Cast { to, from, ty } => assigns_new.push((from.raw(), (to, Some(ty)))),
-                Instr::Load { to, base, field } => loads_new.push((base.raw(), (to, field))),
-                Instr::Store { base, field, from } => {
-                    stores_on_new.push((base.raw(), (field, from)));
-                    stores_of_new.push((from.raw(), (base, field)));
-                }
-                Instr::VCall { base, sig, invo } => vcalls_new.push((base.raw(), (sig, invo))),
-                Instr::SStore { field, from } => sstores_new.push((from.raw(), field)),
-                Instr::Throw { var } => thrown_new.push(var),
-                Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {}
-            }
-        }
+        let appended = delta.appended_instrs().iter().map(|&(_, i)| i);
+        let pairs = IndexPairs::collect(appended.chain(new_method_instrs));
 
         // New variables get empty segments (the sentinel row's starts,
         // which carries no thrown flag); then each table with new pairs is
         // spliced.
         let sentinel = *self.rows.last().expect("the sentinel row");
-        self.rows.resize(n_new + 1, sentinel);
-        for v in thrown_new {
+        self.rows.resize(program.var_count() + 1, sentinel);
+        for v in pairs.thrown {
             self.rows[v.index()][ROW_THROWN] = 1;
         }
         let rows = &mut self.rows;
-        splice_table(rows, ROW_ASSIGN, &mut self.assigns, assigns_new);
-        splice_table(rows, ROW_LOAD_ON, &mut self.loads_on, loads_new);
-        splice_table(rows, ROW_STORE_ON, &mut self.stores_on, stores_on_new);
-        splice_table(rows, ROW_STORE_OF, &mut self.stores_of, stores_of_new);
-        splice_table(rows, ROW_SSTORE_OF, &mut self.sstores_of, sstores_new);
-        splice_table(rows, ROW_VCALL_ON, &mut self.vcalls_on, vcalls_new);
+        splice_table(rows, ROW_ASSIGN, &mut self.assigns, pairs.assigns);
+        splice_table(rows, ROW_LOAD_ON, &mut self.loads_on, pairs.loads_on);
+        splice_table(rows, ROW_STORE_ON, &mut self.stores_on, pairs.stores_on);
+        splice_table(rows, ROW_STORE_OF, &mut self.stores_of, pairs.stores_of);
+        splice_table(rows, ROW_SSTORE_OF, &mut self.sstores_of, pairs.sstores_of);
+        splice_table(rows, ROW_VCALL_ON, &mut self.vcalls_on, pairs.vcalls_on);
         self.number_locals(program);
     }
 }
 
 /// Merges the unsorted `new` pairs into table `t` of the static index:
 /// the variables they name are re-merged (sorted, deduplicated like
-/// [`build_csr`]) and the segments between them are copied in bulk.
+/// [`build_table`]) and the segments between them are copied in bulk.
 fn splice_table<T: Copy + Ord>(
     rows: &mut [[u32; 7]],
     t: usize,
@@ -824,16 +804,7 @@ impl<P: ContextPolicy> Solver<P> {
     pub(crate) fn solve_fix(&mut self) -> Termination {
         let t0 = self.ts.now_ns();
         let started = std::time::Instant::now();
-        // Entry points are reachable under the initial context.
-        let entries: Vec<u32> = self
-            .program
-            .entry_points()
-            .iter()
-            .map(|m| m.raw())
-            .collect();
-        for entry in entries {
-            self.mark_reachable(entry, CtxId::INITIAL.raw());
-        }
+        self.mark_entry_points();
         let termination = self.run_loop();
         if let Some(p) = self.prof.as_deref_mut() {
             p.solve_ns += started.elapsed().as_nanos() as u64;
@@ -855,11 +826,13 @@ impl<P: ContextPolicy> Solver<P> {
         termination
     }
 
-    /// `true` when graceful degradation demoted at least one method —
-    /// demoted state mixes context granularities, so it is never retained
-    /// for incremental maintenance.
-    pub(crate) fn has_demotions(&self) -> bool {
-        !self.demoted_sites.is_empty()
+    /// Marks the program's entry points reachable under the initial
+    /// context.
+    fn mark_entry_points(&mut self) {
+        let program = Arc::clone(&self.program);
+        for &entry in program.entry_points() {
+            self.mark_reachable(entry.raw(), CtxId::INITIAL.raw());
+        }
     }
 
     /// Replaces the solver's program handle without touching any derived
@@ -1556,62 +1529,41 @@ impl<P: ContextPolicy> Solver<P> {
     }
 
     // ----- rule firing ------------------------------------------------------
+    //
+    // One function per Figure 2 join of an instruction. The worklist calls
+    // them with a new frame or a key's delta; an additive apply calls them
+    // with an existing frame or key's full set (`incremental`). Callers own
+    // the profiling clock. They are inlined into the worklist loops, where
+    // they run once per (edge, batch): left to the compiler, five of them
+    // were called out of line from `run_loop`.
 
-    /// Fires the allocation and static-call rules for a newly reachable
-    /// frame.
+    /// The context value of `frame`.
+    fn ctx_of(&self, frame: u32) -> Ctx {
+        self.ctxs
+            .resolve(CtxId::from_raw(self.reachable.resolve(frame).1))
+    }
+
+    /// Fires the allocation, static-call and static-load rules for a newly
+    /// reachable frame.
     fn process_reachable(&mut self, frame: u32) {
-        let (meth, ctx) = self.reachable.resolve(frame);
         let program = Arc::clone(&self.program);
-        let meth_id = MethodId::from_raw(meth);
-        let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
-        for instr in program.instrs(meth_id) {
+        let meth = MethodId::from_raw(self.reachable.resolve(frame).0);
+        let ctx = self.ctx_of(frame);
+        for instr in program.instrs(meth) {
             match *instr {
                 Instr::Alloc { var, heap } => {
-                    // VarPointsTo(var, ctx, heap, Record(heap, ctx)).
                     self.tick(R_ALLOC);
-                    self.stats.fire_alloc += 1;
-                    let elem = self.policy.record(heap, ctx_val, &program);
-                    let hctx = self.hctxs.intern(elem);
-                    let obj = self.obj_id(heap.raw(), hctx.raw());
-                    let vkey = self.key_id(frame, var.raw());
-                    self.insert_batch(vkey, &[obj], Reason::Alloc);
+                    self.alloc(frame, ctx, var, heap);
                     self.tock();
                 }
                 Instr::SCall { target, invo } => {
-                    // CallGraph(invo, ctx, target, MergeStatic(invo, ctx)).
-                    // Demoted targets skip the constructor so no unused
-                    // context is interned on their behalf.
                     self.tick(R_SCALL);
-                    self.stats.fire_scall += 1;
-                    let callee_ctx = match self.demote_ctx[target.index()] {
-                        NOT_DEMOTED => {
-                            let v = self.policy.merge_static(invo, ctx_val, &program);
-                            self.ctxs.intern(v).raw()
-                        }
-                        demoted => demoted,
-                    };
-                    self.add_call_edge(invo, frame, target, callee_ctx);
+                    self.scall(frame, ctx, target, invo);
                     self.tock();
                 }
                 Instr::SLoad { to, field } => {
-                    // Static loads fire once the enclosing (method, ctx) is
-                    // reachable: register a witness and pull current facts.
                     self.tick(R_SLOAD);
-                    let to_key = self.key_id(frame, to.raw());
-                    let fld = field.raw() as usize;
-                    self.statics[fld].witnesses.push(to_key);
-                    if !self.statics[fld].set.is_empty() {
-                        let mut existing = std::mem::take(&mut self.buf);
-                        existing.clear();
-                        self.statics[fld].set.extend_into(&mut existing);
-                        self.stats.fire_static_load += existing.len() as u64;
-                        self.insert_batch(
-                            to_key,
-                            &existing,
-                            Reason::StaticLoad { field: field.raw() },
-                        );
-                        self.buf = existing;
-                    }
+                    self.sload(frame, to, field);
                     self.tock();
                 }
                 _ => {}
@@ -1626,37 +1578,16 @@ impl<P: ContextPolicy> Solver<P> {
         let slot = std::mem::take(&mut self.entries[key as usize].pending) as usize - 1;
         let mut delta = std::mem::take(&mut self.deltas[slot]);
         self.stats.batches += 1;
-        let v = var as usize;
-        let row = self.index.rows[v];
-        let next = self.index.rows[v + 1];
+        let (row, next) = (
+            self.index.rows[var as usize],
+            self.index.rows[var as usize + 1],
+        );
+        let segment = |t: usize| row[t] as usize..next[t] as usize;
 
-        // Move / Cast: VarPointsTo(to, ctx, obj) <- Move(to, var).
-        // Casts filter by subtyping (Doop's AssignCast).
         self.tick(R_MOVE);
-        for i in row[ROW_ASSIGN] as usize..next[ROW_ASSIGN] as usize {
+        for i in segment(ROW_ASSIGN) {
             let (to, filter) = self.index.assigns[i];
-            let to_key = self.key_id(frame, to.raw());
-            match filter {
-                None => {
-                    self.stats.fire_assign += delta.len() as u64;
-                    self.insert_batch(to_key, &delta, Reason::Assign { src_key: key });
-                }
-                Some(ty) => {
-                    let mut buf = std::mem::take(&mut self.buf);
-                    buf.clear();
-                    for &obj in &delta {
-                        if self
-                            .program
-                            .is_subtype(TypeId::from_raw(self.obj_type[obj as usize]), ty)
-                        {
-                            buf.push(obj);
-                        }
-                    }
-                    self.stats.fire_assign += buf.len() as u64;
-                    self.insert_batch(to_key, &buf, Reason::Assign { src_key: key });
-                    self.buf = buf;
-                }
-            }
+            self.assign(frame, key, to, filter, &delta);
         }
         self.tock();
 
@@ -1669,138 +1600,43 @@ impl<P: ContextPolicy> Solver<P> {
         }
         self.tock();
 
-        // Loads where `var` is the base: register a witness per new base
-        // object and pull existing field facts.
         self.tick(R_LOAD);
-        for i in row[ROW_LOAD_ON] as usize..next[ROW_LOAD_ON] as usize {
+        for i in segment(ROW_LOAD_ON) {
             let (to, field) = self.index.loads_on[i];
-            let to_key = self.key_id(frame, to.raw());
-            for &base_obj in &delta {
-                let fe = self.fld_id(base_obj, field.raw());
-                self.fentries[fe as usize].witnesses.push((to_key, key));
-                if !self.fentries[fe as usize].set.is_empty() {
-                    let mut buf = std::mem::take(&mut self.buf);
-                    buf.clear();
-                    self.fentries[fe as usize].set.extend_into(&mut buf);
-                    self.stats.fire_load += buf.len() as u64;
-                    self.insert_batch(
-                        to_key,
-                        &buf,
-                        Reason::Load {
-                            base_key: key,
-                            base_obj,
-                            field: field.raw(),
-                        },
-                    );
-                    self.buf = buf;
-                }
-            }
+            self.load(frame, key, to, field, &delta);
         }
         self.tock();
 
-        // Stores where `var` is the base:
-        // FldPointsTo(baseObj, fld, *pts(from, ctx)).
         self.tick(R_STORE);
-        for i in row[ROW_STORE_ON] as usize..next[ROW_STORE_ON] as usize {
+        for i in segment(ROW_STORE_ON) {
             let (field, from) = self.index.stores_on[i];
-            let Some(from_key) = self.key_get(frame, from.raw()) else {
-                continue;
-            };
-            if self.entries[from_key as usize].set.is_empty() {
-                continue;
-            }
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.clear();
-            self.entries[from_key as usize].set.extend_into(&mut buf);
-            for &base_obj in &delta {
-                self.insert_fld_batch(base_obj, field.raw(), &buf, from_key);
-            }
-            self.buf = buf;
+            self.store_on(frame, field, from, &delta);
         }
-
-        // Stores where `var` is the source:
-        // FldPointsTo(*pts(base, ctx), fld, delta).
-        for i in row[ROW_STORE_OF] as usize..next[ROW_STORE_OF] as usize {
+        for i in segment(ROW_STORE_OF) {
             let (base, field) = self.index.stores_of[i];
-            let Some(base_key) = self.key_get(frame, base.raw()) else {
-                continue;
-            };
-            if self.entries[base_key as usize].set.is_empty() {
-                continue;
-            }
-            let mut bases = std::mem::take(&mut self.buf);
-            bases.clear();
-            self.entries[base_key as usize].set.extend_into(&mut bases);
-            for &base_obj in &bases {
-                self.insert_fld_batch(base_obj, field.raw(), &delta, key);
-            }
-            self.buf = bases;
+            self.store_of(frame, key, base, field, &delta);
         }
         self.tock();
 
-        // Throws of `var`: the exception arrives at the enclosing frame.
         if row[ROW_THROWN] != 0 {
             self.tick(R_EXC);
-            for &obj in &delta {
-                self.stats.fire_throw += 1;
-                self.throw_into(frame, obj);
-            }
+            self.throw(frame, &delta);
             self.tock();
         }
 
-        // Static-field stores where `var` is the source.
         self.tick(R_SSTORE);
-        for i in row[ROW_SSTORE_OF] as usize..next[ROW_SSTORE_OF] as usize {
-            let field = self.index.sstores_of[i];
-            self.insert_static_batch(field.raw(), &delta, key);
+        for i in segment(ROW_SSTORE_OF) {
+            self.sstore(key, self.index.sstores_of[i], &delta);
         }
         self.tock();
 
-        // Virtual calls where `var` is the receiver: dispatch, Merge, and
-        // derive CallGraph + this-points-to + Reachable.
-        let vcall_rng = row[ROW_VCALL_ON] as usize..next[ROW_VCALL_ON] as usize;
-        if !vcall_rng.is_empty() {
+        let vcalls = segment(ROW_VCALL_ON);
+        if !vcalls.is_empty() {
             self.tick(R_VCALL);
-            let ctx = self.reachable.resolve(frame).1;
-            let ctx_val = self.ctxs.resolve(CtxId::from_raw(ctx));
-            for i in vcall_rng {
+            let ctx = self.ctx_of(frame);
+            for i in vcalls {
                 let (sig, invo) = self.index.vcalls_on[i];
-                for &obj in &delta {
-                    self.stats.fire_vcall_dispatch += 1;
-                    let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
-                    if let Some(callee) = self.program.lookup(heap_ty, sig) {
-                        let (heap, hctx) = self.objs.resolve(obj);
-                        let hctx_val = self.hctxs.resolve(HCtxId::from_raw(hctx));
-                        // Demoted callees skip Merge so no unused context
-                        // is interned on their behalf.
-                        let callee_ctx = match self.demote_ctx[callee.index()] {
-                            NOT_DEMOTED => {
-                                let v = self.policy.merge(
-                                    HeapId::from_raw(heap),
-                                    hctx_val,
-                                    invo,
-                                    ctx_val,
-                                    &self.program,
-                                );
-                                self.ctxs.intern(v).raw()
-                            }
-                            demoted => demoted,
-                        };
-                        let cframe = self.add_call_edge(invo, frame, callee, callee_ctx);
-                        if let Some(this) = self.program.this_var(callee) {
-                            // VarPointsTo(this, calleeCtx, obj) — per
-                            // receiver object, even when the call-graph
-                            // edge existed.
-                            let tkey = self.key_id(cframe, this.raw());
-                            self.stats.fire_this_binding += 1;
-                            self.insert_batch(
-                                tkey,
-                                &[obj],
-                                Reason::ThisBinding { invo: invo.raw() },
-                            );
-                        }
-                    }
-                }
+                self.vcall(frame, ctx, sig, invo, &delta);
             }
             self.tock();
         }
@@ -1810,6 +1646,200 @@ impl<P: ContextPolicy> Solver<P> {
             self.deltas[slot] = delta;
         }
         self.free_deltas.push(slot as u32);
+    }
+
+    /// `var = new heap` in `frame` (context `ctx`):
+    /// `VarPointsTo(var, ctx, heap, Record(heap, ctx))`.
+    #[inline(always)]
+    fn alloc(&mut self, frame: u32, ctx: Ctx, var: VarId, heap: HeapId) {
+        self.stats.fire_alloc += 1;
+        let elem = self.policy.record(heap, ctx, &self.program);
+        let hctx = self.hctxs.intern(elem);
+        let obj = self.obj_id(heap.raw(), hctx.raw());
+        let vkey = self.key_id(frame, var.raw());
+        self.insert_batch(vkey, &[obj], Reason::Alloc);
+    }
+
+    /// `target(...)` at `invo` in `frame` (context `ctx`):
+    /// `CallGraph(invo, ctx, target, MergeStatic(invo, ctx))`. Demoted
+    /// targets skip the constructor so no unused context is interned on
+    /// their behalf.
+    #[inline(always)]
+    fn scall(&mut self, frame: u32, ctx: Ctx, target: MethodId, invo: InvoId) {
+        self.stats.fire_scall += 1;
+        let callee_ctx = match self.demote_ctx[target.index()] {
+            NOT_DEMOTED => {
+                let v = self.policy.merge_static(invo, ctx, &self.program);
+                self.ctxs.intern(v).raw()
+            }
+            demoted => demoted,
+        };
+        self.add_call_edge(invo, frame, target, callee_ctx);
+    }
+
+    /// `to = C.field` in `frame`: `to` becomes a witness of the static
+    /// field and pulls its current facts.
+    #[inline(always)]
+    fn sload(&mut self, frame: u32, to: VarId, field: FieldId) {
+        let to_key = self.key_id(frame, to.raw());
+        let fld = field.raw() as usize;
+        self.statics[fld].witnesses.push(to_key);
+        if !self.statics[fld].set.is_empty() {
+            let mut existing = std::mem::take(&mut self.buf);
+            existing.clear();
+            self.statics[fld].set.extend_into(&mut existing);
+            self.stats.fire_static_load += existing.len() as u64;
+            self.insert_batch(to_key, &existing, Reason::StaticLoad { field: field.raw() });
+            self.buf = existing;
+        }
+    }
+
+    /// `to = from` (or `to = (filter) from`) for the objects `objs` of
+    /// `from`'s key `key` in `frame`: `VarPointsTo(to, ctx, obj)`. Casts
+    /// filter by subtyping (Doop's AssignCast).
+    #[inline(always)]
+    fn assign(&mut self, frame: u32, key: u32, to: VarId, filter: Option<TypeId>, objs: &[u32]) {
+        let to_key = self.key_id(frame, to.raw());
+        let Some(ty) = filter else {
+            self.stats.fire_assign += objs.len() as u64;
+            self.insert_batch(to_key, objs, Reason::Assign { src_key: key });
+            return;
+        };
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        for &obj in objs {
+            if self
+                .program
+                .is_subtype(TypeId::from_raw(self.obj_type[obj as usize]), ty)
+            {
+                buf.push(obj);
+            }
+        }
+        self.stats.fire_assign += buf.len() as u64;
+        self.insert_batch(to_key, &buf, Reason::Assign { src_key: key });
+        self.buf = buf;
+    }
+
+    /// `to = base.field` for the base objects `objs` of `key` in `frame`:
+    /// each registers a load witness on its field cell and pulls the
+    /// cell's current facts.
+    #[inline(always)]
+    fn load(&mut self, frame: u32, key: u32, to: VarId, field: FieldId, objs: &[u32]) {
+        let to_key = self.key_id(frame, to.raw());
+        for &base_obj in objs {
+            let fe = self.fld_id(base_obj, field.raw());
+            self.fentries[fe as usize].witnesses.push((to_key, key));
+            if !self.fentries[fe as usize].set.is_empty() {
+                let mut buf = std::mem::take(&mut self.buf);
+                buf.clear();
+                self.fentries[fe as usize].set.extend_into(&mut buf);
+                self.stats.fire_load += buf.len() as u64;
+                self.insert_batch(
+                    to_key,
+                    &buf,
+                    Reason::Load {
+                        base_key: key,
+                        base_obj,
+                        field: field.raw(),
+                    },
+                );
+                self.buf = buf;
+            }
+        }
+    }
+
+    /// `base.field = from`, base side, for the base objects `objs` in
+    /// `frame`: `FldPointsTo(baseObj, field, *pts(from, ctx))`.
+    #[inline(always)]
+    fn store_on(&mut self, frame: u32, field: FieldId, from: VarId, objs: &[u32]) {
+        let Some(from_key) = self.key_get(frame, from.raw()) else {
+            return;
+        };
+        if self.entries[from_key as usize].set.is_empty() {
+            return;
+        }
+        let mut vals = std::mem::take(&mut self.buf);
+        vals.clear();
+        self.entries[from_key as usize].set.extend_into(&mut vals);
+        for &base_obj in objs {
+            self.insert_fld_batch(base_obj, field.raw(), &vals, from_key);
+        }
+        self.buf = vals;
+    }
+
+    /// `base.field = from`, source side, for the objects `objs` of
+    /// `from`'s key `key` in `frame`: `FldPointsTo(*pts(base, ctx), field,
+    /// objs)`.
+    #[inline(always)]
+    fn store_of(&mut self, frame: u32, key: u32, base: VarId, field: FieldId, objs: &[u32]) {
+        let Some(base_key) = self.key_get(frame, base.raw()) else {
+            return;
+        };
+        if self.entries[base_key as usize].set.is_empty() {
+            return;
+        }
+        let mut bases = std::mem::take(&mut self.buf);
+        bases.clear();
+        self.entries[base_key as usize].set.extend_into(&mut bases);
+        for &base_obj in &bases {
+            self.insert_fld_batch(base_obj, field.raw(), objs, key);
+        }
+        self.buf = bases;
+    }
+
+    /// `C.field = from` for the objects `objs` of `from`'s key `key`.
+    #[inline(always)]
+    fn sstore(&mut self, key: u32, field: FieldId, objs: &[u32]) {
+        self.insert_static_batch(field.raw(), objs, key);
+    }
+
+    /// `throw var` for the objects `objs` of `var`'s key in `frame`: each
+    /// exception arrives at the frame.
+    #[inline(always)]
+    fn throw(&mut self, frame: u32, objs: &[u32]) {
+        for &obj in objs {
+            self.stats.fire_throw += 1;
+            self.throw_into(frame, obj);
+        }
+    }
+
+    /// `base.sig(...)` at `invo` for the receiver objects `objs` of
+    /// `base`'s key in `frame` (context `ctx`): dispatch, Merge, and derive
+    /// CallGraph + this-points-to + Reachable.
+    #[inline(always)]
+    fn vcall(&mut self, frame: u32, ctx: Ctx, sig: SigId, invo: InvoId, objs: &[u32]) {
+        for &obj in objs {
+            self.stats.fire_vcall_dispatch += 1;
+            let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
+            let Some(callee) = self.program.lookup(heap_ty, sig) else {
+                continue;
+            };
+            let (heap, hctx) = self.objs.resolve(obj);
+            let hctx_val = self.hctxs.resolve(HCtxId::from_raw(hctx));
+            // Demoted callees skip Merge so no unused context is interned
+            // on their behalf.
+            let callee_ctx = match self.demote_ctx[callee.index()] {
+                NOT_DEMOTED => {
+                    let v = self.policy.merge(
+                        HeapId::from_raw(heap),
+                        hctx_val,
+                        invo,
+                        ctx,
+                        &self.program,
+                    );
+                    self.ctxs.intern(v).raw()
+                }
+                demoted => demoted,
+            };
+            let cframe = self.add_call_edge(invo, frame, callee, callee_ctx);
+            if let Some(this) = self.program.this_var(callee) {
+                // VarPointsTo(this, calleeCtx, obj) — per receiver object,
+                // even when the call-graph edge existed.
+                let tkey = self.key_id(cframe, this.raw());
+                self.stats.fire_this_binding += 1;
+                self.insert_batch(tkey, &[obj], Reason::ThisBinding { invo: invo.raw() });
+            }
+        }
     }
 
     // ----- result construction ----------------------------------------------

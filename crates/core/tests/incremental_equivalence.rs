@@ -17,9 +17,9 @@
 //! deliberately excluded: they are not analysis meaning, and an
 //! implementation may keep slack in them.
 
-use pta_core::{Analysis, AnalysisSession, Backend, PointsToResult};
+use pta_core::{Analysis, AnalysisSession, Backend, PointsToResult, SolverStats};
 use pta_ir::rng::Rng;
-use pta_ir::{MethodId, Program, ProgramBuilder, ProgramDelta, TypeId};
+use pta_ir::{FieldId, MethodId, Program, ProgramBuilder, ProgramDelta, TypeId, VarId};
 use pta_workload::{dacapo_workload, materialize, shrink_steps, Edit, EditStream};
 
 /// Everything the analysis *means* about `program`, as one string.
@@ -696,5 +696,198 @@ fn new_calls_into_a_frame_that_threw_match_scratch() {
     delta.scall(quiet, boom, &[], None, "boom() #2");
     for analysis in Analysis::ALL {
         assert_additive_apply_exact(&base, &delta, analysis);
+    }
+}
+
+/// The handles of [`cell_program`]: `get` is an instance method of `Cell`
+/// called on three receivers, so it is live under three contexts in
+/// every context-sensitive policy, and each of its frames has non-empty
+/// keys for `this` and `r`. `idle` is a static method nothing calls.
+struct CellProgram {
+    base: Program,
+    get: MethodId,
+    idle: MethodId,
+    this: VarId,
+    r: VarId,
+    cell: TypeId,
+    boxed: TypeId,
+    err: TypeId,
+    f: FieldId,
+    s: FieldId,
+}
+
+/// `get` allocates a `Box`, stores it into `this.f` and the static
+/// `Cell.S` and returns it; `main` calls it on three cells, loads `c.f`
+/// and `Cell.S` (pending witnesses for new stores) and catches `Box`.
+/// `Box.id()` and `Cell.idle()` exist but nothing calls them.
+fn cell_program() -> CellProgram {
+    let mut b = ProgramBuilder::new();
+    let object = b.class("Object", None);
+    let cell = b.class("Cell", Some(object));
+    let boxed = b.class("Box", Some(object));
+    let err = b.class("Err", Some(object));
+    let f = b.field(cell, "f");
+    let s = b.static_field(cell, "S");
+    let id = b.method(boxed, "id", &[], false);
+    let id_this = b.this(id).unwrap();
+    b.set_return(id, id_this);
+    let get = b.method(cell, "get", &[], false);
+    let this = b.this(get).unwrap();
+    let r = b.var(get, "r");
+    b.alloc(get, r, boxed, "inner");
+    b.store(get, this, f, r);
+    b.sstore(get, s, r);
+    b.set_return(get, r);
+    let idle = b.method(cell, "idle", &[], true);
+    let main = b.method(cell, "main", &[], true);
+    for i in 0..3 {
+        let (c, got) = (b.var(main, &format!("c{i}")), b.var(main, &format!("g{i}")));
+        let held = b.var(main, &format!("h{i}"));
+        b.alloc(main, c, cell, &format!("cell {i}"));
+        b.vcall(main, c, "get", &[], Some(got), &format!("c{i}.get()"));
+        b.load(main, held, c, f);
+    }
+    let z = b.var(main, "z");
+    b.sload(main, z, s);
+    b.catch_clause(main, boxed, "caught");
+    b.entry_point(main);
+    CellProgram {
+        base: b.finish().unwrap(),
+        get,
+        idle,
+        this,
+        r,
+        cell,
+        boxed,
+        err,
+        f,
+        s,
+    }
+}
+
+/// Records an edit of [`cell_program`] into a delta.
+type CellEdit = fn(&CellProgram, &mut ProgramDelta);
+
+/// One additive delta per instruction kind, each appended to `get` (live
+/// under three contexts) and checked against a scratch solve under every
+/// policy: seeding joins each against the existing frames and keys.
+#[test]
+fn each_appended_instruction_kind_matches_scratch() {
+    let cases: [(&str, CellEdit); 8] = [
+        ("cast", |p, d| {
+            let t = d.var(p.get, "t");
+            d.cast(p.get, t, p.r, p.boxed);
+        }),
+        ("cast whose filter drops every object", |p, d| {
+            let t = d.var(p.get, "t");
+            d.cast(p.get, t, p.r, p.err);
+        }),
+        ("static load of a field with facts", |p, d| {
+            let t = d.var(p.get, "t");
+            d.sload(p.get, t, p.s);
+        }),
+        ("static store reaching main's pending load", |p, d| {
+            d.sstore(p.get, p.s, p.this);
+        }),
+        ("throw escaping into main's catch", |p, d| {
+            d.throw(p.get, p.r)
+        }),
+        ("load through this", |p, d| {
+            let t = d.var(p.get, "t");
+            d.load(p.get, t, p.this, p.f);
+        }),
+        ("stores waking main's pending loads", |p, d| {
+            let fresh = d.var(p.get, "fresh");
+            d.alloc(p.get, fresh, p.cell, "fresh cell");
+            d.store(p.get, p.this, p.f, fresh);
+            d.store(p.get, p.this, p.f, p.this);
+        }),
+        ("virtual call reaching Box.id", |p, d| {
+            let t = d.var(p.get, "t");
+            d.vcall(p.get, p.r, "id", &[], Some(t), "r.id()");
+        }),
+    ];
+    let p = cell_program();
+    for (case, edit) in cases {
+        eprintln!("case: {case}");
+        let mut delta = ProgramDelta::new(&p.base);
+        edit(&p, &mut delta);
+        for analysis in Analysis::ALL {
+            assert_additive_apply_exact(&p.base, &delta, analysis);
+        }
+    }
+}
+
+/// Each rule instance an additive apply introduces fires once: seeding
+/// skips the frames it queues (their bodies are processed whole) and the
+/// keys the delta's own instructions mint (the worklist joins their
+/// pending objects against the new index).
+#[test]
+fn each_seeded_rule_instance_fires_once() {
+    let p = cell_program();
+    let mut delta = ProgramDelta::new(&p.base);
+    delta.entry_point(p.idle);
+    let h = delta.var(p.idle, "h");
+    delta.alloc(p.idle, h, p.boxed, "idle box");
+    let (fresh, t) = (delta.var(p.get, "fresh"), delta.var(p.get, "t"));
+    delta.alloc(p.get, fresh, p.cell, "fresh cell");
+    delta.move_(p.get, t, fresh);
+    let mut session = AnalysisSession::open(p.base.clone())
+        .policy(Analysis::Insens)
+        .incremental(true);
+    let before = *session.solve().solver_stats();
+    let inc = *session.apply(&delta).unwrap().solver_stats();
+    assert!(session.last_apply_was_incremental());
+    let counts = |s: &SolverStats| (s.fire_alloc, s.fire_assign, s.vpt_dup);
+    let want = (
+        before.fire_alloc + 2,
+        before.fire_assign + 1,
+        before.vpt_dup,
+    );
+    assert_eq!(counts(&inc), want);
+    let edited = p.base.apply_delta(&delta).unwrap();
+    let fresh = AnalysisSession::open(edited)
+        .policy(Analysis::Insens)
+        .solve();
+    assert_eq!(counts(&inc), counts(fresh.solver_stats()));
+}
+
+/// Every `SolverStats` counter after the additive-only prefix of two
+/// luindex:0.3 edit streams, evaluation counters included: the seeding of
+/// an additive apply fires the same rule instances, in the same order, as
+/// the kernel did when these values were taken. Each row is `(stream
+/// seed, edits, policy, SolverStats::fields() values)`; the two prefixes
+/// append every instruction kind the edit stream emits.
+#[test]
+fn additive_prefix_counters_are_pinned() {
+    #[rustfmt::skip]
+    let pinned: [(u64, usize, Analysis, [u64; 32]); 6] = [
+        (8, 8, Analysis::Insens, [3964, 2648, 111, 293, 4942, 931, 1542, 15, 15, 319, 331, 127, 1, 1, 3, 1174, 371, 596, 1120, 176, 1, 1, 111, 1241, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (8, 8, Analysis::TwoObjH, [1671, 468, 197, 106, 1355, 150, 331, 18, 18, 312, 312, 160, 1, 1, 3, 189, 472, 730, 1238, 265, 107, 26, 174, 1551, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (8, 8, Analysis::STwoObjH, [1701, 466, 211, 106, 1357, 145, 323, 18, 18, 329, 329, 168, 1, 1, 3, 183, 497, 751, 1293, 264, 271, 26, 174, 1640, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (1, 2, Analysis::Insens, [3924, 2612, 108, 291, 4880, 922, 1528, 15, 15, 319, 336, 126, 1, 1, 3, 1160, 370, 595, 1080, 176, 1, 1, 108, 1201, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (1, 2, Analysis::TwoObjH, [1618, 455, 183, 104, 1305, 150, 331, 18, 18, 312, 313, 148, 1, 1, 3, 189, 460, 710, 1185, 265, 107, 26, 167, 1486, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (1, 2, Analysis::STwoObjH, [1637, 453, 197, 104, 1296, 145, 323, 18, 18, 329, 330, 159, 1, 1, 3, 183, 488, 737, 1250, 264, 265, 26, 167, 1591, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ];
+    let base = dacapo_workload("luindex", 0.3);
+    for (seed, edits, analysis, want) in pinned {
+        let mut stream = EditStream::new(base.clone(), seed);
+        let mut session = solved_session(&base, analysis, Backend::Dense, 1);
+        let mut result = None;
+        for _ in 0..edits {
+            let delta = stream.next_delta();
+            assert!(
+                !delta.has_retractions(),
+                "seed {seed}: the prefix is additive"
+            );
+            result = Some(session.apply(&delta).unwrap());
+            assert!(
+                session.last_apply_was_incremental(),
+                "seed {seed}/{analysis}"
+            );
+        }
+        let got = result.expect("a non-empty prefix").solver_stats().fields();
+        let want: Vec<_> = got.iter().map(|f| f.0).zip(want).collect();
+        assert_eq!(got, want, "seed {seed}/{analysis}");
     }
 }
