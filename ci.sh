@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 suite (which includes the
-# rule-profile gate) and the benchmark package's tests, plus one
-# non-gating tier and the non-gating line count.
+# Local CI gate: formatting, lints, warning-free API docs, the tier-1
+# suite (which includes the rule-profile gate) and the benchmark
+# package's tests, plus one non-gating tier and the non-gating line count.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -11,6 +11,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Gating: the published API docs build without a warning, so no doc
+# link dangles or points at a private item.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

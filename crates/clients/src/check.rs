@@ -4,10 +4,10 @@
 //!
 //! The client suite has the same two-implementation discipline as the
 //! core analysis: the direct Rust fixpoints
-//! ([`taint_findings`](crate::taint_findings),
-//! [`escape_findings`](crate::escape_findings),
-//! [`nullness_findings`](crate::nullness_findings)) and the Datalog rule
-//! encoding ([`datalog_check`](crate::rules::datalog_check)) must agree
+//! ([`taint_findings`],
+//! [`escape_findings`],
+//! [`nullness_findings`]) and the Datalog rule
+//! encoding ([`datalog_check`]) must agree
 //! finding-for-finding on every run; [`run_check`] with
 //! [`ClientBackend::CrossValidated`] evaluates both and panics on any
 //! divergence, so a disagreement is a bug in one of the encodings, not a

@@ -1,7 +1,7 @@
 //! Heap taint-flow client (`W020`).
 //!
 //! An allocation site is *tainted* when it sits in a method the
-//! [`CheckSpec`](crate::CheckSpec) marks as a `source`, and taint
+//! [`CheckSpec`] marks as a `source`, and taint
 //! propagates *contents-to-container* along the context-insensitive
 //! field points-to view: an object that can reach a tainted object
 //! through instance fields is itself tainted (a crate holding a tainted

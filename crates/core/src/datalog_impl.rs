@@ -182,14 +182,11 @@ where
 
     PointsToResult {
         var_points_to,
-        call_graph_edges: call_targets.items().len(),
         call_targets,
         reachable: reachable_set,
         ctx_vpt_count: e.len(vpt) as u64,
         ctx_call_graph_edges: e.len(call_graph) as u64,
         ctx_reachable_count: e.len(reachable) as u64,
-        ctx_count: ctx_interner.len(),
-        hctx_count: hctx_interner.len(),
         tuples: None,
         provenance: None,
         fld_provenance: None,

@@ -17,8 +17,10 @@
 //! ([`Solver::alloc`], [`Solver::assign`], [`Solver::vcall`], …): a
 //! reachability rule in each frame of the instruction's method that the
 //! old fixpoint reached, a join rule with the full set of each existing
-//! key of the variable it joins on. Those keys are slots of the same
-//! frames ([`Solver::key_get`]), so no apply scans the interned keys.
+//! key of the variable it joins on. Both come from the method's frame
+//! list (`Solver::method_frames`, a prefix of it for the old frames) and
+//! the key slots of those frames ([`Solver::keys_of`]), so no apply
+//! scans the frames or the interned keys.
 //!
 //! ## Everything else re-solves
 //!
@@ -26,13 +28,12 @@
 //! removed entry points) falls back to a from-scratch solve, and so does a
 //! delta that can change `Lookup` for existing receivers (a method
 //! override: additive in the input, retracting in the derived call graph)
-//! and a catch clause added while exception facts exist
-//! ([`Solver::exc_seen`]).
+//! and a catch clause added once any `throw` has fired (the new clause can
+//! capture exceptions that already escaped, which retracts derived facts).
 
 use std::sync::Arc;
 
 use pta_govern::Termination;
-use pta_ir::hash::FxHashMap;
 use pta_ir::{Instr, Program, ProgramDelta};
 
 use super::{Solver, StaticEntry, NOT_DEMOTED};
@@ -73,14 +74,14 @@ impl<P: ContextPolicy> Solver<P> {
     ) -> ApplyOutcome {
         // Only a retained solve gets here, and retention excludes graceful
         // degradation, so no method was ever demoted.
-        debug_assert!(self.config.retain && !self.config.degrade && self.demoted_sites.is_empty());
+        debug_assert!(!self.config.degrade && self.demoted_sites.is_empty());
         if delta.has_retractions() {
             return ApplyOutcome::Fallback("delta retracts facts");
         }
         if delta.may_change_base_dispatch() {
             return ApplyOutcome::Fallback("delta may override existing dispatch");
         }
-        if self.exc_seen && !delta.added_catches().is_empty() {
+        if self.stats.fire_throw > 0 && !delta.added_catches().is_empty() {
             return ApplyOutcome::Fallback("catch added under live exception flow");
         }
 
@@ -107,8 +108,8 @@ impl<P: ContextPolicy> Solver<P> {
             self.statics.resize_with(n_fields, StaticEntry::default);
         }
         let n_methods = self.program.method_count();
-        if self.method_fanout.len() < n_methods {
-            self.method_fanout.resize(n_methods, 0);
+        if self.method_frames.len() < n_methods {
+            self.method_frames.resize_with(n_methods, Vec::new);
             self.demote_ctx.resize(n_methods, NOT_DEMOTED);
         }
     }
@@ -121,35 +122,25 @@ impl<P: ContextPolicy> Solver<P> {
     /// delta-declared methods need no seeding: they are processed
     /// wholesale when first reached.
     fn seed_additive(&mut self, delta: &ProgramDelta) {
-        // The frames of each method the delta appends to, as of the old
-        // fixpoint. Its worklist is drained, so a frame marked from here
-        // on (a new entry point, a new callee) is queued: the worklist
-        // processes its whole new body, and it holds no key yet.
+        // The old fixpoint's frames and keys. Its worklist is drained, so
+        // a frame marked from here on (a new entry point, a new callee) is
+        // queued: the worklist processes its whole new body, and it holds
+        // no key yet. Likewise, a key minted from here on holds only
+        // objects still pending in its delta, which the worklist joins
+        // against the new index.
         debug_assert!(self.reach_queue.is_empty() && self.dirty.is_empty());
-        let mut frames_of: FxHashMap<u32, Vec<u32>> = delta
-            .appended_instrs()
-            .iter()
-            .map(|&(m, _)| (m.raw(), Vec::new()))
-            .collect();
-        if !frames_of.is_empty() {
-            for (frame, &(m, _ctx)) in self.reachable.keys().iter().enumerate() {
-                if let Some(frames) = frames_of.get_mut(&m) {
-                    frames.push(frame as u32);
-                }
-            }
-        }
-        self.mark_entry_points();
-        // Likewise, a key minted from here on holds only objects still
-        // pending in its delta, which the worklist joins against the new
-        // index.
+        let old_frames = self.frames.len() as u32;
         let old_keys = self.keys.len() as u32;
+        self.mark_entry_points();
         let (mut keys, mut objs) = (Vec::new(), Vec::new());
 
         for &(m, instr) in delta.appended_instrs() {
-            let frames = &frames_of[&m.raw()];
             let var = match instr {
                 Instr::Alloc { .. } | Instr::SCall { .. } | Instr::SLoad { .. } => {
-                    for &frame in frames {
+                    let frames = &self.method_frames[m.index()];
+                    let old = frames.partition_point(|&f| f < old_frames);
+                    for i in 0..old {
+                        let frame = self.method_frames[m.index()][i];
                         let ctx = self.ctx_of(frame);
                         match instr {
                             Instr::Alloc { var, heap } => self.alloc(frame, ctx, var, heap),
@@ -168,15 +159,9 @@ impl<P: ContextPolicy> Solver<P> {
                 | Instr::VCall { base, .. } => base,
                 Instr::Throw { var } => var,
             };
-            // The existing keys of the joined variable, one per frame of
-            // its method, in key order.
+            // The existing keys of the joined variable, in key order.
             keys.clear();
-            keys.extend(
-                frames
-                    .iter()
-                    .filter_map(|&frame| self.key_get(frame, var.raw()))
-                    .filter(|&key| key < old_keys),
-            );
+            keys.extend(self.keys_of(var.raw()).filter(|&key| key < old_keys));
             keys.sort_unstable();
             for &key in &keys {
                 objs.clear();

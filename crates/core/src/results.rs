@@ -260,14 +260,11 @@ pub struct PointsToResult {
     pub(crate) var_points_to: Csr<HeapId>,
     /// Invocation site → sorted callees.
     pub(crate) call_targets: Csr<MethodId>,
-    pub(crate) call_graph_edges: usize,
     /// Bitset of the reachable methods.
     pub(crate) reachable: Vec<u64>,
     pub(crate) ctx_vpt_count: u64,
     pub(crate) ctx_call_graph_edges: u64,
     pub(crate) ctx_reachable_count: u64,
-    pub(crate) ctx_count: usize,
-    pub(crate) hctx_count: usize,
     pub(crate) tuples: Option<Vec<CtxVarPointsTo>>,
     pub(crate) provenance: Option<FxHashMap<CtxVarPointsTo, Derivation>>,
     pub(crate) fld_provenance: Option<FxHashMap<FldProvKey, CtxVarPointsTo>>,
@@ -327,7 +324,7 @@ impl PointsToResult {
     /// Number of edges in the context-insensitive call graph — the paper's
     /// "edges" precision metric.
     pub fn call_graph_edge_count(&self) -> usize {
-        self.call_graph_edges
+        self.call_targets.items().len()
     }
 
     /// `true` if the analysis found `meth` reachable in some context.
@@ -367,12 +364,12 @@ impl PointsToResult {
 
     /// Number of distinct calling contexts created.
     pub fn context_count(&self) -> usize {
-        self.ctx_count
+        self.ctx_interner.len()
     }
 
     /// Number of distinct heap contexts created.
     pub fn heap_context_count(&self) -> usize {
-        self.hctx_count
+        self.hctx_interner.len()
     }
 
     /// The solver's always-on performance counters (rule firings, dedup

@@ -35,10 +35,10 @@
 //! an eligible configuration — dense back end, no budget, no degradation,
 //! no observability capture), the solver state from the
 //! previous solve is *retained* and the fixpoint is maintained in place
-//! (see [`crate::solver::incremental`]): additive edits resume semi-naive
-//! evaluation, and everything else (retracting edits, dispatch-changing
-//! overrides, catch clauses added under live exception flow)
-//! transparently falls back to a from-scratch solve of the new program.
+//! (by the dense solver's `incremental` module): additive edits resume
+//! semi-naive evaluation, and everything else (retracting edits,
+//! dispatch-changing overrides, catch clauses added under live exception
+//! flow) transparently falls back to a from-scratch solve of the new program.
 //! Either way the result is byte-identical to a fresh solve;
 //! [`AnalysisSession::last_apply_was_incremental`] reports which path ran.
 //!
@@ -59,7 +59,7 @@ use pta_ir::{DeltaError, Program, ProgramBuilder, ProgramDelta};
 use crate::datalog_impl;
 use crate::fault::FaultPlan;
 use crate::policy::{Analysis, ContextPolicy};
-use crate::results::PointsToResult;
+use crate::results::{PointsToResult, SolverStats};
 use crate::solver::incremental::{ApplyOutcome, ApplyStats};
 use crate::solver::{solve_sequential, Solver, SolverConfig};
 
@@ -279,8 +279,8 @@ impl<P: ContextPolicy> AnalysisSession<P> {
 
     /// Attaches a [`pta_obs::Metrics`] registry: every
     /// [`AnalysisSession::solve`] exports its solver counters
-    /// (`pta_solver_*`) and every
-    /// [`AnalysisSession::apply`] its outcome
+    /// (`pta_solver_*`), every incremental [`AnalysisSession::apply`] the
+    /// counters' growth over the apply, and every apply its outcome
     /// (`pta_apply_total{mode=...}`, fallback reasons, maintained tuples) into
     /// it. A disabled registry (the default) is a true no-op. Pure
     /// observability: unlike the other builders this does *not* drop
@@ -382,10 +382,11 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         match self.backend {
             Backend::Dense => {
                 if self.retention_eligible() {
-                    let mut config = self.config.clone();
-                    config.retain = true;
-                    let mut solver =
-                        Solver::new(Arc::clone(&self.program), self.policy.clone(), config);
+                    let mut solver = Solver::new(
+                        Arc::clone(&self.program),
+                        self.policy.clone(),
+                        self.config.clone(),
+                    );
                     let termination = solver.solve_fix();
                     let keep = termination == Termination::Complete;
                     let result = solver.build_result(termination, keep);
@@ -422,6 +423,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         self.last_fallback = None;
         self.last_apply_stats = None;
         if let Some(mut solver) = self.retained.take() {
+            let before = *solver.stats();
             match solver.apply_delta(&new_program, delta) {
                 ApplyOutcome::Done(termination, apply_stats) => {
                     self.program = new_program;
@@ -433,6 +435,7 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                     }
                     self.last_apply_was_incremental = true;
                     self.last_apply_stats = Some(apply_stats);
+                    self.export_solver_stats(result.solver_stats(), &before);
                     self.export_apply_metrics();
                     return Ok(result);
                 }
@@ -450,23 +453,29 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         Ok(result)
     }
 
-    /// Exports one solve's counters into the attached metrics registry.
-    /// Solver stats are exported only for from-scratch solves: a retained
-    /// solver's stats are cumulative across applies, so re-adding them
-    /// after each maintenance run would double-count (incremental applies
-    /// export their own deltas in [`AnalysisSession::export_apply_metrics`]).
+    /// Exports one from-scratch solve's counters into the attached
+    /// metrics registry.
     fn export_solve_metrics(&self, result: &PointsToResult) {
+        self.metrics.counter("pta_solve_total", &[]).inc();
+        self.export_solver_stats(result.solver_stats(), &SolverStats::default());
+    }
+
+    /// Exports what the solver counted since `before` as `pta_solver_*`.
+    /// A retained solver's counters are cumulative across applies, so an
+    /// incremental apply passes the counters it started from and adds
+    /// only its own work; a from-scratch solve passes zeros.
+    fn export_solver_stats(&self, stats: &SolverStats, before: &SolverStats) {
         if !self.metrics.is_enabled() {
             return;
         }
         let m = &self.metrics;
-        m.counter("pta_solve_total", &[]).inc();
-        for (name, value) in result.solver_stats().fields() {
+        for ((name, value), (_, old)) in stats.fields().into_iter().zip(before.fields()) {
             if name == "peak_worklist" {
                 m.gauge("pta_solver_peak_worklist", &[]).fetch_max(value);
             } else {
+                let grown = value.checked_sub(old).expect("solver counters only grow");
                 m.counter(&format!("pta_solver_{name}_total"), &[])
-                    .add(value);
+                    .add(grown);
             }
         }
     }

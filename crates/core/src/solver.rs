@@ -38,6 +38,10 @@
 //! - the key IDs and call sites of a method under a context live in
 //!   slots of its **frame** (its `Reachable` fact), so finding one is an
 //!   array read;
+//! - each method lists its frames (`Solver::method_frames`), the one
+//!   reverse index: a variable's keys and a method's context fan-out are
+//!   read through it, and the call graph from the frames' call-site
+//!   slots, so no hash set or counter keeps a second copy of them;
 //! - the static input relations live in CSR-style per-variable tables
 //!   (`StaticIndex`), one flat allocation per relation.
 //!
@@ -73,8 +77,8 @@ use crate::results::{
     hot_vars, CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, SolverStats,
 };
 
-/// Solver configuration. The default is an unlimited, uninstrumented,
-/// non-retaining solve.
+/// Solver configuration. The default is an unlimited, uninstrumented
+/// solve.
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
     /// Retain the full context-sensitive tuple set in the result (memory
@@ -107,12 +111,6 @@ pub struct SolverConfig {
     /// the result. Off by default; enabling it adds two clock reads per
     /// rule batch.
     pub profile: bool,
-    /// Keep the solver state alive after the fixpoint so a later
-    /// [`ProgramDelta`](pta_ir::ProgramDelta) can be applied incrementally
-    /// (see [`crate::AnalysisSession::apply`]). Off by default: retention
-    /// clones the context interners into the result instead of moving
-    /// them.
-    pub retain: bool,
 }
 
 /// The rules in stable profile order — the paper's nine Figure 2 rule
@@ -555,27 +553,23 @@ pub(crate) struct Solver<P: ContextPolicy> {
     /// sites are overwhelmingly monomorphic), so edge dedup is a linear
     /// scan instead of a 4-tuple hash probe.
     cg_targets: Vec<Vec<u32>>,
-    ctx_cg_edges: u64,
-    /// Context-insensitive call-graph projection.
-    cg_insens: FxHashSet<(InvoId, MethodId)>,
     /// `Reachable(meth, ctx)`: the frame interner. A frame is the
     /// `(method, context)` record that owns the method's keys and call
     /// sites under that context.
     reachable: DenseMap<(u32, u32)>,
     /// Frame ID -> its slot ranges.
     frames: Vec<Frame>,
+    /// Method -> its frames, in frame-ID order: the solver's one reverse
+    /// index. Through their key slots it answers which keys a variable
+    /// has, so seeding, projection, demotion and the context fan-out all
+    /// read it.
+    method_frames: Vec<Vec<u32>>,
     /// Key and call-site slots of every frame (see [`Frame`]).
     slots: Vec<u32>,
     /// Frame ID -> the caller frames of its call edges, in registration
     /// order: the frames an escaping exception propagates to. Append-only
     /// with repeats until the frame first throws, distinct from then on.
     callers: Vec<Vec<u32>>,
-    /// `true` once any exception fact (escape or catch binding) has been
-    /// derived. An incremental apply that adds a catch clause under live
-    /// exception flow falls back to a full re-solve: the new clause can
-    /// capture exceptions that already escaped, which is a retraction of
-    /// derived facts.
-    exc_seen: bool,
 
     /// Keys with non-empty deltas, FIFO.
     dirty: VecDeque<u32>,
@@ -626,8 +620,6 @@ pub(crate) struct Solver<P: ContextPolicy> {
     watermark: u32,
     /// Whether the one-time 10% deadline grace window has been spent.
     grace_used: bool,
-    /// Per-method count of distinct reachable contexts.
-    method_fanout: Vec<u32>,
     /// Per-method demoted context ID, or [`NOT_DEMOTED`].
     demote_ctx: Vec<u32>,
     /// Demotion log, in demotion order (sorted for the result).
@@ -651,9 +643,6 @@ struct ProjCache {
     /// Insens field view as of the last build; each build re-derives the
     /// dirty base heaps and splices them in.
     field_points_to: FieldView,
-    /// Reverse index: variable -> its interned `(var, ctx)` key IDs
-    /// (new ones pushed by [`Solver::key_id`]).
-    var_keys: RevIndex,
     /// Reverse index: base heap -> its field entry IDs, ordered by field
     /// (new ones pushed by [`Solver::fld_id`]).
     heap_fes: RevIndex,
@@ -661,18 +650,16 @@ struct ProjCache {
     dirty_vars: FxHashSet<u32>,
     /// Base heaps whose field cells grew since the last build.
     dirty_bases: FxHashSet<u32>,
-    /// Insens call-graph edges inserted since the last build.
+    /// The `(invo, callee)` of each context-sensitive call-graph edge
+    /// inserted since the last build, repeats included.
     cg_new: Vec<(InvoId, MethodId)>,
-    /// Running context-sensitive tuple count (matches the sum of all
-    /// entry set sizes; valid because additive applies never remove).
-    ctx_vpt: u64,
 }
 
-/// A reverse index of [`ProjCache`]: `base` holds the elements the first
-/// retained build grouped by row; elements minted later wait in `new`
-/// until they outgrow a 32nd of `base` and are spliced in. A build reads
-/// only its dirty rows, so it pays for the new elements, not for a copy
-/// of the whole index.
+/// The base heap -> field entries index of [`ProjCache`]: `base` holds
+/// the elements the first retained build grouped by row; elements minted
+/// later wait in `new` until they outgrow a 32nd of `base` and are
+/// spliced in. A build reads only its dirty rows, so it pays for the new
+/// elements, not for a copy of the whole index.
 #[derive(Default)]
 struct RevIndex {
     base: Csr<u32>,
@@ -718,7 +705,7 @@ impl RevIndex {
 }
 
 /// Appends the sorted, distinct heaps of one variable's `(var, ctx)`
-/// `keys` to `out`.
+/// `keys` to `out`, whatever their order.
 fn var_row(
     union: &mut Union,
     entries: &[VarEntry],
@@ -751,7 +738,6 @@ impl<P: ContextPolicy> Solver<P> {
             steps: 0,
             watermark,
             grace_used: false,
-            method_fanout: vec![0; n_methods],
             demote_ctx: vec![NOT_DEMOTED; n_methods],
             demoted_sites: Vec::new(),
             proj_cache: None,
@@ -772,13 +758,11 @@ impl<P: ContextPolicy> Solver<P> {
             fentries: Vec::new(),
             statics: (0..n_fields).map(|_| StaticEntry::default()).collect(),
             cg_targets: Vec::new(),
-            ctx_cg_edges: 0,
-            cg_insens: FxHashSet::default(),
             reachable: DenseMap::default(),
             frames: Vec::new(),
+            method_frames: vec![Vec::new(); n_methods],
             slots: Vec::new(),
             callers: Vec::new(),
-            exc_seen: false,
             dirty: VecDeque::new(),
             reach_queue: VecDeque::new(),
             throws: FxHashMap::default(),
@@ -833,6 +817,12 @@ impl<P: ContextPolicy> Solver<P> {
         for &entry in program.entry_points() {
             self.mark_reachable(entry.raw(), CtxId::INITIAL.raw());
         }
+    }
+
+    /// The counters as of the last [`Solver::build_result`] plus whatever
+    /// ran since.
+    pub(crate) fn stats(&self) -> &SolverStats {
+        &self.stats
     }
 
     /// Replaces the solver's program handle without touching any derived
@@ -1020,8 +1010,8 @@ impl<P: ContextPolicy> Solver<P> {
         loop {
             let w = self.watermark;
             let mut any = false;
-            for m in 0..self.method_fanout.len() {
-                if self.demote_ctx[m] == NOT_DEMOTED && self.method_fanout[m] >= w {
+            for m in 0..self.method_frames.len() {
+                if self.demote_ctx[m] == NOT_DEMOTED && self.method_frames[m].len() >= w as usize {
                     self.demote_method(m as u32);
                     any = true;
                 }
@@ -1059,25 +1049,33 @@ impl<P: ContextPolicy> Solver<P> {
         self.demote_ctx[meth as usize] = dctx;
         self.demoted_sites.push(DemotedSite {
             method: meth_id,
-            fanout: self.method_fanout[meth as usize],
+            fanout: self.method_frames[meth as usize].len() as u32,
         });
         let dframe = self.mark_reachable(meth, dctx);
-        // One linear scan over the interned keys per demotion; a method
-        // is demoted at most once, so this stays O(methods × keys) even
-        // under full degradation. The scan bound is taken before the
-        // loop on purpose: the bridge targets it interns are (var, dctx)
-        // keys, which need no bridging themselves. Bridges run BOTH ways
-        // — demotion declares the method's contexts one equivalence
-        // class. Fine→coarse feeds the demoted pipeline; coarse→fine
-        // keeps pre-demotion call edges live (their return edges read
-        // fine keys, which would otherwise go stale while new facts
-        // accrue only under the demoted context).
-        for k in 0..self.keys.len() {
-            let (var, frame) = self.keys[k];
-            if frame != dframe && self.reachable.resolve(frame).0 == meth {
-                self.add_ipa_edge(var, frame, var, dframe);
-                self.add_ipa_edge(var, dframe, var, frame);
+        // The method's fine keys are the filled key slots of its other
+        // frames, so a demotion costs the size of those slots. They are
+        // collected before bridging on purpose: the bridge targets it
+        // interns are (var, dctx) keys, which need no bridging
+        // themselves. Bridging in key-ID order adds the IPA edges in the
+        // order the keys were minted. Bridges run BOTH ways — demotion
+        // declares the method's contexts one equivalence class.
+        // Fine→coarse feeds the demoted pipeline; coarse→fine keeps
+        // pre-demotion call edges live (their return edges read fine
+        // keys, which would otherwise go stale while new facts accrue
+        // only under the demoted context).
+        let mut fine: Vec<u32> = Vec::new();
+        for &frame in &self.method_frames[meth as usize] {
+            if frame != dframe {
+                let f = self.frames[frame as usize];
+                let vars = &self.slots[f.base as usize..(f.base + f.nvars) as usize];
+                fine.extend(vars.iter().filter(|&&s| s != 0).map(|&s| s - 1));
             }
+        }
+        fine.sort_unstable();
+        for key in fine {
+            let (var, frame) = self.keys[key as usize];
+            self.add_ipa_edge(var, frame, var, dframe);
+            self.add_ipa_edge(var, dframe, var, frame);
         }
     }
 
@@ -1169,6 +1167,13 @@ impl<P: ContextPolicy> Solver<P> {
             .map(|s| s - 1)
     }
 
+    /// The interned keys of `var`: its slot in each frame of its method.
+    fn keys_of(&self, var: u32) -> impl Iterator<Item = u32> + '_ {
+        let meth = self.program.var_method(VarId::from_raw(var));
+        let frames = self.method_frames[meth.index()].iter();
+        frames.filter_map(move |&f| self.key_get(f, var))
+    }
+
     /// Interns the key of `var` (a variable of `frame`'s method) in
     /// `frame`, materializing its entry.
     ///
@@ -1188,9 +1193,6 @@ impl<P: ContextPolicy> Solver<P> {
         self.keys.push((var, frame));
         self.entries.push(VarEntry::default());
         self.ipa_out.push(Vec::new());
-        if let Some(cache) = self.proj_cache.as_deref_mut() {
-            cache.var_keys.new.push((var, id));
-        }
         if self.config.degrade {
             let (m, ctx) = self.reachable.resolve(frame);
             let d = self.demote_ctx[m as usize];
@@ -1266,7 +1268,6 @@ impl<P: ContextPolicy> Solver<P> {
         }
         if newly > 0 {
             if let Some(cache) = self.proj_cache.as_deref_mut() {
-                cache.ctx_vpt += newly;
                 cache.dirty_vars.insert(self.keys[key as usize].0);
             }
         }
@@ -1374,10 +1375,11 @@ impl<P: ContextPolicy> Solver<P> {
             });
             self.callers.push(Vec::new());
             self.reach_queue.push_back(frame);
-            self.method_fanout[meth as usize] += 1;
+            let frames = &mut self.method_frames[meth as usize];
+            frames.push(frame);
             if self.config.degrade
                 && self.demote_ctx[meth as usize] == NOT_DEMOTED
-                && self.method_fanout[meth as usize] >= self.watermark
+                && frames.len() >= self.watermark as usize
             {
                 self.demote_method(meth);
             }
@@ -1417,12 +1419,9 @@ impl<P: ContextPolicy> Solver<P> {
         {
             return frame;
         }
-        self.ctx_cg_edges += 1;
         self.stats.call_edges += 1;
-        if self.cg_insens.insert((invo, callee)) {
-            if let Some(cache) = self.proj_cache.as_deref_mut() {
-                cache.cg_new.push((invo, callee));
-            }
+        if let Some(cache) = self.proj_cache.as_deref_mut() {
+            cache.cg_new.push((invo, callee));
         }
         let frame = self.mark_reachable(callee.raw(), callee_ctx);
         self.cg_targets[site].push(frame);
@@ -1466,7 +1465,6 @@ impl<P: ContextPolicy> Solver<P> {
     /// still to visit live on an explicit stack, so a deep call chain
     /// cannot overflow the thread's stack.
     fn throw_into(&mut self, frame: u32, obj: u32) {
-        self.exc_seen = true;
         let program = Arc::clone(&self.program);
         let heap_ty = TypeId::from_raw(self.obj_type[obj as usize]);
         let mut stack = vec![frame];
@@ -1881,6 +1879,9 @@ impl<P: ContextPolicy> Solver<P> {
         let t0 = self.ts.now_ns();
         let (n_vars, n_heaps) = (self.program.var_count(), self.program.heap_count());
         let n_invos = self.program.invo_count();
+        // Sets only grow, so every insertion is one tuple.
+        let ctx_vpt_count = self.stats.vpt_inserted;
+        let cached = self.proj_cache.take().filter(|_| retain);
         let (entries, objs) = (&self.entries, &self.objs);
         let (fkeys, fentries) = (&self.fkeys, &self.fentries);
         let field_of = |fe: u32| fkeys.resolve(fe).1;
@@ -1888,17 +1889,18 @@ impl<P: ContextPolicy> Solver<P> {
         let fe_heaps = |fe: u32| fentries[fe as usize].set.iter().map(|o| objs.resolve(o).0);
         let mut union = Union::default();
         let projected;
-        if let Some(cache) = self.proj_cache.as_deref_mut().filter(|_| retain) {
+        let cache = if let Some(mut cache) = cached {
             let mut dirty: Vec<u32> = cache.dirty_vars.drain().collect();
             dirty.sort_unstable();
-            let var_keys = cache.var_keys.rows(n_vars, &dirty, |k| k);
-            let mut rows = 0..;
-            cache.var_points_to = cache.var_points_to.splice(n_vars, &dirty, |_, _, out| {
-                let keys = var_keys.row(rows.next().expect("one row per dirty var"));
-                var_row(&mut union, entries, objs, keys, out);
+            let mut keys = Vec::new();
+            cache.var_points_to = cache.var_points_to.splice(n_vars, &dirty, |v, _, out| {
+                keys.clear();
+                keys.extend(self.keys_of(v as u32));
+                var_row(&mut union, entries, objs, &keys, out);
             });
             projected = dirty.len();
             cache.cg_new.sort_unstable();
+            cache.cg_new.dedup();
             let mut invos: Vec<u32> = cache.cg_new.iter().map(|(i, _)| i.raw()).collect();
             invos.dedup();
             let mut new = cache.cg_new.as_slice();
@@ -1920,12 +1922,11 @@ impl<P: ContextPolicy> Solver<P> {
             cache.field_points_to = cache
                 .field_points_to
                 .splice(n_heaps, &dirty, elems, field_of, fe_len, fe_heaps);
+            cache
         } else {
             let by_var = Csr::group(n_vars, 0..entries.len() as u32, |k| {
                 keys[k as usize].0 as usize
             });
-            let raw = |&(i, m): &(InvoId, MethodId)| (i.raw(), m.raw());
-            let pairs: Vec<_> = self.cg_insens.iter().map(raw).collect();
             let (field_points_to, by_base) = FieldView::build(
                 n_heaps,
                 self.program.field_count(),
@@ -1935,50 +1936,60 @@ impl<P: ContextPolicy> Solver<P> {
                 fe_heaps,
             );
             // Each variable's row holds at most the objects of its keys.
-            let ctx_vpt: usize = entries.iter().map(|e| e.set.len()).sum();
-            let var_points_to = Csr::build(n_vars, ctx_vpt, |v, out| {
+            let var_points_to = Csr::build(n_vars, ctx_vpt_count as usize, |v, out| {
                 var_row(&mut union, entries, objs, by_var.row(v), out);
             });
-            // The reverse indexes serve only later retained builds.
-            let (var_keys, heap_fes) = if retain {
-                let index = |base| RevIndex {
-                    base,
-                    new: Vec::new(),
-                };
-                (index(by_var), index(by_base))
-            } else {
-                Default::default()
-            };
-            self.proj_cache = Some(Box::new(ProjCache {
+            // Every context-sensitive call edge as `(invo, callee)`, read
+            // from each frame's call-site slots; `from_pairs` drops the
+            // repeats across contexts. Slot `j` of a frame of method `m`
+            // holds the `j`-th invocation of `m` in ID order
+            // (`StaticIndex::number_locals`).
+            let invos_of = Csr::group(self.program.method_count(), 0..n_invos as u32, |i| {
+                self.program.invo_method(InvoId::from_raw(i)).index()
+            });
+            let mut pairs = Vec::with_capacity(self.stats.call_edges as usize);
+            for (f, &(m, _)) in self.frames.iter().zip(frames) {
+                let at = (f.base + f.nvars) as usize;
+                let sites = &self.slots[at..at + f.ninvos as usize];
+                for (&invo, &site) in invos_of.row(m as usize).iter().zip(sites) {
+                    if site != 0 {
+                        let callees = &self.cg_targets[site as usize - 1];
+                        pairs.extend(callees.iter().map(|&c| (invo, frames[c as usize].0)));
+                    }
+                }
+            }
+            let call_targets = Csr::from_pairs(n_invos, &pairs, MethodId::from_raw);
+            projected = n_vars;
+            Box::new(ProjCache {
                 var_points_to,
-                call_targets: Csr::from_pairs(n_invos, &pairs, MethodId::from_raw),
+                call_targets,
                 field_points_to,
-                var_keys,
-                heap_fes,
+                heap_fes: RevIndex {
+                    base: by_base,
+                    new: Vec::new(),
+                },
                 dirty_vars: FxHashSet::default(),
                 dirty_bases: FxHashSet::default(),
                 cg_new: Vec::new(),
-                ctx_vpt: ctx_vpt as u64,
-            }));
-            projected = n_vars;
-        }
+            })
+        };
         // A retained build clones the (flat) views; any other moves them.
-        let (var_points_to, call_targets, field_points_to, ctx_vpt_count) = if retain {
-            let cache = self.proj_cache.as_deref().expect("built above");
-            (
+        let (var_points_to, call_targets, field_points_to) = if retain {
+            let views = (
                 cache.var_points_to.clone(),
                 cache.call_targets.clone(),
                 cache.field_points_to.clone(),
-                cache.ctx_vpt,
-            )
+            );
+            self.proj_cache = Some(cache);
+            views
         } else {
-            let cache = self.proj_cache.take().expect("built above");
-            (
-                cache.var_points_to,
-                cache.call_targets,
-                cache.field_points_to,
-                cache.ctx_vpt,
-            )
+            let ProjCache {
+                var_points_to,
+                call_targets,
+                field_points_to,
+                ..
+            } = *cache;
+            (var_points_to, call_targets, field_points_to)
         };
         let reachable =
             project::bitset(self.program.method_count(), frames.iter().map(|&(m, _)| m));
@@ -2131,14 +2142,11 @@ impl<P: ContextPolicy> Solver<P> {
 
         PointsToResult {
             var_points_to,
-            call_graph_edges: self.cg_insens.len(),
             call_targets,
             reachable,
             ctx_vpt_count,
-            ctx_call_graph_edges: self.ctx_cg_edges,
+            ctx_call_graph_edges: self.stats.call_edges,
             ctx_reachable_count: self.reachable.len() as u64,
-            ctx_count: ctx_interner.len(),
-            hctx_count: hctx_interner.len(),
             tuples,
             provenance,
             fld_provenance,

@@ -388,3 +388,54 @@ fn untripped_budgets_do_not_change_results() {
         roomy.ctx_var_points_to_count()
     );
 }
+
+/// The counters and demoted sites of two degraded solves, as the solver
+/// produced them when demotion still scanned every interned key. A
+/// demotion bridges each fine key of the method into its demoted key, in
+/// key-ID order; any other order reaches the same fixpoint on a
+/// different schedule, which moves counters such as `vpt_dup`, `batches`
+/// and `steps` here. The step budget trips mid-solve, so both the
+/// watermark demotions and a degradation round are covered.
+#[test]
+fn degraded_solve_counters_are_pinned() {
+    /// A policy, its 32 counters and its `(method, fan-out)` demotions.
+    type Pin = (Analysis, [u64; 32], &'static [(u32, u32)]);
+    #[rustfmt::skip]
+    let pinned: [Pin; 2] = [
+        (Analysis::TwoObjH, [44258, 149155, 559, 773, 92943, 97180, 205453, 437, 105, 1517, 1519, 441, 4, 4, 4, 12935, 1435, 3761, 5698, 708, 316, 90, 533, 6568, 37, 0, 0, 0, 0, 0, 0, 0], &[
+            (10, 4), (11, 4), (12, 4), (13, 4), (14, 7), (15, 4), (18, 7), (19, 4), (30, 5), (34, 6),
+            (38, 5), (70, 5), (72, 8), (74, 5), (76, 6), (78, 8), (80, 16), (81, 16), (82, 16), (83, 15),
+            (84, 10), (85, 8), (86, 16), (87, 16), (88, 16), (89, 16), (90, 9), (91, 8), (92, 6), (93, 4),
+            (94, 4), (95, 14), (104, 13), (105, 6), (106, 4), (107, 13), (139, 10),
+        ]),
+        (Analysis::STwoObjH, [45085, 147042, 608, 785, 93350, 94693, 196342, 437, 105, 2250, 2258, 495, 4, 4, 4, 12932, 2059, 3982, 5950, 784, 742, 89, 533, 6909, 41, 0, 0, 0, 0, 0, 0, 0], &[
+            (3, 4), (10, 4), (11, 4), (12, 4), (13, 4), (14, 7), (15, 4), (18, 6), (19, 4), (30, 5),
+            (34, 6), (38, 4), (70, 4), (72, 7), (74, 4), (76, 5), (78, 6), (80, 16), (81, 16), (82, 16),
+            (83, 15), (84, 10), (85, 8), (86, 16), (87, 16), (88, 16), (89, 16), (90, 9), (91, 8), (92, 6),
+            (93, 4), (94, 4), (95, 14), (104, 13), (105, 6), (106, 4), (107, 15), (120, 9), (127, 9), (139, 11),
+            (408, 16),
+        ]),
+    ];
+    let p = dacapo_workload("luindex", 1.0);
+    for (analysis, want, sites) in pinned {
+        let r = AnalysisSession::open(p.clone())
+            .policy(analysis)
+            .config(governed(
+                Budget::unlimited().with_max_steps(4000),
+                true,
+                None,
+            ))
+            .solve();
+        assert_eq!(r.termination(), Termination::Complete, "{analysis}");
+        let got = r.solver_stats().fields();
+        let demoted: Vec<(u32, u32)> = r
+            .demoted_sites()
+            .iter()
+            .map(|d| (d.method.raw(), d.fanout))
+            .collect();
+        let values: Vec<u64> = got.iter().map(|f| f.1).collect();
+        let want: Vec<_> = got.iter().map(|f| f.0).zip(want).collect();
+        assert_eq!(got, want, "{analysis}: {values:?}");
+        assert_eq!(demoted, sites, "{analysis}");
+    }
+}

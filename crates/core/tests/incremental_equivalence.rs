@@ -43,11 +43,13 @@ fn fingerprint(program: &Program, r: &PointsToResult) -> String {
     reach.sort_unstable();
     out.push_str(&format!("f={fields:?};s={statics:?};r={reach:?};"));
     out.push_str(&format!(
-        "reach={};edges={};ctx_vpt={};ctx_edges={};uncaught={:?}",
+        "reach={};edges={};ctx_vpt={};ctx_edges={};ctxs={};hctxs={};uncaught={:?}",
         r.reachable_method_count(),
         r.call_graph_edge_count(),
         r.ctx_var_points_to_count(),
         r.ctx_call_graph_edge_count(),
+        r.context_count(),
+        r.heap_context_count(),
         r.uncaught_exceptions(),
     ));
     out

@@ -12,11 +12,10 @@
 use std::fmt;
 
 use pta_govern::{Budget, BudgetMeter, CancelToken, Termination};
+use pta_ir::hash::FxHashMap;
 
-use crate::hash::FxHashMap;
 use crate::relation::Relation;
 use crate::rule::{Rule, RuleBuilder, Slot};
-
 use crate::tuple::Row;
 
 /// Identifies a relation within an [`Engine`].

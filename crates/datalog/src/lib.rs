@@ -52,8 +52,6 @@
 //! assert_eq!(e.rows(path).count(), 6); // all reachable pairs
 //! ```
 
-mod hash;
-
 pub mod engine;
 pub mod relation;
 pub mod rule;

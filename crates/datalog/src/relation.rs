@@ -8,7 +8,8 @@
 //! key; they are maintained incrementally (each index remembers how far into
 //! the row log it has scanned).
 
-use crate::hash::FxHashMap;
+use pta_ir::hash::FxHashMap;
+
 use crate::tuple::Row;
 
 /// An index over the columns selected by a bitmask.

@@ -18,8 +18,9 @@
 use std::error::Error;
 use std::fmt;
 
+use pta_ir::hash::FxHashMap;
+
 use crate::engine::{Engine, FunctorId, RelId};
-use crate::hash::FxHashMap;
 
 /// A term in an atom: a named variable or a constant.
 #[derive(Debug, Clone, PartialEq, Eq)]

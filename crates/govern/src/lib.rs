@@ -256,7 +256,7 @@ const TIME_CHECK_STRIDE: u32 = 64;
 /// answers "has anything tripped?" cheaply from inside a fixpoint loop.
 ///
 /// Step and memory comparisons happen on every call; wall-clock reads
-/// are strided ([`TIME_CHECK_STRIDE`]) because `Instant::now` is the
+/// are strided (`TIME_CHECK_STRIDE`) because `Instant::now` is the
 /// only costly probe. The limits are mutable (`extend_*`) so graceful
 /// degradation can demote contexts and then grant itself headroom to
 /// finish the coarser run.

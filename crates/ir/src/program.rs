@@ -201,7 +201,7 @@ pub(crate) struct InvoInfo {
 /// See the [crate docs](crate) for the relationship to the paper's model.
 /// Every entity name and site label lives in one name arena (`names`), and
 /// every method's formals and every call's actual arguments in one flat
-/// list (`var_lists`); the per-entity records hold [`Span`]s into them, so
+/// list (`var_lists`); the per-entity records hold `Span`s into them, so
 /// a program owns a handful of buffers plus each method's body rather than
 /// a string or list per entity.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //!
 //! This module is the daemon's single source of answer bytes — and the
 //! soak oracle's too. The test in `crates/serve/tests/soak.rs` builds its
-//! own [`Resident`](crate::resident::Resident) from the same config and
+//! own [`Resident`] from the same config and
 //! calls [`answer`] directly; any daemon response that differs by one
 //! byte from the oracle's is a wire-format or caching bug, which is the
 //! whole point of the comparison. So: nothing here may read a clock it

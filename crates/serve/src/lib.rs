@@ -25,7 +25,7 @@
 //!   can predict every byte the daemon should emit — see [`fault`].
 //!
 //! Module map: [`protocol`] defines the wire grammar, [`resident`] the
-//! solved-once cache, [`answer`] the pure evaluator shared with the
+//! solved-once cache, [`answer`](mod@answer) the pure evaluator shared with the
 //! soak oracle, [`fault`] the injector, and [`server`] the
 //! queue/worker/drain machinery.
 

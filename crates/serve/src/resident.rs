@@ -613,6 +613,52 @@ mod tests {
         assert_eq!(e.result.points_to(var).len(), 1);
     }
 
+    /// An incremental `update` exports what the solver did while
+    /// maintaining the fixpoint: every `pta_solver_*` series of a
+    /// one-policy daemon's scrape reads the entry's counters afterwards,
+    /// so the added allocation shows in `pta_solver_fire_alloc_total`.
+    #[test]
+    fn incremental_updates_export_solver_counters() {
+        let solve = SolveConfig {
+            metrics: Metrics::enabled(),
+            ..SolveConfig::default()
+        };
+        let mut r = Resident::build(&sources("luindex:0.1"), &["2obj+H".into()], &solve).unwrap();
+        let base = Arc::clone(&r.programs[0].program);
+        let entry = base.entry_points()[0];
+        let edits = vec![EditSpec::Alloc {
+            method: base.method_qualified_name(entry),
+            to: "fresh_upd".into(),
+            class: base.type_name(base.method_declaring(entry)).to_owned(),
+            label: "upd_h0".into(),
+        }];
+        let before = r.programs[0].entries[0].result.solver_stats().fire_alloc;
+        let out = r.update(None, &edits, &solve).unwrap();
+        assert!(out.entries[0].1, "the update must be maintained in place");
+        let stats = *r.programs[0].entries[0].result.solver_stats();
+        assert!(stats.fire_alloc > before);
+
+        let scrape = solve.metrics.to_prometheus();
+        let series: Vec<(&str, u64)> = scrape
+            .lines()
+            .filter(|l| l.starts_with("pta_solver_"))
+            .map(|l| {
+                let (name, value) = l.split_once(' ').expect("a sample line");
+                (name, value.parse().expect("an integer sample"))
+            })
+            .collect();
+        let fields = stats.fields();
+        assert_eq!(series.len(), fields.len(), "{scrape}");
+        for (name, value) in fields {
+            let series_name = match name {
+                "peak_worklist" => "pta_solver_peak_worklist".to_owned(),
+                _ => format!("pta_solver_{name}_total"),
+            };
+            let got = series.iter().find(|s| s.0 == series_name).map(|s| s.1);
+            assert_eq!(got, Some(value), "{series_name}");
+        }
+    }
+
     #[test]
     fn bad_edit_scripts_fail_atomically() {
         let mut r = Resident::build(

@@ -17,7 +17,7 @@
 //!    with its admission timestamp and any injected fault decision.
 //! 4. A **worker** pops the job, arms per-request governance (cancel
 //!    token, deadline from admission time, step budget), applies any
-//!    injected fault, evaluates via [`crate::answer`], and writes the
+//!    injected fault, evaluates via [`crate::answer()`], and writes the
 //!    response line to the connection the request came from.
 //! 5. **Shutdown** (SIGTERM, stdin EOF, or the `shutdown` op) stops
 //!    admission, wakes the workers, and waits for in-flight work up to
